@@ -95,31 +95,34 @@ def two_j_from(j_max: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def spectral_momentum(two_j: int, sign_mk: int, i: int, R: float) -> float:
-    """Momentum of the spectral mode: p*R = xi_{j+1/2,i} for m*kappa > 0,
-    xi_{j-1/2,i} for m*kappa < 0."""
-    if sign_mk not in (-1, 1):
-        raise ValueError("sign_mk must be +-1")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    n = (two_j + 1) // 2 if sign_mk > 0 else (two_j - 1) // 2
-    return float(bessel_zeros(n, i)[i - 1]) / R
+def _spectral_shell(two_j: int, sign_mk: int, count: int,
+                    R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta and normalization constants of the spectral modes i = 1..count.
 
-
-def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
-    """Normalization constant sqrt(2) / (sqrt(R^3) |j_m(xi_{n,i})|), where n
-    is the vanishing order and m the other of j -+ 1/2.
-
-    The Bessel value of the non-vanishing order at the quantized momentum is
-    never zero, by interlacing of consecutive-order zeros.
+    p*R = xi_{n,i}, with n = j+1/2 for m*kappa > 0 and j-1/2 for m*kappa < 0,
+    and C = sqrt(2) / (sqrt(R^3) |j_m(xi_{n,i})|), where m is the other of
+    j -+ 1/2.  That Bessel value is never zero, by interlacing of
+    consecutive-order zeros.
     """
     if sign_mk not in (-1, 1):
         raise ValueError("sign_mk must be +-1")
-    n_zero = (two_j + 1) // 2 if sign_mk > 0 else (two_j - 1) // 2
-    n_other = (two_j - 1) // 2 if sign_mk > 0 else (two_j + 1) // 2
-    xi = float(bessel_zeros(n_zero, i)[i - 1])
-    val = abs(float(spherical_jn(n_other, xi)))
-    return math.sqrt(2.0) / (math.sqrt(R**3) * val)
+    if not R > 0:
+        raise ValueError("R must be positive")
+    n_zero, n_other = (two_j + 1) // 2, (two_j - 1) // 2
+    if sign_mk < 0:
+        n_zero, n_other = n_other, n_zero
+    xi = bessel_zeros(n_zero, count)
+    return xi / R, math.sqrt(2.0) / (math.sqrt(R**3) * np.abs(spherical_jn(n_other, xi)))
+
+
+def spectral_momentum(two_j: int, sign_mk: int, i: int, R: float) -> float:
+    """Momentum of the i-th spectral mode with sign(m_j kappa) = sign_mk."""
+    return float(_spectral_shell(two_j, sign_mk, i, R)[0][i - 1])
+
+
+def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
+    """Normalization constant of the i-th spectral mode with sign(m_j kappa) = sign_mk."""
+    return float(_spectral_shell(two_j, sign_mk, i, R)[1][i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +153,6 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
         raise ValueError("require R > 0, M >= 0, count >= 1")
     if esign not in (-1, 1) or varsigma not in (-1, 1):
         raise ValueError("esign and varsigma must be +-1")
-    return np.array(_mit_momenta_cached(two_j, kappa, esign, R, M, varsigma, count))
-
-
-@lru_cache(maxsize=100_000)
-def _mit_momenta_cached(two_j: int, kappa: int, esign: int, R: float, M: float,
-                        varsigma: int, count: int) -> tuple[float, ...]:
     rho = M * R
     n_f, n_g = bessel_orders(kappa)
     f = lambda x: _mit_equation(x, two_j, kappa, esign, rho, varsigma)
@@ -189,7 +186,7 @@ def _mit_momenta_cached(two_j: int, kappa: int, esign: int, R: float, M: float,
                     raise SolverError(
                         f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
                         f"(two_j={two_j}, kappa={kappa}, esign={esign})")
-            return tuple(x / R for x in roots)
+            return np.array([x / R for x in roots])
         need += 4
     raise SolverError(
         f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
@@ -239,6 +236,36 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 
 
 # ---------------------------------------------------------------------------
+# Shell tables
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
+                R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign) shell.
+
+    A spectral mode's p and C depend only on sign(m_j kappa), so the table
+    of kappa holds the modes with m_j > 0, and a mode with m_j < 0 reads the
+    table of -kappa.  MIT modes do not depend on m_j.
+    """
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
+    if bc.is_mit:
+        p = mit_momenta(two_j, kappa, esign, R, M, bc.varsigma, i_max)
+        # mit_norm computes its own energy with math.hypot, which differs from
+        # the np.hypot E below in the last bit for some (p, M)
+        C = np.array([mit_norm(two_j, kappa, i + 1, R, M, esign, bc.varsigma, x)
+                      for i, x in enumerate(p)])
+    else:
+        p, C = _spectral_shell(two_j, 1 if kappa > 0 else -1, i_max, R)
+    E = esign * np.hypot(p, M)
+    for arr in (p, E, C):
+        arr.flags.writeable = False
+    return p, E, C
+
+
+# ---------------------------------------------------------------------------
 # Spectrum enumeration and vacuum equivalence
 # ---------------------------------------------------------------------------
 
@@ -268,39 +295,24 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
     if Omega * R >= 1.0:
         raise FasterThanLightError(
             f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
     two_j_max = two_j_from(j_max)
 
     modes: list[QuantizedMode] = []
     for two_j in range(1, two_j_max + 1, 2):
         k0 = (two_j + 1) // 2
         for kappa in (-k0, k0):
-            if bc.is_mit:
-                p_by_esign = {
-                    es: mit_momenta(two_j, kappa, es, R, M, bc.varsigma, i_max)
-                    for es in (-1, 1)
-                }
-                c_by_esign = {
-                    es: [mit_norm(two_j, kappa, i + 1, R, M, es, bc.varsigma,
-                                  p_by_esign[es][i]) for i in range(i_max)]
-                    for es in (-1, 1)
-                }
+            rows = {}  # (esign, m_j > 0) -> [(p, E, C) of i = 1..i_max]
+            for es in (-1, 1):
+                for m_pos in (False, True):
+                    key_kappa = kappa if m_pos or bc.is_mit else -kappa
+                    table = shell_table(bc, two_j, key_kappa, es, M, R, i_max)
+                    rows[es, m_pos] = list(zip(*(a.tolist() for a in table)))
             for i in range(1, i_max + 1):
                 for two_mj in range(-two_j, two_j + 1, 2):
-                    sign_mk = 1 if two_mj * kappa > 0 else -1
                     for esign in (-1, 1):
-                        if bc.is_mit:
-                            p = float(p_by_esign[esign][i - 1])
-                            C = float(c_by_esign[esign][i - 1])
-                        else:
-                            p = spectral_momentum(two_j, sign_mk, i, R)
-                            C = spectral_norm(two_j, sign_mk, i, R)
-                        E = esign * math.hypot(p, M)
+                        p, E, C = rows[esign, two_mj > 0][i - 1]
                         qn = QuantumNumbers(esign, two_j, two_mj, kappa, i)
                         modes.append(QuantizedMode(qn, p, E, E - Omega * two_mj / 2.0, C))
-    modes.sort(key=lambda mo: (mo.qn.two_j, mo.qn.kappa, mo.qn.i, mo.qn.two_mj,
-                               mo.qn.esign))
     return modes
 
 

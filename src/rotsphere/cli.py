@@ -32,10 +32,6 @@ class ConfigError(ValueError):
 _MODES = ("spectrum", "condensate", "verify", "zeros")
 _FORMATS = ("csv", "json")
 
-_KEYS = ("mode", "bc", "varsigma", "M", "R", "Omega", "beta", "mu", "jmax",
-         "imax", "r_grid", "theta_grid", "out", "format", "threads", "serial",
-         "preset", "order", "count")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -55,8 +51,6 @@ class RunConfig:
     theta_grid: str = ""
     out: str = ""
     format: str = "csv"
-    threads: int = 1
-    serial: bool = False
     preset: str = ""
     order: int = 0
     count: int = 10
@@ -70,16 +64,9 @@ class RunConfig:
         return cnd.PhysicalParams(self.M, self.R, self.Omega, self.beta, self.mu)
 
     def to_text(self) -> str:
-        vals = {
-            "mode": self.mode, "bc": self.bc, "varsigma": self.varsigma,
-            "M": self.M, "R": self.R, "Omega": self.Omega, "beta": self.beta,
-            "mu": self.mu, "jmax": f"{self.two_j_max}/2", "imax": self.i_max,
-            "r_grid": self.r_grid, "theta_grid": self.theta_grid, "out": self.out,
-            "format": self.format, "threads": self.threads,
-            "serial": int(self.serial), "preset": self.preset,
-            "order": self.order, "count": self.count,
-        }
-        return "\n".join(f"{k}={vals[k]}" for k in _KEYS) + "\n"
+        vals = {key: getattr(self, field) for key, (field, _) in _CONFIG.items()}
+        vals["jmax"] = f"{self.two_j_max}/2"
+        return "".join(f"{key}={value}\n" for key, value in vals.items())
 
 
 def _parse_number(key: str, value: str) -> float:
@@ -99,8 +86,8 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"malformed integer {value!r} for key '{key}'") from None
 
 
-def _parse_jmax(value: str) -> int:
-    value = str(value).strip()
+def _parse_jmax(key: str, value: str) -> int:
+    value = value.strip()
     try:
         if "/" in value:
             num, den = value.split("/")
@@ -110,10 +97,28 @@ def _parse_jmax(value: str) -> int:
         else:
             two_j = bnd.two_j_from(float(value))
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"malformed half-integer {value!r} for key 'jmax'") from None
+        raise ConfigError(f"malformed half-integer {value!r} for key '{key}'") from None
     if two_j < 1 or two_j % 2 == 0:
-        raise ConfigError(f"jmax must be a positive half-integer, got {value!r}")
+        raise ConfigError(f"{key} must be a positive half-integer, got {value!r}")
     return two_j
+
+
+def _parse_text(key: str, value: str) -> str:
+    return value.strip()
+
+
+# config key -> (RunConfig field, parser(key, value)); to_text writes this order
+_CONFIG = {
+    "mode": ("mode", _parse_text), "bc": ("bc", _parse_text),
+    "varsigma": ("varsigma", _parse_int), "M": ("M", _parse_number),
+    "R": ("R", _parse_number), "Omega": ("Omega", _parse_number),
+    "beta": ("beta", _parse_number), "mu": ("mu", _parse_number),
+    "jmax": ("two_j_max", _parse_jmax), "imax": ("i_max", _parse_int),
+    "r_grid": ("r_grid", _parse_text), "theta_grid": ("theta_grid", _parse_text),
+    "out": ("out", _parse_text), "format": ("format", _parse_text),
+    "preset": ("preset", _parse_text), "order": ("order", _parse_int),
+    "count": ("count", _parse_int),
+}
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -139,8 +144,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("imax must be >= 1 for key 'imax'")
     if cfg.format not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS} for key 'format'")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1 for key 'threads'")
     if cfg.preset and cfg.preset not in PRESETS:
         raise ConfigError(f"unknown preset {cfg.preset!r} for key 'preset'")
     if cfg.count < 1:
@@ -151,25 +154,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 
 def _apply(cfg: RunConfig, key: str, value) -> RunConfig:
-    if key not in _KEYS:
+    if key not in _CONFIG:
         raise ConfigError(f"unknown key '{key}'")
-    value = str(value)
-    if key in ("M", "R", "Omega", "beta", "mu"):
-        return replace(cfg, **{key: _parse_number(key, value)})
-    if key in ("varsigma", "threads", "order", "count"):
-        field = {"varsigma": "varsigma", "threads": "threads", "order": "order",
-                 "count": "count"}[key]
-        return replace(cfg, **{field: _parse_int(key, value)})
-    if key == "imax":
-        return replace(cfg, i_max=_parse_int(key, value))
-    if key == "jmax":
-        return replace(cfg, two_j_max=_parse_jmax(value))
-    if key == "serial":
-        return replace(cfg, serial=value.strip().lower() in ("1", "true", "yes"))
-    field = {"mode": "mode", "bc": "bc", "r_grid": "r_grid",
-             "theta_grid": "theta_grid", "out": "out", "format": "format",
-             "preset": "preset"}[key]
-    return replace(cfg, **{field: value.strip()})
+    field, parse = _CONFIG[key]
+    return replace(cfg, **{field: parse(key, str(value))})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -290,7 +278,6 @@ def _run_spectrum(cfg: RunConfig) -> int:
 
 
 def _run_condensate(cfg: RunConfig) -> int:
-    threads = 1 if cfg.serial else cfg.threads
     to_text = cnd.grid_to_json if cfg.format == "json" else cnd.grid_to_csv
     if cfg.preset:
         mit_case, panels = PRESETS[cfg.preset]
@@ -302,8 +289,7 @@ def _run_condensate(cfg: RunConfig) -> int:
                 r_grid = (_parse_grid(cfg.r_grid, "r_grid") if cfg.r_grid
                           else np.linspace(0.0, params.R, 41))
                 grid = cnd.condensate_grid(bc, params, r_grid, [theta],
-                                           cfg.two_j_max / 2.0, cfg.i_max,
-                                           threads=threads)
+                                           cfg.two_j_max / 2.0, cfg.i_max)
                 tag = f"{panel}_{label}" if len(panels) > 1 else label
                 path = f"{stem}_{tag}.{cfg.format}"
                 _write(path, to_text(grid))
@@ -311,7 +297,7 @@ def _run_condensate(cfg: RunConfig) -> int:
         return 0
     r_grid, th_grid = _grids(cfg)
     grid = cnd.condensate_grid(cfg.boundary, cfg.params, r_grid, th_grid,
-                               cfg.two_j_max / 2.0, cfg.i_max, threads=threads)
+                               cfg.two_j_max / 2.0, cfg.i_max)
     _write(cfg.out, to_text(grid))
     return 0
 
@@ -369,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta-grid", dest="theta_grid", help="a:b:n or comma list")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=_FORMATS)
-    common.add_argument("--threads", type=int)
-    common.add_argument("--serial", action="store_const", const="1")
 
     sub.add_parser("spectrum", parents=[common])
     pc = sub.add_parser("condensate", parents=[common])
@@ -389,8 +373,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg = _apply(cfg, "mode", args.mode)
-    for key in _KEYS:
-        if key in ("mode",):
+    for key in _CONFIG:
+        if key == "mode":
             continue
         val = getattr(args, key, None)
         if val is not None:

@@ -9,24 +9,21 @@ Vacuum subtraction replaces w by w' = w - theta(E), removing the
 temperature-independent divergent part; w' is the default.
 
 Accumulation is exact (math.fsum) over terms generated in the canonical
-order (ascending j, then kappa, i, m_j), so results do not depend on how
-work is scheduled and identical configurations reproduce bit-identical
-output.
+order (ascending j, then kappa, i, m_j), so identical configurations
+reproduce bit-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, spherical_jn
 
-from .boundary import (BoundaryKind, FasterThanLightError, mit_momenta, mit_norm,
-                       spectral_momentum, spectral_norm, two_j_from)
+from .boundary import BoundaryKind, FasterThanLightError, shell_table, two_j_from
+from .modes import density_split, spinor_densities
 from .specfun import legendre_density_table
 
 
@@ -42,6 +39,9 @@ class PhysicalParams:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name in ("M", "R", "Omega", "beta", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M < 0:
             raise ValueError(f"M must be >= 0, got {self.M}")
         if self.R <= 0:
@@ -88,39 +88,13 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# Positive-energy shell tables (momentum, energy, |C|^2 per radial index)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def _shell(kind: str, varsigma: int | None, two_j: int, kappa: int, M: float,
-           R: float, i_max: int):
-    """Cached per-(j, kappa) arrays for esign = +1: p_i, E_i, |C_i|^2.
-
-    For the spectral condition the reduced sums run over m_j > 0, so the
-    relevant momentum branch is sign(m kappa) = sign(kappa).
-    """
-    if kind == "mit":
-        p = mit_momenta(two_j, kappa, 1, R, M, varsigma, i_max)
-        C = np.array([mit_norm(two_j, kappa, i + 1, R, M, 1, varsigma, p[i])
-                      for i in range(i_max)])
-    else:
-        sign_mk = 1 if kappa > 0 else -1
-        p = np.array([spectral_momentum(two_j, sign_mk, i, R)
-                      for i in range(1, i_max + 1)])
-        C = np.array([spectral_norm(two_j, sign_mk, i, R)
-                      for i in range(1, i_max + 1)])
-    E = np.hypot(p, M)
-    C2 = C * C
-    for arr in (p, E, C2):
-        arr.flags.writeable = False
-    return p, E, C2
-
-
 def _point_value(bc: BoundaryKind, params: PhysicalParams, r: float, theta: float,
                  two_j_max: int, i_max: int, subtracted: bool) -> tuple[float, float]:
-    """Condensate at one point; returns (value, |last j-shell contribution|)."""
+    """Condensate at one point; returns (value, |last j-shell contribution|).
+
+    The m_j sums run over m_j > 0 only, with the paired weights of the
+    module docstring, so every shell table read has esign = +1.
+    """
     M, R, Omega = params.M, params.R, params.Omega
     beta, mu = params.beta, params.mu
     weight = thermal_weight_subtracted if subtracted else thermal_weight
@@ -131,32 +105,23 @@ def _point_value(bc: BoundaryKind, params: PhysicalParams, r: float, theta: floa
     blocks: list[np.ndarray] = []
     shell_slices: list[int] = []
     for two_j in range(1, two_j_max + 1, 2):
-        l_up = (two_j - 1) // 2
-        l_dn = (two_j + 1) // 2
         two_m = np.arange(1, two_j + 1, 2)
-        m_lo = (two_m - 1) // 2
-        m_hi = (two_m + 1) // 2
-        d_plus = ((two_j + two_m) * tab[l_up, m_lo]
-                  + (two_j - two_m) * tab[l_up, m_hi]) / (2.0 * two_j)
-        d_minus = ((two_j - two_m + 2) * tab[l_dn, m_lo]
-                   + (two_j + two_m + 2) * tab[l_dn, m_hi]) / (2.0 * (two_j + 2))
+        d_plus, d_minus = spinor_densities(two_j, two_m, tab)
         m_vals = two_m / 2.0
         k0 = (two_j + 1) // 2
         for kappa in (-k0, k0):
-            p, E, C2 = _shell(bc.kind, bc.varsigma, two_j, kappa, M, R, i_max)
-            jm2 = spherical_jn(l_up, p * r) ** 2
-            jp2 = spherical_jn(l_dn, p * r) ** 2
+            p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
+            jm2 = spherical_jn(k0 - 1, p * r) ** 2
+            jp2 = spherical_jn(k0, p * r) ** 2
             w_t = weight(E[:, None] - Omega * m_vals[None, :], 1, beta, mu)
             w_b = weight(E[:, None] + Omega * m_vals[None, :], 1, beta, mu)
-            sgn_k = 1.0 if kappa > 0 else -1.0
-            A = sgn_k * 0.5 * (jm2[:, None] * d_plus[None, :]
-                               - jp2[:, None] * d_minus[None, :])
-            B = (M / (2.0 * E))[:, None] * (jm2[:, None] * d_plus[None, :]
-                                            + jp2[:, None] * d_minus[None, :])
+            A, B = density_split(kappa, d_plus[None, :], d_minus[None, :], jm2[:, None],
+                                 jp2[:, None], (M / (2.0 * E))[:, None])
+            C2 = (C * C)[:, None]
             if bc.is_mit:
-                T = C2[:, None] * (w_t + w_b) * (A + B)
+                T = C2 * (w_t + w_b) * (A + B)
             else:
-                T = C2[:, None] * ((w_t - w_b) * A + (w_t + w_b) * B)
+                T = C2 * ((w_t - w_b) * A + (w_t + w_b) * B)
             blocks.append(T.ravel())  # canonical: i outer, m_j inner
         shell_slices.append(sum(b.size for b in blocks))
 
@@ -212,14 +177,13 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
 
     terms: list[float] = []
     for two_j in range(1, two_j_max + 1, 2):
-        l_up = (two_j - 1) // 2
-        l_dn = (two_j + 1) // 2
         shell_coeff = (two_j + 1) / (4.0 * math.pi)
         k0 = (two_j + 1) // 2
         for kappa in (-k0, k0):
-            p, E, C2 = _shell(bc.kind, bc.varsigma, two_j, kappa, M, R, i_max)
-            jm2 = spherical_jn(l_up, p * r) ** 2
-            jp2 = spherical_jn(l_dn, p * r) ** 2
+            p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
+            C2 = C * C
+            jm2 = spherical_jn(k0 - 1, p * r) ** 2
+            jp2 = spherical_jn(k0, p * r) ** 2
             w = weight(E, 1, params.beta, params.mu)
             frak_b = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
             if bc.is_mit:
@@ -257,43 +221,30 @@ class CondensateGrid:
 
 
 def condensate_grid(bc: BoundaryKind, params: PhysicalParams, r_grid, theta_grid,
-                    j_max: float, i_max: int, subtracted: bool = True,
-                    threads: int = 1) -> CondensateGrid:
+                    j_max: float, i_max: int, subtracted: bool = True) -> CondensateGrid:
     """Evaluate the condensate over the product grid r_grid x theta_grid.
 
     tail_estimate is the largest magnitude over grid points of the highest
-    retained j-shell's total contribution, a truncation-error proxy.  Each
-    point is reduced exactly and independently, so the result is identical
-    for any thread count.
+    retained j-shell's total contribution, a truncation-error proxy.
     """
     r_vals = np.asarray(r_grid, dtype=float)
     th_vals = np.asarray(theta_grid, dtype=float)
     if r_vals.ndim != 1 or th_vals.ndim != 1 or not len(r_vals) or not len(th_vals):
         raise ValueError("grids must be non-empty 1-d sequences")
+    # written so that NaN entries fail too
+    if not np.all((r_vals >= 0) & (r_vals <= params.R)):
+        raise ValueError("r grid entries must lie in [0, R]")
+    if not np.all((th_vals >= 0) & (th_vals <= math.pi)):
+        raise ValueError("theta grid entries must lie in [0, pi]")
     two_j_max = _check_point_args(params, float(r_vals[0]), float(th_vals[0]), j_max)
-    if np.any(r_vals < 0) or np.any(r_vals > params.R):
-        raise ValueError("r grid outside [0, R]")
-    if np.any(th_vals < 0) or np.any(th_vals > math.pi):
-        raise ValueError("theta grid outside [0, pi]")
-
-    points = [(ir, it) for ir in range(len(r_vals)) for it in range(len(th_vals))]
-
-    def compute(pt):
-        ir, it = pt
-        return _point_value(bc, params, float(r_vals[ir]), float(th_vals[it]),
-                            two_j_max, i_max, subtracted)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, points))
-    else:
-        results = [compute(pt) for pt in points]
 
     values = np.empty((len(r_vals), len(th_vals)))
     tail = 0.0
-    for (ir, it), (val, shell_tail) in zip(points, results):
-        values[ir, it] = val
-        tail = max(tail, shell_tail)
+    for ir, r in enumerate(r_vals.tolist()):
+        for it, theta in enumerate(th_vals.tolist()):
+            values[ir, it], shell_tail = _point_value(bc, params, r, theta, two_j_max,
+                                                      i_max, subtracted)
+            tail = max(tail, shell_tail)
     return CondensateGrid(r_vals, th_vals, values, two_j_max, i_max, tail,
                           bc, params, subtracted)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sph_harm_y, spherical_jn
 
-from .specfun import assoc_legendre_density
+from .specfun import legendre_density_table
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,36 @@ class AngularDensity:
     d_minus: float
 
 
+def spinor_densities(two_j: int, two_mj, tab: np.ndarray):
+    """Spinor-harmonic densities (d+, d-) of (j, m_j) from a Legendre table.
+
+    tab is a legendre_density_table with l_max >= j + 1/2; it is read at |m|,
+    so negative m_j works, and a vanishing coefficient always meets an
+    above-diagonal zero entry.  two_mj may be an integer array, over which
+    the result broadcasts.
+    """
+    l_up = (two_j - 1) // 2
+    m_lo = np.abs((np.asarray(two_mj) - 1) // 2)
+    m_hi = np.abs((np.asarray(two_mj) + 1) // 2)
+    d_plus = ((two_j + two_mj) * tab[l_up, m_lo]
+              + (two_j - two_mj) * tab[l_up, m_hi]) / (2.0 * two_j)
+    d_minus = ((two_j - two_mj + 2) * tab[l_up + 1, m_lo]
+               + (two_j + two_mj + 2) * tab[l_up + 1, m_hi]) / (2.0 * (two_j + 2))
+    return d_plus, d_minus
+
+
+def density_split(kappa: int, d_plus, d_minus, jm2, jp2, mass_ratio):
+    """Scalar-density split U-bar U = A + B, broadcasting over its arguments.
+
+    A = sgn(kappa)/2 [jm2 d+ - jp2 d-] carries no mass factor;
+    B = M/(2E) [jm2 d+ + jp2 d-], with mass_ratio = M/(2E), vanishes at M = 0
+    and has the sign of E*M.  jm2 and jp2 are j_{j-1/2}^2(pr), j_{j+1/2}^2(pr).
+    """
+    sgn_k = 1.0 if kappa > 0 else -1.0
+    return (sgn_k * 0.5 * (jm2 * d_plus - jp2 * d_minus),
+            mass_ratio * (jm2 * d_plus + jp2 * d_minus))
+
+
 def angular_density(two_j: int, two_mj: int, kappa: int, theta: float) -> AngularDensity:
     """Angular densities of the two spinor harmonics at polar angle theta.
 
@@ -91,22 +121,9 @@ def angular_density(two_j: int, two_mj: int, kappa: int, theta: float) -> Angula
     lower spinor block and is validated for consistency here.
     """
     QuantumNumbers(1, two_j, two_mj, kappa, 1)  # reuse label validation
-    l_up = (two_j - 1) // 2
-    l_dn = (two_j + 1) // 2
-    m_lo = (two_mj - 1) // 2
-    m_hi = (two_mj + 1) // 2
-    c1 = (two_j + two_mj) / (2.0 * two_j)
-    c2 = (two_j - two_mj) / (2.0 * two_j)
-    d_plus = 0.0
-    if c1 > 0.0:
-        d_plus += c1 * assoc_legendre_density(l_up, m_lo, theta)
-    if c2 > 0.0:
-        d_plus += c2 * assoc_legendre_density(l_up, m_hi, theta)
-    c3 = (two_j - two_mj + 2) / (2.0 * (two_j + 2))
-    c4 = (two_j + two_mj + 2) / (2.0 * (two_j + 2))
-    d_minus = (c3 * assoc_legendre_density(l_dn, m_lo, theta)
-               + c4 * assoc_legendre_density(l_dn, m_hi, theta))
-    return AngularDensity(d_plus, d_minus)
+    tab = legendre_density_table((two_j + 1) // 2, math.cos(theta))
+    d_plus, d_minus = spinor_densities(two_j, two_mj, tab)
+    return AngularDensity(float(d_plus), float(d_minus))
 
 
 @dataclass(frozen=True)
@@ -144,23 +161,15 @@ def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
 
 def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
                   theta: float) -> tuple[float, float]:
-    """Scalar-density split U-bar U = A + B of the (unnormalized) mode.
-
-    A = sgn(kappa)/2 [j_{j-1/2}^2(pr) d+ - j_{j+1/2}^2(pr) d-] carries no
-    mass factor; B = M/(2E) [j_{j-1/2}^2(pr) d+ + j_{j+1/2}^2(pr) d-]
-    vanishes at M = 0 and has the sign of E*M.
-    """
+    """Scalar-density split (A, B) of the (unnormalized) mode; see density_split."""
     if p <= 0:
         raise ValueError(f"momentum must be positive, got {p}")
-    E = _energy(k.esign, p, M)
     n_lo = (k.two_j - 1) // 2
     dens = angular_density(k.two_j, k.two_mj, k.kappa, theta)
     jm2 = float(spherical_jn(n_lo, p * r)) ** 2
     jp2 = float(spherical_jn(n_lo + 1, p * r)) ** 2
-    sk = 1.0 if k.kappa > 0 else -1.0
-    A = sk * 0.5 * (jm2 * dens.d_plus - jp2 * dens.d_minus)
-    B = (M / (2.0 * E)) * (jm2 * dens.d_plus + jp2 * dens.d_minus)
-    return A, B
+    return density_split(k.kappa, dens.d_plus, dens.d_minus, jm2, jp2,
+                         M / (2.0 * _energy(k.esign, p, M)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,25 +123,6 @@ def spherical_bessel_zero(n: int, i: int, n_max: int = N_MAX_DEFAULT,
 # ---------------------------------------------------------------------------
 
 
-def _norm_legendre(l: int, m: int, x: float) -> float:
-    """Fully normalized P-bar_l^m(x) with |Y_lm(theta,phi)| = |P-bar_l^m(cos theta)|.
-
-    Includes the Condon-Shortley phase; m must satisfy 0 <= m <= l.
-    """
-    sx = math.sqrt(max(0.0, 1.0 - x * x))
-    pmm = math.sqrt(1.0 / (4.0 * math.pi))
-    for k in range(1, m + 1):
-        pmm *= -math.sqrt((2 * k + 1) / (2.0 * k)) * sx
-    if l == m:
-        return pmm
-    p_prev, p_cur = pmm, x * math.sqrt(2.0 * m + 3.0) * pmm
-    for ll in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        p_prev, p_cur = p_cur, a * (x * p_cur - b * p_prev)
-    return p_cur
-
-
 def assoc_legendre_density(l: int, m: int, theta: float) -> float:
     """|Y_{l,m}(theta, .)|^2, which is independent of the azimuth.
 
@@ -151,7 +132,7 @@ def assoc_legendre_density(l: int, m: int, theta: float) -> float:
         raise ValueError(f"(l, m) must be integers, got ({l!r}, {m!r})")
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid degree/order (l={l}, m={m})")
-    return _norm_legendre(int(l), abs(int(m)), math.cos(theta)) ** 2
+    return float(legendre_density_table(int(l), math.cos(theta))[l, abs(int(m))])
 
 
 def legendre_density_table(l_max: int, cos_theta: float) -> np.ndarray:

@@ -28,6 +28,11 @@ class TestSpectralMomentum:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             spectral_momentum(1, 0, 1, 1.0)
+        for R in (0.0, -1.0):
+            with pytest.raises(ValueError, match="R must be positive"):
+                spectral_momentum(1, 1, 1, R)
+            with pytest.raises(ValueError, match="R must be positive"):
+                spectral_norm(1, 1, 1, R)
 
 
 class TestSpectralNorm:

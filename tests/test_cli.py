@@ -20,8 +20,8 @@ class TestParseConfig:
         cfg = parse_config(
             "mode=condensate\nbc=mit\nvarsigma=-1\nM=1.5\nR=2.0\nOmega=0.25\n"
             "beta=0.5\nmu=-0.3\njmax=21/2\nimax=25\nr_grid=0:2:9\n"
-            "theta_grid=0.3,1.1\nout=data.csv\nformat=json\nthreads=4\n"
-            "serial=1\npreset=\norder=3\ncount=7\n")
+            "theta_grid=0.3,1.1\nout=data.csv\nformat=json\npreset=\norder=3\n"
+            "count=7\n")
         assert parse_config(cfg.to_text()) == cfg
 
     def test_default_round_trip(self):
@@ -31,6 +31,8 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key 'omega'"):
             parse_config("omega=0.5\n")
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            parse_config("threads=2\n")
 
     def test_malformed_number(self):
         with pytest.raises(ConfigError, match="'beta'"):
@@ -82,8 +84,8 @@ class TestSpectrumCommand:
                 "--imax", "2"]
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        assert main(args + ["--out", str(out1), "--serial"]) == 0
-        assert main(args + ["--out", str(out2), "--serial"]) == 0
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         text = out1.read_text()
         assert text == out2.read_text()
         assert text.startswith("esign,two_j,two_mj,kappa,i,pR,E,Etilde,C\n")
@@ -127,6 +129,11 @@ class TestCondensateCommand:
         rc = main(["condensate", "--Omega", "2.0", "--R", "1"])
         assert rc == 2
         assert "faster-than-light" in capsys.readouterr().err
+
+    def test_removed_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["condensate", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:

@@ -41,6 +41,10 @@ class TestPhysicalParams:
             PhysicalParams(M=0.0, R=0.0, Omega=0.0, beta=1.0)
         with pytest.raises(ValueError):
             PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=0.0)
+        for bad in ({"M": math.nan}, {"Omega": math.nan}, {"mu": math.nan},
+                    {"R": math.inf}, {"beta": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                PhysicalParams(**{"M": 0.0, "R": 1.0, "Omega": 0.0, "beta": 1.0, **bad})
 
 
 class TestThermalWeights:
@@ -149,6 +153,13 @@ class TestCondensatePoint:
             condensate_point(SPECTRAL, params, 1.5, 1.0, 2.5, 4)
         with pytest.raises(ValueError):
             condensate_point(SPECTRAL, params, 0.5, 4.0, 2.5, 4)
+        for bc in (SPECTRAL, mit(1)):
+            with pytest.raises(ValueError, match="i_max"):
+                condensate_point(bc, params, 0.5, 1.0, 2.5, 0)
+            with pytest.raises(ValueError, match="i_max"):
+                condensate_grid(bc, params, [0.5], [1.0], 2.5, 0)
+            with pytest.raises(ValueError, match="i_max"):
+                condensate_nonrotating(bc, params, 0.5, 2.5, 0)
 
 
 class TestNonrotating:
@@ -194,18 +205,15 @@ class TestCondensateGrid:
         assert change < g20.tail_estimate
         assert g20.tail_estimate >= 0.0
 
-    def test_threads_reproduce_serial(self):
-        params = PhysicalParams(M=0.7, R=1.0, Omega=0.6, beta=1.0)
-        r = np.linspace(0.1, 0.9, 4)
-        th = np.linspace(0.4, 2.6, 3)
-        serial = condensate_grid(mit(-1), params, r, th, 4.5, 6, threads=1)
-        threaded = condensate_grid(mit(-1), params, r, th, 4.5, 6, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
-
     def test_rejects_empty_grid(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=1.0)
         with pytest.raises(ValueError):
             condensate_grid(SPECTRAL, params, [], [1.0], 2.5, 3)
+        # a non-finite entry anywhere, not only first, is rejected
+        for r_grid, th_grid in (([0.2, math.nan], [1.0]), ([0.2], [1.0, math.nan]),
+                                ([0.2, math.inf], [1.0]), ([0.2], [1.0, -math.inf])):
+            with pytest.raises(ValueError):
+                condensate_grid(SPECTRAL, params, r_grid, th_grid, 2.5, 3)
 
 
 class TestExport:

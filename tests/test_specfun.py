@@ -153,6 +153,25 @@ class TestLegendreDensity:
             ref = abs(sph_harm_y(l, m, theta, 0.23)) ** 2
             assert assoc_legendre_density(l, m, theta) == pytest.approx(
                 ref, rel=1e-11, abs=1e-15)
+        # whole table rows, which the scalar density and the condensate both read
+        for theta in (0.05, 0.77, 1.9, math.pi - 0.05):
+            tab = legendre_density_table(40, math.cos(theta))
+            for l in range(41):
+                ref = np.abs(sph_harm_y(l, np.arange(l + 1), theta, 0.23)) ** 2
+                assert tab[l, :l + 1] == pytest.approx(ref, rel=1e-11, abs=1e-15)
+        # spinor-harmonic densities, including two_mj = -two_j where one
+        # coefficient vanishes and |m| = l + 1
+        from rotsphere import angular_density
+        from rotsphere.modes import spinor_harmonic
+        for two_j in (1, 3, 9, 25):
+            kappa = (two_j + 1) // 2
+            for theta in (0.3, 2.0):
+                for two_mj in range(-two_j, two_j + 1, 2):
+                    d = angular_density(two_j, two_mj, kappa, theta)
+                    for sign, got in ((1, d.d_plus), (-1, d.d_minus)):
+                        chi = spinor_harmonic(two_j, two_mj, sign, theta, 0.23)
+                        assert got == pytest.approx(float(np.sum(np.abs(chi) ** 2)),
+                                                    rel=1e-11, abs=1e-15)
 
     def test_invalid_degree_order(self):
         with pytest.raises(ValueError):
