@@ -84,6 +84,8 @@ class QuantizedMode:
 
 def two_j_from(j_max: float) -> int:
     """Doubled half-integer from j (e.g. 2.5 -> 5); validates half-integerness."""
+    if not math.isfinite(j_max):
+        raise ValueError(f"j must be a positive half-integer, got {j_max}")
     two = int(round(2 * j_max))
     if abs(two - 2 * j_max) > 1e-9 or two < 1 or two % 2 == 0:
         raise ValueError(f"j must be a positive half-integer, got {j_max}")

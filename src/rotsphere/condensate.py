@@ -8,9 +8,15 @@ m_j >= 1/2 with paired weights w(E_tilde) -+ w(E_bar), E_bar = E + Omega m_j.
 Vacuum subtraction replaces w by w' = w - theta(E), removing the
 temperature-independent divergent part; w' is the default.
 
-Accumulation is exact (math.fsum) over terms generated in the canonical
-order (ascending j, then kappa, i, m_j), so identical configurations
-reproduce bit-identical output.
+One kernel evaluates points and grids, computing each factor on the axis
+it depends on: the paired weights, |C|^2 and M/(2E) once per (j, kappa)
+shell; the Bessel squares once per shell for all r in one call; the
+Legendre table and spinor densities once per theta.  Each point's terms
+are then formed elementwise into one buffer in the canonical order
+(ascending j, then kappa, i, m_j) and reduced by a single math.fsum.  Every
+term is the same IEEE expression of the same operands wherever it is
+computed, and fsum is correctly rounded, so the result does not depend on
+how the terms are batched: points and grids give bit-identical values.
 """
 
 from __future__ import annotations
@@ -88,48 +94,55 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _point_value(bc: BoundaryKind, params: PhysicalParams, r: float, theta: float,
-                 two_j_max: int, i_max: int, subtracted: bool) -> tuple[float, float]:
-    """Condensate at one point; returns (value, |last j-shell contribution|).
-
-    The m_j sums run over m_j > 0 only, with the paired weights of the
-    module docstring, so every shell table read has esign = +1.
+def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
+                 th_vals: list[float], two_j_max: int, i_max: int,
+                 subtracted: bool) -> tuple[np.ndarray, float]:
+    """Condensate over r_vals x th_vals and the largest |last j-shell
+    contribution| over the points.  The m_j sums run over m_j > 0 only, with
+    the paired weights of the module docstring, so every shell has esign = +1.
     """
-    M, R, Omega = params.M, params.R, params.Omega
-    beta, mu = params.beta, params.mu
+    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     weight = thermal_weight_subtracted if subtracted else thermal_weight
+    r_col = np.array(r_vals)[:, None]
 
-    l_max = (two_j_max + 1) // 2
-    tab = legendre_density_table(l_max, math.cos(theta))
-
-    blocks: list[np.ndarray] = []
-    shell_slices: list[int] = []
+    # per (j, kappa) shell in canonical order: its weights, C^2 and M/(2E) on
+    # the (i, m_j) block, and its Bessel squares for every r at once
+    shells = []
+    size = tail_start = 0
     for two_j in range(1, two_j_max + 1, 2):
-        two_m = np.arange(1, two_j + 1, 2)
-        d_plus, d_minus = spinor_densities(two_j, two_m, tab)
-        m_vals = two_m / 2.0
+        m_vals = np.arange(1, two_j + 1, 2) / 2.0
         k0 = (two_j + 1) // 2
+        tail_start = size
         for kappa in (-k0, k0):
-            p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
-            jm2 = spherical_jn(k0 - 1, p * r) ** 2
-            jp2 = spherical_jn(k0, p * r) ** 2
+            p, E, C = shell_table(bc, two_j, kappa, 1, M, params.R, i_max)
+            jm2, jp2 = (spherical_jn(n, r_col * p)[:, :, None] ** 2 for n in (k0 - 1, k0))
             w_t = weight(E[:, None] - Omega * m_vals[None, :], 1, beta, mu)
             w_b = weight(E[:, None] + Omega * m_vals[None, :], 1, beta, mu)
-            A, B = density_split(kappa, d_plus[None, :], d_minus[None, :], jm2[:, None],
-                                 jp2[:, None], (M / (2.0 * E))[:, None])
             C2 = (C * C)[:, None]
-            if bc.is_mit:
-                T = C2 * (w_t + w_b) * (A + B)
-            else:
-                T = C2 * ((w_t - w_b) * A + (w_t + w_b) * B)
-            blocks.append(T.ravel())  # canonical: i outer, m_j inner
-        shell_slices.append(sum(b.size for b in blocks))
+            # an MIT term is (C2 (w_t + w_b)) (A + B), so its first product is hoisted
+            w = (C2 * (w_t + w_b),) if bc.is_mit else (w_t - w_b, w_t + w_b)
+            shells.append((two_j, kappa, jm2, jp2, C2, (M / (2.0 * E))[:, None], w,
+                           slice(size, size + w_t.size)))
+            size += w_t.size
 
-    terms = np.concatenate(blocks)
-    value = -math.fsum(terms.tolist())
-    last_start = shell_slices[-2] if len(shell_slices) > 1 else 0
-    tail = abs(math.fsum(terms[last_start:].tolist()))
-    return value, tail
+    values = np.empty((len(r_vals), len(th_vals)))
+    tail = 0.0
+    terms = np.empty(size)  # one point at a time: an (r, term) matrix costs memory
+    for it, theta in enumerate(th_vals):
+        tab = legendre_density_table((two_j_max + 1) // 2, math.cos(theta))
+        dens = {two_j: spinor_densities(two_j, np.arange(1, two_j + 1, 2), tab)
+                for two_j in range(1, two_j_max + 1, 2)}
+        for ir in range(len(r_vals)):
+            for two_j, kappa, jm2, jp2, C2, mass_ratio, w, block in shells:
+                A, B = density_split(kappa, *dens[two_j], jm2[ir], jp2[ir], mass_ratio)
+                out = terms[block].reshape(A.shape)  # i outer, m_j inner
+                if bc.is_mit:
+                    np.multiply(w[0], A + B, out=out)
+                else:
+                    np.multiply(C2, w[0] * A + w[1] * B, out=out)
+            values[ir, it] = -math.fsum(terms.tolist())
+            tail = max(tail, abs(math.fsum(terms[tail_start:].tolist())))
+    return values, tail
 
 
 def _check_point_args(params: PhysicalParams, r: float, theta: float,
@@ -156,8 +169,8 @@ def condensate_point(bc: BoundaryKind, params: PhysicalParams, r: float,
     meaningful for truncation studies.
     """
     two_j_max = _check_point_args(params, r, theta, j_max)
-    value, _ = _point_value(bc, params, r, theta, two_j_max, i_max, subtracted)
-    return value
+    values, _ = _grid_values(bc, params, [r], [theta], two_j_max, i_max, subtracted)
+    return float(values[0, 0])
 
 
 def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
@@ -238,13 +251,8 @@ def condensate_grid(bc: BoundaryKind, params: PhysicalParams, r_grid, theta_grid
         raise ValueError("theta grid entries must lie in [0, pi]")
     two_j_max = _check_point_args(params, float(r_vals[0]), float(th_vals[0]), j_max)
 
-    values = np.empty((len(r_vals), len(th_vals)))
-    tail = 0.0
-    for ir, r in enumerate(r_vals.tolist()):
-        for it, theta in enumerate(th_vals.tolist()):
-            values[ir, it], shell_tail = _point_value(bc, params, r, theta, two_j_max,
-                                                      i_max, subtracted)
-            tail = max(tail, shell_tail)
+    values, tail = _grid_values(bc, params, r_vals.tolist(), th_vals.tolist(),
+                                two_j_max, i_max, subtracted)
     return CondensateGrid(r_vals, th_vals, values, two_j_max, i_max, tail,
                           bc, params, subtracted)
 

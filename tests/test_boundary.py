@@ -195,6 +195,9 @@ class TestEnumerate:
         assert two_j_from(10.5) == 21
         with pytest.raises(ValueError):
             two_j_from(1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="half-integer"):
+                two_j_from(bad)
 
 
 class TestVacuumEquivalence:

@@ -130,6 +130,11 @@ class TestCondensateCommand:
         assert rc == 2
         assert "faster-than-light" in capsys.readouterr().err
 
+    def test_infinite_jmax(self, capsys):
+        for value in ("inf", "nan"):
+            assert main(["condensate", "--jmax", value]) == 2
+            assert "'jmax'" in capsys.readouterr().err
+
     def test_removed_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["condensate", "--threads", "2"])

@@ -1,16 +1,21 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import spherical_jn
 
 from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
                        condensate_grid, condensate_nonrotating, condensate_point,
                        density_terms, enumerate_spectrum, grid_to_csv,
                        grid_to_json, mit, thermal_weight,
                        thermal_weight_subtracted)
+from rotsphere.boundary import shell_table
+from rotsphere.modes import density_split, spinor_densities
+from rotsphere.specfun import legendre_density_table
 
 
 def unreduced_sum(bc, params, r, theta, j_max, i_max, subtracted=True):
@@ -25,6 +30,46 @@ def unreduced_sum(bc, params, r, theta, j_max, i_max, subtracted=True):
         A, B = density_terms(mo.qn, mo.p, params.M, r, theta)
         total.append(mo.C**2 * w * (A + B))
     return -math.fsum(total)
+
+
+def _point_value_reference(bc, params, r, theta, two_j_max, i_max, subtracted):
+    """The per-point kernel that the grid kernel replaced, kept verbatim as a
+    bit-exact reference: (value, |last j-shell contribution|)."""
+    M, R, Omega = params.M, params.R, params.Omega
+    beta, mu = params.beta, params.mu
+    weight = thermal_weight_subtracted if subtracted else thermal_weight
+
+    l_max = (two_j_max + 1) // 2
+    tab = legendre_density_table(l_max, math.cos(theta))
+
+    blocks: list[np.ndarray] = []
+    shell_slices: list[int] = []
+    for two_j in range(1, two_j_max + 1, 2):
+        two_m = np.arange(1, two_j + 1, 2)
+        d_plus, d_minus = spinor_densities(two_j, two_m, tab)
+        m_vals = two_m / 2.0
+        k0 = (two_j + 1) // 2
+        for kappa in (-k0, k0):
+            p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
+            jm2 = spherical_jn(k0 - 1, p * r) ** 2
+            jp2 = spherical_jn(k0, p * r) ** 2
+            w_t = weight(E[:, None] - Omega * m_vals[None, :], 1, beta, mu)
+            w_b = weight(E[:, None] + Omega * m_vals[None, :], 1, beta, mu)
+            A, B = density_split(kappa, d_plus[None, :], d_minus[None, :], jm2[:, None],
+                                 jp2[:, None], (M / (2.0 * E))[:, None])
+            C2 = (C * C)[:, None]
+            if bc.is_mit:
+                T = C2 * (w_t + w_b) * (A + B)
+            else:
+                T = C2 * ((w_t - w_b) * A + (w_t + w_b) * B)
+            blocks.append(T.ravel())  # canonical: i outer, m_j inner
+        shell_slices.append(sum(b.size for b in blocks))
+
+    terms = np.concatenate(blocks)
+    value = -math.fsum(terms.tolist())
+    last_start = shell_slices[-2] if len(shell_slices) > 1 else 0
+    tail = abs(math.fsum(terms[last_start:].tolist()))
+    return value, tail
 
 
 class TestPhysicalParams:
@@ -153,6 +198,8 @@ class TestCondensatePoint:
             condensate_point(SPECTRAL, params, 1.5, 1.0, 2.5, 4)
         with pytest.raises(ValueError):
             condensate_point(SPECTRAL, params, 0.5, 4.0, 2.5, 4)
+        with pytest.raises(ValueError, match="half-integer"):
+            condensate_point(SPECTRAL, params, 0.5, 1.0, math.inf, 4)
         for bc in (SPECTRAL, mit(1)):
             with pytest.raises(ValueError, match="i_max"):
                 condensate_point(bc, params, 0.5, 1.0, 2.5, 0)
@@ -214,6 +261,45 @@ class TestCondensateGrid:
                                 ([0.2, math.inf], [1.0]), ([0.2], [1.0, -math.inf])):
             with pytest.raises(ValueError):
                 condensate_grid(SPECTRAL, params, r_grid, th_grid, 2.5, 3)
+
+
+class TestGridKernel:
+    R = 1.2
+    R_GRID = (0.0, 0.37, R)
+    THETA_GRID = (0.0, 0.9, math.pi / 2, math.pi)
+
+    @pytest.mark.parametrize("M", [0.0, 0.8])
+    @pytest.mark.parametrize("subtracted", [True, False])
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_bit_identical_to_point_reference(self, bc, subtracted, M):
+        params = PhysicalParams(M=M, R=self.R, Omega=0.5, beta=1.3, mu=0.3)
+        grid = condensate_grid(bc, params, self.R_GRID, self.THETA_GRID, 7.5, 10,
+                               subtracted=subtracted)
+        tails = []
+        for ir, r in enumerate(self.R_GRID):
+            for it, theta in enumerate(self.THETA_GRID):
+                ref, tail = _point_value_reference(bc, params, r, theta, 15, 10,
+                                                   subtracted)
+                tails.append(tail)
+                assert float(grid.values[ir, it]).hex() == ref.hex()
+                point = condensate_point(bc, params, r, theta, 7.5, 10,
+                                         subtracted=subtracted)
+                assert point.hex() == ref.hex()
+        assert grid.tail_estimate == max(tails)
+
+    def test_memory_stays_below_term_matrix(self):
+        # a 41-point curve at j_max = 41/2, i_max = 60 has 27,720 terms per
+        # point; an (r, term) matrix of them alone would take 9.1 MB
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=2.0, mu=0.2)
+        args = (SPECTRAL, params, np.linspace(0.0, 1.0, 41), [math.pi / 2], 20.5, 60)
+        condensate_grid(*args)  # warm the shell tables
+        tracemalloc.start()
+        try:
+            condensate_grid(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestExport:
