@@ -23,10 +23,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import spherical_jn
 
 from .modes import QuantumNumbers, assemble_spinor, bessel_orders, density_terms, gamma_radial
-from .specfun import bessel_zeros
+from .specfun import I_MAX_DEFAULT, bessel_zeros, spherical_jn
 
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
@@ -161,7 +160,7 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
 
     need = count
     for _ in range(6):
-        k_hi = need + 2
+        k_hi = min(need + 2, I_MAX_DEFAULT)
         breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
         # near-zero approach: log-spaced probes below the first break
         pts = [np.geomspace(1e-6, breaks[0], 12)]
@@ -242,7 +241,9 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+# Working sets: fig-sweep and verify-spectrum warm-ups take 378 and 492 shells,
+# `--preset fig1` plus `fig2` 378; at i_max = 60 each shell holds ~2.4 KB.
+@lru_cache(maxsize=1024)
 def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
                 R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign) shell.
@@ -251,8 +252,8 @@ def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
     of kappa holds the modes with m_j > 0, and a mode with m_j < 0 reads the
     table of -kappa.  MIT modes do not depend on m_j.
     """
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
+    if not 1 <= i_max <= I_MAX_DEFAULT:
+        raise ValueError(f"i_max must be in [1, {I_MAX_DEFAULT}], got {i_max}")
     if bc.is_mit:
         p = mit_momenta(two_j, kappa, esign, R, M, bc.varsigma, i_max)
         # mit_norm computes its own energy with math.hypot, which differs from

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import condensate as cnd
-from .specfun import bessel_zeros
+from .specfun import I_MAX_DEFAULT, bessel_zeros
 
 
 class ConfigError(ValueError):
@@ -140,8 +140,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             "(keys 'Omega', 'R')")
     if not cfg.beta > 0:
         raise ConfigError(f"beta must be > 0 for key 'beta', got {cfg.beta}")
-    if cfg.i_max < 1:
-        raise ConfigError("imax must be >= 1 for key 'imax'")
+    if not 1 <= cfg.i_max <= I_MAX_DEFAULT:
+        raise ConfigError(f"imax must be in [1, {I_MAX_DEFAULT}] for key 'imax'")
     if cfg.format not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS} for key 'format'")
     if cfg.preset and cfg.preset not in PRESETS:

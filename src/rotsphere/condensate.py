@@ -26,11 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, spherical_jn
+from scipy.special import expit
 
 from .boundary import BoundaryKind, FasterThanLightError, shell_table, two_j_from
 from .modes import density_split, spinor_densities
-from .specfun import legendre_density_table
+from .specfun import legendre_density_table, spherical_jn
 
 
 @dataclass(frozen=True)

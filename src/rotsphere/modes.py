@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_harm_y, spherical_jn
+from scipy.special import sph_harm_y
 
-from .specfun import legendre_density_table
+from .specfun import legendre_density_table, spherical_jn
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,8 @@ def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
     """Scalar-density split (A, B) of the (unnormalized) mode; see density_split."""
     if p <= 0:
         raise ValueError(f"momentum must be positive, got {p}")
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
     n_lo = (k.two_j - 1) // 2
     dens = angular_density(k.two_j, k.two_mj, k.kappa, theta)
     jm2 = float(spherical_jn(n_lo, p * r)) ** 2

@@ -2,21 +2,31 @@
 normalized associated Legendre values.
 
 Spherical Bessel evaluation is delegated to scipy (accurate to ~1e-14
-relative across the supported order/argument range).  Zeros are found by
-bracketed root solving inside guaranteed interlacing intervals, so no zero
-can be missed or duplicated.  Associated Legendre values are computed with
-the fully normalized (l, m) recurrence, which stays bounded and avoids the
-factorial overflow of the unnormalized functions above l ~ 20.
+relative across the supported order/argument range).  Every module calls
+the `spherical_jn` bound here: scipy's ufunc, whose public Python wrapper
+costs ~25x more per scalar call and changes no bit for x >= 0.  Zeros are
+found by bracketed root solving inside guaranteed interlacing intervals, so
+no zero can be missed or duplicated.  Associated Legendre values are
+computed with the fully normalized (l, m) recurrence, which stays bounded
+and avoids the factorial overflow of the unnormalized functions above
+l ~ 20.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import spherical_jn
+from scipy.special import spherical_jn as _spherical_jn_public
+
+# The ufunc name is private to scipy.  For real z >= 0 the public wrapper does
+# nothing but call it (it reflects only z < 0), so the bits are the same; the
+# library only passes z >= 0.
+try:
+    from scipy.special._ufuncs import _spherical_jn as spherical_jn
+except ImportError:  # pragma: no cover - scipy moved or renamed the ufunc
+    spherical_jn = _spherical_jn_public
 
 N_MAX_DEFAULT = 200
 I_MAX_DEFAULT = 500
@@ -64,7 +74,7 @@ def spherical_bessel_j_prime(n: int, x, n_max: int = N_MAX_DEFAULT):
         raise ValueError("x must be finite")
     if np.any(arr <= 0):
         raise ValueError("x must be positive")
-    out = spherical_jn(n, arr, derivative=True)
+    out = _spherical_jn_public(n, arr, derivative=True)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -76,14 +86,12 @@ def spherical_bessel_j_prime(n: int, x, n_max: int = N_MAX_DEFAULT):
 #     xi_{n-1,i} < xi_{n,i} < xi_{n-1,i+1}
 # so the i-th zero of order n is bracketed by two consecutive zeros of order
 # n-1, starting from the exact xi_{0,i} = i*pi.  The cache grows on demand
-# under a single writer lock; readers always see complete prefixes.
+# and only ever by whole prefixes.
 
 _zero_cache: dict[int, list[float]] = {}
-_zero_lock = threading.Lock()
 
 
 def _extend_zeros(n: int, count: int) -> None:
-    # lock is held by the caller
     have = _zero_cache.setdefault(n, [])
     if len(have) >= count:
         return
@@ -107,9 +115,8 @@ def bessel_zeros(n: int, count: int, n_max: int = N_MAX_DEFAULT,
     _check_order(n, n_max)
     if count < 1 or count > i_max:
         raise ValueError(f"count must be in [1, {i_max}]")
-    with _zero_lock:
-        _extend_zeros(n, count)
-        return np.array(_zero_cache[n][:count])
+    _extend_zeros(n, count)
+    return np.array(_zero_cache[n][:count])
 
 
 def spherical_bessel_zero(n: int, i: int, n_max: int = N_MAX_DEFAULT,

@@ -92,6 +92,20 @@ class TestSpectrumCommand:
         # (2+4) m_j slots x 2 kappa x 2 i x 2 esign = 48 modes
         assert len(text.strip().split("\n")) == 1 + 48
 
+    def test_mit_at_largest_imax(self, tmp_path):
+        # the root scan asks for more zeros than i_max; they must stay in range
+        for vs in ("1", "-1"):
+            out = tmp_path / f"m{vs}.csv"
+            assert main(["spectrum", "--bc", "mit", "--varsigma", vs, "--M", "1",
+                         "--jmax", "1/2", "--imax", "500", "--out", str(out)]) == 0
+            # 2 m_j x 2 kappa x 500 i x 2 esign = 4000 modes
+            assert len(out.read_text().strip().split("\n")) == 1 + 4000
+
+    def test_imax_above_limit(self, capsys):
+        for bc in ("spectral", "mit"):
+            assert main(["spectrum", "--bc", bc, "--jmax", "1/2", "--imax", "501"]) == 2
+            assert "'imax'" in capsys.readouterr().err
+
 
 class TestCondensateCommand:
     def test_grid_csv(self, tmp_path):

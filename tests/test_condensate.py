@@ -207,6 +207,8 @@ class TestCondensatePoint:
                 condensate_grid(bc, params, [0.5], [1.0], 2.5, 0)
             with pytest.raises(ValueError, match="i_max"):
                 condensate_nonrotating(bc, params, 0.5, 2.5, 0)
+            with pytest.raises(ValueError, match="i_max"):
+                condensate_point(bc, params, 0.5, 1.0, 2.5, 501)
 
 
 class TestNonrotating:

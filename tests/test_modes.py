@@ -166,6 +166,12 @@ class TestDensityTerms:
             _, B = density_terms(k, 2.0, 1.0, 0.3, 1.2)
             assert math.copysign(1.0, B) == esign
 
+    def test_rejects_negative_radius(self):
+        k = QuantumNumbers(1, 3, 1, 2, 1)
+        with pytest.raises(ValueError, match="radius"):
+            density_terms(k, 2.0, 1.0, -0.3, 1.0)
+        assert all(math.isfinite(v) for v in density_terms(k, 2.0, 1.0, 0.0, 1.0))
+
     def test_matches_explicit_spinor(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

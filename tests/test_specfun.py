@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotsphere import boundary, condensate, modes, specfun
 from rotsphere import (UnsupportedOrderError, assoc_legendre_density, bessel_zeros,
                        legendre_density_table, spherical_bessel_j,
                        spherical_bessel_j_prime, spherical_bessel_zero)
@@ -44,6 +46,21 @@ class TestSphericalBesselJ:
             spherical_bessel_j(201, 1.0)
         with pytest.raises(ValueError):
             spherical_bessel_j(0, math.inf)
+
+
+class TestUfuncBinding:
+    def test_bit_identical_to_public_wrapper(self):
+        x = np.concatenate([[0.0, -0.0, 5e-324], np.geomspace(1e-6, 3e3, 4001)]
+                           + [bessel_zeros(n, 60) for n in (0, 1, 7, 40)])
+        for n in range(specfun.N_MAX_DEFAULT + 1):
+            got = np.asarray(specfun.spherical_jn(n, x), dtype=float)
+            ref = np.asarray(scipy.special.spherical_jn(n, x), dtype=float)
+            mismatch = np.nonzero(got.view(np.int64) != ref.view(np.int64))[0]
+            assert mismatch.size == 0, (n, x[mismatch[:5]])
+
+    def test_modules_share_the_binding(self):
+        for mod in (boundary, modes, condensate):
+            assert mod.spherical_jn is specfun.spherical_jn
 
 
 class TestSphericalBesselPrime:
