@@ -11,6 +11,11 @@ are E = esign * sqrt(p^2 + M^2) and the corotating energy is
 E_tilde = E - Omega * m_j.  When Omega*R < 1 every mode satisfies
 E * E_tilde > 0, so the rotating and nonrotating vacua coincide; this is
 what verify_vacuum_equivalence checks mode by mode.
+
+The wall checks assemble each mode's explicit spinor once on a fixed grid of
+5 polar x 3 azimuthal samples at r = R, with sph_harm_y and the explicit
+gamma^r (independent of the condensate kernel), and reduce each residual to
+one array maximum.
 """
 
 from __future__ import annotations
@@ -19,18 +24,17 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .modes import QuantumNumbers, assemble_spinor, bessel_orders, density_terms, gamma_radial
-from .specfun import I_MAX_DEFAULT, bessel_zeros, spherical_jn
+from .modes import QuantumNumbers, assemble_spinor, bessel_orders, gamma_radial, scalar_density
+from .specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
 
-_ROOT_XTOL = 1e-14
 _SCAN_STEP = math.pi / 8.0
 
 
@@ -107,8 +111,8 @@ def _spectral_shell(two_j: int, sign_mk: int, count: int,
     """
     if sign_mk not in (-1, 1):
         raise ValueError("sign_mk must be +-1")
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     n_zero, n_other = (two_j + 1) // 2, (two_j - 1) // 2
     if sign_mk < 0:
         n_zero, n_other = n_other, n_zero
@@ -150,8 +154,8 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
     zeros of both Bessel orders, subdivided to at most pi/8, then refined by
     bracketed solving.  Raises SolverError rather than skipping roots.
     """
-    if R <= 0 or M < 0 or count < 1:
-        raise ValueError("require R > 0, M >= 0, count >= 1")
+    if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
+        raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
     if esign not in (-1, 1) or varsigma not in (-1, 1):
         raise ValueError("esign and varsigma must be +-1")
     rho = M * R
@@ -194,10 +198,14 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
         f"esign={esign}, M={M}, varsigma={varsigma})")
 
 
+def _check_p_R(p: float, R: float) -> None:
+    if not (0 < p < math.inf and 0 < R < math.inf):
+        raise ValueError(f"require finite p > 0 and R > 0, got p={p}, R={R}")
+
+
 def radial_integral_plus(n: int, p: float, R: float) -> float:
     """Closed form of int_0^R r^2 [j_n^2(pr) + j_{n+1}^2(pr)]/2 dr."""
-    if p <= 0 or R <= 0:
-        raise ValueError("require p > 0 and R > 0")
+    _check_p_R(p, R)
     x = p * R
     jn = float(spherical_jn(n, x))
     jn1 = float(spherical_jn(n + 1, x))
@@ -206,8 +214,7 @@ def radial_integral_plus(n: int, p: float, R: float) -> float:
 
 def radial_integral_minus(n: int, p: float, R: float) -> float:
     """Closed form of int_0^R r^2 [j_n^2(pr) - j_{n+1}^2(pr)]/2 dr."""
-    if p <= 0 or R <= 0:
-        raise ValueError("require p > 0 and R > 0")
+    _check_p_R(p, R)
     x = p * R
     return (R * R / (2.0 * p)) * float(spherical_jn(n, x)) * float(spherical_jn(n + 1, x))
 
@@ -354,47 +361,37 @@ def verify_vacuum_equivalence(modes: Sequence[QuantizedMode], Omega: float,
 # Per-mode boundary residuals
 # ---------------------------------------------------------------------------
 
-_THETA_SAMPLES = (0.17, 0.9, math.pi / 2, 2.3, 2.95)
-_PHI_SAMPLES = (0.0, 1.3, 4.0)
+# The 15 wall samples: 5 polar angles x 3 azimuths, axes (theta, phi)
+_WALL_THETA, _WALL_PHI = np.meshgrid((0.17, 0.9, math.pi / 2, 2.3, 2.95), (0.0, 1.3, 4.0),
+                                     indexing="ij")
+_WALL_GAMMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)
 
 
-def spectral_component_residual(mode: QuantizedMode, R: float, M: float,
-                                thetas: Iterable[float] = _THETA_SAMPLES,
-                                phis: Iterable[float] = _PHI_SAMPLES) -> float:
+def _wall_spinor(mode: QuantizedMode, R: float, M: float) -> np.ndarray:
+    """Normalized spinor C u at r = R on the wall samples, shape (4, 5, 3)."""
+    return mode.C * assemble_spinor(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
+
+
+def spectral_component_residual(mode: QuantizedMode, R: float, M: float) -> float:
     """Largest magnitude of the wall-vanishing spinor components at r = R.
 
     The lower pair must vanish for m_j > 0, the upper pair for m_j < 0.
     """
     sel = slice(2, 4) if mode.qn.two_mj > 0 else slice(0, 2)
-    worst = 0.0
-    for th in thetas:
-        for ph in phis:
-            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
-            worst = max(worst, float(np.max(np.abs(u[sel]))))
-    return worst
+    return float(np.max(np.abs(_wall_spinor(mode, R, M)[sel])))
 
 
-def mit_condition_residual(mode: QuantizedMode, R: float, M: float, varsigma: int,
-                           thetas: Iterable[float] = _THETA_SAMPLES,
-                           phis: Iterable[float] = _PHI_SAMPLES) -> float:
+def mit_condition_residual(mode: QuantizedMode, R: float, M: float, varsigma: int) -> float:
     """Largest componentwise residual of -i gamma^r psi = varsigma psi at r = R."""
-    worst = 0.0
-    for th in thetas:
-        for ph in phis:
-            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
-            resid = -1j * (gamma_radial(th, ph) @ u) - varsigma * u
-            worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    u = _wall_spinor(mode, R, M)
+    resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, u) - varsigma * u
+    return float(np.max(np.abs(resid)))
 
 
-def mit_density_residual(mode: QuantizedMode, R: float, M: float,
-                         thetas: Iterable[float] = _THETA_SAMPLES) -> float:
-    """Largest |C|^2 |A + B| on the wall; the MIT condition forces it to zero."""
-    worst = 0.0
-    for th in thetas:
-        A, B = density_terms(mode.qn, mode.p, M, R, th)
-        worst = max(worst, mode.C**2 * abs(A + B))
-    return worst
+def mit_density_residual(mode: QuantizedMode, R: float, M: float) -> float:
+    """Largest |C|^2 |u-bar u| on the wall; the MIT condition forces it to zero."""
+    dens = scalar_density(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
+    return float(np.max(mode.C**2 * np.abs(dens)))
 
 
 @dataclass
@@ -420,12 +417,13 @@ def verify_boundary_residuals(bc: BoundaryKind, modes: Sequence[QuantizedMode],
                               R: float, M: float) -> BoundaryReport:
     """Run the per-mode wall checks appropriate to the boundary condition."""
     if bc.is_mit:
-        max_cond = max(mit_condition_residual(mo, R, M, bc.varsigma) for mo in modes)
-        max_dens = max(mit_density_residual(mo, R, M) for mo in modes)
+        max_cond = max((mit_condition_residual(mo, R, M, bc.varsigma) for mo in modes),
+                       default=0.0)
+        max_dens = max((mit_density_residual(mo, R, M) for mo in modes), default=0.0)
         return BoundaryReport(0.0, max_cond, max_dens, len(modes),
                               tol_component=math.inf, tol_condition=1e-9,
                               tol_density=1e-9)
-    max_comp = max(spectral_component_residual(mo, R, M) for mo in modes)
+    max_comp = max((spectral_component_residual(mo, R, M) for mo in modes), default=0.0)
     return BoundaryReport(max_comp, 0.0, 0.0, len(modes),
                           tol_component=1e-10, tol_condition=math.inf,
                           tol_density=math.inf)

@@ -312,13 +312,8 @@ def _run_verify(cfg: RunConfig) -> int:
     for mo in vac.violations[:20]:
         print(f"  E*E_tilde<=0: {mo.qn} E={mo.E!r} E_tilde={mo.E_tilde!r}")
 
-    # wall residuals on a bounded subset; per-mode checks are O(spinor assembly)
-    sub_jmax = min(cfg.two_j_max, 9) / 2.0
-    sub_imax = min(cfg.i_max, 6)
-    sub = [mo for mo in modes
-           if mo.qn.two_j <= 2 * sub_jmax and mo.qn.i <= sub_imax]
-    if not sub:
-        sub = modes
+    # wall residuals on the subset j <= 9/2, i <= 6: each mode assembles its spinor
+    sub = [mo for mo in modes if mo.qn.two_j <= 9 and mo.qn.i <= 6]
     rep = bnd.verify_boundary_residuals(cfg.boundary, sub, cfg.R, cfg.M)
     if cfg.boundary.is_mit:
         print(f"boundary residuals ({rep.n_modes} modes): "

@@ -8,8 +8,8 @@ two_mj) so quantum numbers compare exactly.
 The scalar density of a mode separates into a radial amplitude pair
 (f, g) acting on the two spinor-harmonic angular densities; only those real
 quantities enter the condensate sums.  An explicit 4-component spinor
-assembler is provided for verification (boundary residuals, oracle tests)
-and is not used in the hot path.
+assembler, broadcasting over arrays of angles, is provided for verification
+(boundary residuals, oracle tests) and is not used in the hot path.
 """
 
 from __future__ import annotations
@@ -138,6 +138,13 @@ def _energy(esign: int, p: float, M: float) -> float:
     return esign * math.hypot(p, M)
 
 
+def _check_momentum_radius(p: float, r: float) -> None:
+    if not 0 < p < math.inf:
+        raise ValueError(f"momentum must be positive and finite, got {p}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be non-negative and finite, got {r}")
+
+
 def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
     """Radial amplitude pair of the mode at radius r.
 
@@ -146,10 +153,7 @@ def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
     with E = esign * sqrt(p^2 + M^2).  Both ratios (E+-M)/(2E) are
     non-negative for |E| >= M regardless of the sign of E.
     """
-    if p <= 0:
-        raise ValueError(f"momentum must be positive, got {p}")
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+    _check_momentum_radius(p, r)
     E = _energy(k.esign, p, M)
     l_f, l_g = bessel_orders(k.kappa)
     pref_f = math.sqrt((E + M) / (2.0 * E))
@@ -162,10 +166,7 @@ def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
 def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
                   theta: float) -> tuple[float, float]:
     """Scalar-density split (A, B) of the (unnormalized) mode; see density_split."""
-    if p <= 0:
-        raise ValueError(f"momentum must be positive, got {p}")
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+    _check_momentum_radius(p, r)
     n_lo = (k.two_j - 1) // 2
     dens = angular_density(k.two_j, k.two_mj, k.kappa, theta)
     jm2 = float(spherical_jn(n_lo, p * r)) ** 2
@@ -187,27 +188,26 @@ _SIGMA = (
 )
 
 
-def gamma_radial(theta: float, phi: float) -> np.ndarray:
-    """gamma^r in the Pauli-Dirac representation at direction (theta, phi)."""
-    nvec = (math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta))
-    sig_r = sum(c * s for c, s in zip(nvec, _SIGMA))
-    out = np.zeros((4, 4), dtype=complex)
+def gamma_radial(theta, phi) -> np.ndarray:
+    """gamma^r in the Pauli-Dirac representation at direction (theta, phi).
+
+    Broadcasts over array theta and phi; the result has shape (4, 4, ...).
+    """
+    theta, phi = np.broadcast_arrays(theta, phi)
+    nvec = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    sig_r = sum(c * s.reshape(s.shape + (1,) * theta.ndim) for c, s in zip(nvec, _SIGMA))
+    out = np.zeros((4, 4) + theta.shape, dtype=complex)
     out[:2, 2:] = sig_r
     out[2:, :2] = -sig_r
     return out
 
 
-def _ylm(l: int, m: int, theta: float, phi: float) -> complex:
-    if abs(m) > l:
-        return 0j
-    return complex(sph_harm_y(l, m, theta, phi))
+def spinor_harmonic(two_j: int, two_mj: int, sign: int, theta, phi) -> np.ndarray:
+    """Two-component spinor harmonic chi^sign_{j m_j} at (theta, phi).
 
-
-def spinor_harmonic(two_j: int, two_mj: int, sign: int, theta: float,
-                    phi: float) -> np.ndarray:
-    """Two-component spinor harmonic chi^sign_{j m_j} at (theta, phi)."""
+    Broadcasts over array theta and phi; the result has shape (2, ...).
+    sph_harm_y is 0 for |m| > l, where the matching coefficient vanishes.
+    """
     m_lo = (two_mj - 1) // 2
     m_hi = (two_mj + 1) // 2
     if sign > 0:
@@ -218,28 +218,29 @@ def spinor_harmonic(two_j: int, two_mj: int, sign: int, theta: float,
         l = (two_j + 1) // 2
         c1 = math.sqrt((two_j - two_mj + 2) / (2.0 * (two_j + 2)))
         c2 = -math.sqrt((two_j + two_mj + 2) / (2.0 * (two_j + 2)))
-    return np.array([c1 * _ylm(l, m_lo, theta, phi),
-                     c2 * _ylm(l, m_hi, theta, phi)])
+    return np.array([c1 * sph_harm_y(l, m_lo, theta, phi),
+                     c2 * sph_harm_y(l, m_hi, theta, phi)])
 
 
 def assemble_spinor(k: QuantumNumbers, p: float, M: float, r: float,
-                    theta: float, phi: float) -> np.ndarray:
+                    theta, phi) -> np.ndarray:
     """Explicit 4-component eigenspinor u_k(r, theta, phi), unnormalized.
 
+    Broadcasts over array theta and phi; the result has shape (4, ...).
     Verification path only: boundary-residual checks and oracle tests build
     the full spinor; production sums never materialize it.
     """
     rad = radial_pair(k, p, M, r)
     chi_up = spinor_harmonic(k.two_j, k.two_mj, +1 if k.kappa > 0 else -1, theta, phi)
     chi_dn = spinor_harmonic(k.two_j, k.two_mj, -1 if k.kappa > 0 else +1, theta, phi)
-    out = np.empty(4, dtype=complex)
-    out[:2] = rad.f * chi_up
-    out[2:] = 1j * rad.g_over_i * chi_dn
-    return out
+    return np.concatenate([rad.f * chi_up, 1j * rad.g_over_i * chi_dn])
 
 
 def scalar_density(k: QuantumNumbers, p: float, M: float, r: float,
-                   theta: float, phi: float = 0.0) -> float:
-    """U-bar U from the explicit spinor; cross-checks density_terms."""
+                   theta, phi=0.0):
+    """U-bar U from the explicit spinor; cross-checks density_terms.
+
+    Broadcasts over array theta and phi.
+    """
     u = assemble_spinor(k, p, M, r, theta, phi)
-    return float((u.conj() @ GAMMA_T @ u).real)
+    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real

@@ -39,20 +39,20 @@ class UnsupportedOrderError(ValueError):
     """Requested Bessel order outside the supported range."""
 
 
-def _check_order(n, n_max):
+def _check_order(n):
     if not isinstance(n, (int, np.integer)):
         raise UnsupportedOrderError(f"order must be an integer, got {n!r}")
-    if n < 0 or n > n_max:
-        raise UnsupportedOrderError(f"order n={n} outside supported range [0, {n_max}]")
+    if n < 0 or n > N_MAX_DEFAULT:
+        raise UnsupportedOrderError(f"order n={n} outside supported range [0, {N_MAX_DEFAULT}]")
 
 
-def spherical_bessel_j(n: int, x, n_max: int = N_MAX_DEFAULT):
+def spherical_bessel_j(n: int, x):
     """Spherical Bessel function j_n(x) for integer n >= 0.
 
     Accepts a scalar or ndarray argument; x must be >= 0 and finite.
     j_0(0) = 1 and j_n(0) = 0 for n >= 1.
     """
-    _check_order(n, n_max)
+    _check_order(n)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
@@ -62,13 +62,13 @@ def spherical_bessel_j(n: int, x, n_max: int = N_MAX_DEFAULT):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def spherical_bessel_j_prime(n: int, x, n_max: int = N_MAX_DEFAULT):
+def spherical_bessel_j_prime(n: int, x):
     """Derivative j'_n(x) for x > 0.
 
     Satisfies the recurrences j'_n + (n+1)/x * j_n = j_{n-1} and
     j'_n - n/x * j_n = -j_{n+1}.
     """
-    _check_order(n, n_max)
+    _check_order(n)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
@@ -109,20 +109,18 @@ def _extend_zeros(n: int, count: int) -> None:
         raise RuntimeError(f"zero table inconsistent at order {n}: xi_1 = {have[0]}")
 
 
-def bessel_zeros(n: int, count: int, n_max: int = N_MAX_DEFAULT,
-                 i_max: int = I_MAX_DEFAULT) -> np.ndarray:
+def bessel_zeros(n: int, count: int) -> np.ndarray:
     """First `count` positive zeros xi_{n,1} < ... < xi_{n,count} of j_n."""
-    _check_order(n, n_max)
-    if count < 1 or count > i_max:
-        raise ValueError(f"count must be in [1, {i_max}]")
+    _check_order(n)
+    if count < 1 or count > I_MAX_DEFAULT:
+        raise ValueError(f"count must be in [1, {I_MAX_DEFAULT}]")
     _extend_zeros(n, count)
     return np.array(_zero_cache[n][:count])
 
 
-def spherical_bessel_zero(n: int, i: int, n_max: int = N_MAX_DEFAULT,
-                          i_max: int = I_MAX_DEFAULT) -> float:
+def spherical_bessel_zero(n: int, i: int) -> float:
     """The i-th positive zero xi_{n,i} of j_n (i starts at 1)."""
-    return float(bessel_zeros(n, i, n_max=n_max, i_max=i_max)[i - 1])
+    return float(bessel_zeros(n, i)[i - 1])
 
 
 # ---------------------------------------------------------------------------

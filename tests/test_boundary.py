@@ -1,22 +1,62 @@
 import json
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
-                       enumerate_spectrum, mit, mit_momenta, mit_norm,
+                       density_terms, enumerate_spectrum, mit, mit_momenta, mit_norm,
                        quantization_residual, radial_integral_minus,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
-                       verify_vacuum_equivalence)
-from rotsphere.boundary import (SolverError, mit_condition_residual,
-                                mit_density_residual, spectral_component_residual,
-                                two_j_from)
+                       verify_boundary_residuals, verify_vacuum_equivalence)
+from rotsphere.boundary import (_WALL_PHI, _WALL_THETA, SolverError,
+                                mit_condition_residual, mit_density_residual,
+                                spectral_component_residual, two_j_from)
+from rotsphere.modes import assemble_spinor, gamma_radial, scalar_density, spinor_harmonic
 from oracles import (bisect_root, quadrature_mode_norm, quadrature_mode_overlap,
                      radial_quadrature, scan_mit_momenta)
 
 XI_1_1 = 4.493409457909064
+
+# The per-sample wall checks that the array path replaced, kept verbatim as
+# references: one scalar spinor assembly per (theta, phi) sample.
+_THETA_SAMPLES = (0.17, 0.9, math.pi / 2, 2.3, 2.95)
+_PHI_SAMPLES = (0.0, 1.3, 4.0)
+
+
+def _spectral_component_reference(mode, R: float, M: float,
+                                  thetas: Iterable[float] = _THETA_SAMPLES,
+                                  phis: Iterable[float] = _PHI_SAMPLES) -> float:
+    sel = slice(2, 4) if mode.qn.two_mj > 0 else slice(0, 2)
+    worst = 0.0
+    for th in thetas:
+        for ph in phis:
+            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
+            worst = max(worst, float(np.max(np.abs(u[sel]))))
+    return worst
+
+
+def _mit_condition_reference(mode, R: float, M: float, varsigma: int,
+                             thetas: Iterable[float] = _THETA_SAMPLES,
+                             phis: Iterable[float] = _PHI_SAMPLES) -> float:
+    worst = 0.0
+    for th in thetas:
+        for ph in phis:
+            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
+            resid = -1j * (gamma_radial(th, ph) @ u) - varsigma * u
+            worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
+
+
+def _mit_density_reference(mode, R: float, M: float,
+                           thetas: Iterable[float] = _THETA_SAMPLES) -> float:
+    worst = 0.0
+    for th in thetas:
+        A, B = density_terms(mode.qn, mode.p, M, R, th)
+        worst = max(worst, mode.C**2 * abs(A + B))
+    return worst
 
 
 class TestSpectralMomentum:
@@ -28,7 +68,7 @@ class TestSpectralMomentum:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             spectral_momentum(1, 0, 1, 1.0)
-        for R in (0.0, -1.0):
+        for R in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="R must be positive"):
                 spectral_momentum(1, 1, 1, R)
             with pytest.raises(ValueError, match="R must be positive"):
@@ -64,6 +104,14 @@ class TestRadialIntegrals:
         assert radial_integral_plus(n, p, R) == pytest.approx(plus, abs=1e-12)
         assert radial_integral_minus(n, p, R) == pytest.approx(minus, abs=1e-12)
 
+    def test_rejects_bad_arguments(self):
+        for p, R in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                     (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="require finite"):
+                radial_integral_plus(1, p, R)
+            with pytest.raises(ValueError, match="require finite"):
+                radial_integral_minus(1, p, R)
+
 
 class TestMitMomenta:
     def test_first_root_massless(self):
@@ -80,6 +128,13 @@ class TestMitMomenta:
         from rotsphere import bessel_zeros
         roots = mit_momenta(3, 2, 1, 1.0, 1e7, 1, 4)
         assert np.allclose(roots, bessel_zeros(1, 4), atol=1e-5)
+
+    def test_rejects_bad_arguments(self):
+        # non-finite R or M must not yield zero momenta or a SolverError
+        for R, M in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                     (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="require finite"):
+                mit_momenta(1, 1, 1, R, M, 1, 3)
 
     def test_against_sign_scan_oracle(self):
         got = mit_momenta(1, -1, 1, 1.0, 1.0, 1, 3)
@@ -251,6 +306,60 @@ class TestBoundaryResiduals:
         for mo in modes:
             assert mit_condition_residual(mo, params.R, params.M, vs) <= 1e-9
             assert mit_density_residual(mo, params.R, params.M) <= 1e-9
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_empty_mode_list(self, bc):
+        rep = verify_boundary_residuals(bc, [], 1.0, 0.0)
+        assert rep.n_modes == 0 and rep.ok
+        assert (rep.max_component, rep.max_condition, rep.max_density) == (0.0, 0.0, 0.0)
+
+
+class TestWallArrayPath:
+    """The wall checks broadcast the spinor over the sample grid; they must
+    reproduce the per-sample references."""
+
+    @pytest.mark.parametrize("M", [0.0, 1.0])
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_matches_per_sample_reference(self, bc, M):
+        params = PhysicalParams(M=M, R=1.0, Omega=0.5, beta=1.0)
+        R = params.R
+        for mo in enumerate_spectrum(bc, params, 4.5, 6):
+            if bc.is_mit:
+                assert (mit_condition_residual(mo, R, M, bc.varsigma)
+                        == _mit_condition_reference(mo, R, M, bc.varsigma))
+                assert abs(mit_density_residual(mo, R, M)
+                           - _mit_density_reference(mo, R, M)) <= 1e-14
+            else:
+                assert (spectral_component_residual(mo, R, M)
+                        == _spectral_component_reference(mo, R, M))
+
+    def test_broadcast_equals_scalar_calls(self):
+        params = PhysicalParams(M=0.7, R=1.3, Omega=0.5, beta=1.0)
+        modes = enumerate_spectrum(mit(1), params, 4.5, 2)
+        for mo in modes[::7]:
+            k = mo.qn
+            args = (k, mo.p, params.M, params.R)
+            u = assemble_spinor(*args, _WALL_THETA, _WALL_PHI)
+            dens = scalar_density(*args, _WALL_THETA, _WALL_PHI)
+            chi = [spinor_harmonic(k.two_j, k.two_mj, s, _WALL_THETA, _WALL_PHI)
+                   for s in (1, -1)]
+            assert u.shape == (4,) + _WALL_THETA.shape
+            assert chi[0].shape == (2,) + _WALL_THETA.shape
+            for idx in np.ndindex(_WALL_THETA.shape):
+                th, ph = float(_WALL_THETA[idx]), float(_WALL_PHI[idx])
+                assert np.array_equal(u[(slice(None),) + idx],
+                                      assemble_spinor(*args, th, ph))
+                for s, c in zip((1, -1), chi):
+                    assert np.array_equal(c[(slice(None),) + idx],
+                                          spinor_harmonic(k.two_j, k.two_mj, s, th, ph))
+                assert dens[idx] == pytest.approx(scalar_density(*args, th, ph),
+                                                  rel=1e-12, abs=1e-15)
+        gam = gamma_radial(_WALL_THETA, _WALL_PHI)
+        assert gam.shape == (4, 4) + _WALL_THETA.shape
+        for idx in np.ndindex(_WALL_THETA.shape):
+            assert np.array_equal(gam[(slice(None), slice(None)) + idx],
+                                  gamma_radial(float(_WALL_THETA[idx]),
+                                               float(_WALL_PHI[idx])))
 
 
 class TestExport:

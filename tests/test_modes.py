@@ -150,6 +150,9 @@ class TestRadialPair:
         k = QuantumNumbers(1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             radial_pair(k, 0.0, 1.0, 0.5)
+        for p, r in ((math.nan, 0.5), (math.inf, 0.5), (2.0, math.nan), (2.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                radial_pair(k, p, 1.0, r)
 
 
 class TestDensityTerms:
@@ -170,6 +173,9 @@ class TestDensityTerms:
         k = QuantumNumbers(1, 3, 1, 2, 1)
         with pytest.raises(ValueError, match="radius"):
             density_terms(k, 2.0, 1.0, -0.3, 1.0)
+        for p, r in ((2.0, math.nan), (2.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                density_terms(k, p, 1.0, r, 1.0)
         assert all(math.isfinite(v) for v in density_terms(k, 2.0, 1.0, 0.0, 1.0))
 
     def test_matches_explicit_spinor(self):

@@ -142,6 +142,10 @@ class TestZeros:
             bessel_zeros(0, 0)
         with pytest.raises(UnsupportedOrderError):
             bessel_zeros(500, 3)
+        with pytest.raises(UnsupportedOrderError):
+            bessel_zeros(201, 1)
+        with pytest.raises(ValueError, match=r"\[1, 500\]"):
+            bessel_zeros(0, 501)
 
 
 class TestLegendreDensity:
