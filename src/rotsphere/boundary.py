@@ -138,10 +138,15 @@ def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
 def _mit_equation(x, two_j: int, kappa: int, esign: int, rho: float, varsigma: int):
     """Residual of j_{l_f}(x) - sgn(kappa) varsigma p/(E+M) j_{l_g}(x) at x = p R.
 
-    rho = M*R; the coefficient is x / (esign * sqrt(x^2 + rho^2) + rho).
+    rho = M*R; the coefficient is x / (esign * sqrt(x^2 + rho^2) + rho).  For
+    esign = -1 that denominator is about -x^2/(2 rho) and cancels, so the
+    coefficient is computed as the equal -(sqrt(x^2 + rho^2) + rho) / x.
     """
     n_f, n_g = bessel_orders(kappa)
     sgn_k = 1.0 if kappa > 0 else -1.0
+    if esign < 0:
+        coeff = -(np.sqrt(x * x + rho * rho) + rho) / x
+        return spherical_jn(n_f, x) - sgn_k * varsigma * coeff * spherical_jn(n_g, x)
     denom = esign * np.sqrt(x * x + rho * rho) + rho
     return spherical_jn(n_f, x) - sgn_k * varsigma * x / denom * spherical_jn(n_g, x)
 

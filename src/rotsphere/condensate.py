@@ -11,11 +11,12 @@ temperature-independent divergent part; w' is the default.
 One kernel evaluates points and grids, computing each factor on the axis
 it depends on: the paired weights, |C|^2 and M/(2E) once per (j, kappa)
 shell; the Bessel squares once per shell for all r in one call; the
-Legendre table and spinor densities once per theta.  Each point's terms
-are then formed elementwise into one buffer in the canonical order
-(ascending j, then kappa, i, m_j) and reduced by a single math.fsum.  Every
-term is the same IEEE expression of the same operands wherever it is
-computed, and fsum is correctly rounded, so the result does not depend on
+Legendre table and spinor densities once per theta.  The terms of a few
+points at a time are then formed elementwise into one buffer, a row per
+point in the canonical order (ascending j, then kappa, i, m_j), and each row
+is reduced by a certified exact sum that is bit-identical to math.fsum.
+Every term is the same IEEE expression of the same operands wherever it is
+computed, and the sum is correctly rounded, so the result does not depend on
 how the terms are batched: points and grids give bit-identical values.
 """
 
@@ -94,6 +95,63 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
+# points whose terms the kernel fills and reduces together: an (r, term)
+# matrix of a whole curve costs memory, and the 4 MiB tracemalloc test of a
+# 41-point curve sets this
+_BLOCK_ROWS = 2
+
+
+def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-d float array, bit for bit.
+
+    A pairwise TwoSum tree over contiguous halves turns each row of n terms
+    into s plus n - 1 errors e, with the same exact sum (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26, 2005).  Any summation order computes
+    E = fl(sum e) to within gamma_{n-2} sum|e|, which 2(n+2) 2^-53 fl(sum|e|)
+    bounds, rounding of the bound included.  With r = fl(s + E) and t its
+    TwoSum residual, the exact sum lies within |t| + bound of r.  If that is
+    below half the smaller gap from r to its neighbouring doubles, r is the
+    correctly rounded sum, which is what math.fsum returns (Shewchuk 1997).
+    The test compares doubles, all multiples of 2^-1074, so a bound that
+    underflows cannot pass it wrongly.
+
+    Rows that fail the test are passed to math.fsum itself, which keeps its
+    signed zeros, inf/nan results and OverflowError.  A zero or subnormal r
+    always fails, as its half gap rounds to 0, and so does an inf or nan r,
+    whose gap is nan.
+    """
+    rows, n = buf.shape
+    x = buf
+    e_sum = np.zeros(rows)
+    e_abs = np.zeros(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while x.shape[1] > 1:
+            h = x.shape[1] // 2
+            a, b = x[:, :h], x[:, h:2 * h]
+            s = np.empty((rows, x.shape[1] - h))
+            s[:, h:] = x[:, 2 * h:]  # an odd last term moves up a level
+            sh = s[:, :h]
+            np.add(a, b, out=sh)
+            bv = sh - a
+            err = sh - bv
+            np.subtract(a, err, out=err)
+            np.subtract(b, bv, out=bv)
+            err += bv
+            e_sum += err.sum(axis=1)
+            e_abs += np.abs(err, out=err).sum(axis=1)
+            x = s
+        s = x[:, 0]
+        r = s + e_sum
+        bv = r - s
+        t = (s - (r - bv)) + (e_sum - bv)
+        bound = np.abs(t) + (2.0 * (n + 2) * 2.0**-53) * e_abs
+        gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
+        certified = bound < 0.5 * gap
+    for i in np.flatnonzero(~certified):
+        r[i] = math.fsum(buf[i])
+    return r
+
+
 def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  th_vals: list[float], two_j_max: int, i_max: int,
                  subtracted: bool) -> tuple[np.ndarray, float]:
@@ -127,21 +185,23 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
 
     values = np.empty((len(r_vals), len(th_vals)))
     tail = 0.0
-    terms = np.empty(size)  # one point at a time: an (r, term) matrix costs memory
+    buf = np.empty((min(_BLOCK_ROWS, len(r_vals)), size))
     for it, theta in enumerate(th_vals):
         tab = legendre_density_table((two_j_max + 1) // 2, math.cos(theta))
         dens = {two_j: spinor_densities(two_j, np.arange(1, two_j + 1, 2), tab)
                 for two_j in range(1, two_j_max + 1, 2)}
-        for ir in range(len(r_vals)):
+        for r0 in range(0, len(r_vals), _BLOCK_ROWS):
+            rows = slice(r0, r0 + _BLOCK_ROWS)
+            terms = buf[:len(r_vals[rows])]
             for two_j, kappa, jm2, jp2, C2, mass_ratio, w, block in shells:
-                A, B = density_split(kappa, *dens[two_j], jm2[ir], jp2[ir], mass_ratio)
-                out = terms[block].reshape(A.shape)  # i outer, m_j inner
+                A, B = density_split(kappa, *dens[two_j], jm2[rows], jp2[rows], mass_ratio)
+                out = terms[:, block].reshape(A.shape)  # point, then i, then m_j
                 if bc.is_mit:
                     np.multiply(w[0], A + B, out=out)
                 else:
                     np.multiply(C2, w[0] * A + w[1] * B, out=out)
-            values[ir, it] = -math.fsum(terms.tolist())
-            tail = max(tail, abs(math.fsum(terms[tail_start:].tolist())))
+            values[rows, it] = -_exact_row_sums(terms)
+            tail = max(tail, float(np.abs(_exact_row_sums(terms[:, tail_start:])).max()))
     return values, tail
 
 
@@ -188,7 +248,7 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
     M, R = params.M, params.R
     weight = thermal_weight_subtracted if subtracted else thermal_weight
 
-    terms: list[float] = []
+    terms: list[np.ndarray] = []
     for two_j in range(1, two_j_max + 1, 2):
         shell_coeff = (two_j + 1) / (4.0 * math.pi)
         k0 = (two_j + 1) // 2
@@ -202,10 +262,10 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
             if bc.is_mit:
                 sgn_k = 1.0 if kappa > 0 else -1.0
                 frak_a = sgn_k * shell_coeff * 0.5 * (jm2 - jp2)
-                terms.extend((C2 * w * (frak_a + frak_b)).tolist())
+                terms.append(C2 * w * (frak_a + frak_b))
             else:
-                terms.extend((C2 * w * frak_b).tolist())
-    return -math.fsum(terms)
+                terms.append(C2 * w * frak_b)
+    return -float(_exact_row_sums(np.concatenate(terms)[None, :])[0])
 
 
 @dataclass

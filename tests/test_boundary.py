@@ -141,6 +141,16 @@ class TestMitMomenta:
         ref = scan_mit_momenta(1, -1, 1, 1.0, 1.0, 1, 3)
         assert np.allclose(got, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("two_j, kappa", [(1, 1), (3, 2), (5, 3)])
+    def test_negative_energy_at_mass_threshold(self, two_j, kappa):
+        # at M R = j + 1 the leading x -> 0 term of the esign = -1, varsigma = -1
+        # equation vanishes; a cancelling coefficient there made the scan
+        # return near-zero noise roots or fail its residual check
+        M = two_j / 2.0 + 1.0
+        got = mit_momenta(two_j, kappa, -1, 1.0, M, -1, 3)
+        ref = scan_mit_momenta(two_j, kappa, -1, 1.0, M, -1, 3)
+        assert np.allclose(got, ref, atol=1e-9)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_root_completeness(self, seed):
         rng = np.random.default_rng(200 + seed)

@@ -13,6 +13,7 @@ from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
                        density_terms, enumerate_spectrum, grid_to_csv,
                        grid_to_json, mit, thermal_weight,
                        thermal_weight_subtracted)
+from rotsphere import condensate as cnd
 from rotsphere.boundary import shell_table
 from rotsphere.modes import density_split, spinor_densities
 from rotsphere.specfun import legendre_density_table
@@ -291,7 +292,9 @@ class TestGridKernel:
 
     def test_memory_stays_below_term_matrix(self):
         # a 41-point curve at j_max = 41/2, i_max = 60 has 27,720 terms per
-        # point; an (r, term) matrix of them alone would take 9.1 MB
+        # point; an (r, term) matrix of them alone would take 9.1 MB.  The
+        # kernel fills and reduces condensate._BLOCK_ROWS points at a time, and
+        # this bound sets that block size
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=2.0, mu=0.2)
         args = (SPECTRAL, params, np.linspace(0.0, 1.0, 41), [math.pi / 2], 20.5, 60)
         condensate_grid(*args)  # warm the shell tables
@@ -302,6 +305,100 @@ class TestGridKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def _outcome(fn, *args):
+    """The .hex() of each float fn returns, or the name of what it raised."""
+    try:
+        out = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return [float(v).hex() for v in np.atleast_1d(out)]
+
+
+def _fsum_rows(buf):
+    return [math.fsum(row.tolist()) for row in buf]
+
+
+_MAX = np.finfo(float).max
+# rows the certificate cannot accept: exact midpoint ties (one of them broken
+# by a term far below, which fl(s + E) loses), heavy cancellation, subnormal
+# sums, zeros, overflow, inf and nan
+_FALLBACK_ROWS = (
+    [1.0, 2.0**-53], [1.0, 2.0**-53, 0.0], [1.5, 2.0**-53, 2.0**-106],
+    [1e16, 1.0, -1e16],
+    [5e-324, 5e-324], [3e-320, -1e-320, 2e-321], [-0.0], [-0.0, -0.0],
+    [0.0] * 7, [_MAX, 2.0**970], [_MAX, _MAX, -_MAX], [math.inf, 1.0],
+    [-math.inf, -2.0, 3.0], [math.inf, -math.inf], [math.nan, 1.0],
+)
+
+
+class TestExactRowSums:
+    """_exact_row_sums must return math.fsum's bits, or raise as it does."""
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_floats(self, rows):
+        # any float, inf and nan included; a row that raises is checked alone
+        buf = np.array(rows)
+        single = [_outcome(cnd._exact_row_sums, row[None, :]) for row in buf]
+        assert single == [_outcome(_fsum_rows, row[None, :]) for row in buf]
+        if all(isinstance(out, list) for out in single):
+            assert _outcome(cnd._exact_row_sums, buf) == sum(single, [])
+
+    @given(st.integers(1, 5000), st.integers(1, 3), st.integers(0, 1200),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_arrays(self, n, rows, span, seed):
+        # odd and even lengths, binary exponents spread over `span` octaves
+        rng = np.random.default_rng(seed)
+        exps = rng.integers(-span // 2, span - span // 2 + 1, size=(rows, n))
+        buf = rng.standard_normal((rows, n)) * np.exp2(np.clip(exps, -1070, 960))
+        assert _outcome(cnd._exact_row_sums, buf) == _outcome(_fsum_rows, buf)
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_kernel_buffers(self, bc, monkeypatch):
+        captured = []
+        exact = cnd._exact_row_sums
+
+        def capture(buf):
+            captured.append(buf.copy())
+            return exact(buf)
+
+        monkeypatch.setattr(cnd, "_exact_row_sums", capture)
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=0.9, mu=0.3)
+        condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), [0.4, math.pi / 2],
+                        10.5, 30)
+        condensate_nonrotating(bc, PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=0.9),
+                               0.6, 10.5, 30)
+        assert len(captured) == 2 * 2 * 4 + 1  # (value, tail) per block, + 1 row
+        for buf in captured:
+            assert _outcome(exact, buf) == _outcome(_fsum_rows, buf)
+
+    @pytest.mark.parametrize("row", _FALLBACK_ROWS, ids=repr)
+    def test_fallback_inputs(self, row, monkeypatch):
+        fsum = math.fsum
+        buf = np.array([row])
+        expected = _outcome(_fsum_rows, buf)
+        calls = []
+
+        def counting_fsum(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        assert _outcome(cnd._exact_row_sums, buf) == expected
+        assert calls == [len(row)]
+
+    def test_fallback_only_on_failing_rows(self, monkeypatch):
+        fsum = math.fsum
+        calls = []
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(1) or fsum(v))
+        buf = np.array([[0.1, 0.2, 0.3], [1.0, 2.0**-53, 0.0], [0.5, -0.25, 3.0]])
+        got = cnd._exact_row_sums(buf)
+        assert [v.hex() for v in got.tolist()] == [fsum(r).hex() for r in buf.tolist()]
+        assert len(calls) == 1
 
 
 class TestExport:

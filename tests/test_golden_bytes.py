@@ -1,0 +1,47 @@
+"""Byte identity of listed CLI outputs: each file's sha256 is pinned.
+
+A change that moves any of these bytes must say which and why, and update
+the pinned value in the same change.
+"""
+
+import hashlib
+
+import pytest
+
+from rotsphere.cli import main
+
+_SPECTRUM = ["spectrum", "--M", "1", "--Omega", "0.4", "--jmax", "21/2", "--imax", "20"]
+_MIT = {vs: [*_SPECTRUM, "--bc", "mit", "--varsigma", vs] for vs in ("1", "-1")}
+
+GOLDEN = {
+    "condensate-readme": (
+        ["condensate", "--bc", "spectral", "--M", "1", "--Omega", "0.5", "--beta", "2",
+         "--r-grid", "0:1:41", "--theta-grid", "1.5707963"],
+        "f6988691cdb61ced5687266bf741981919aee339b12920e2d835ca50ed85e04f"),
+    "spectrum-spectral-csv": (
+        _SPECTRUM, "3b3ee3ea6ac016327e5b0e7b251c4d90f50aa9eadaf2557d882cc01e2693e59d"),
+    "spectrum-spectral-json": (
+        [*_SPECTRUM, "--format", "json"],
+        "df9d9738e79f1e6d61d7482a2a1fd0a02ee91e2b915bab784ae6e15a4c89871a"),
+    "spectrum-mit+1-csv": (
+        _MIT["1"], "3a439c3ef6c81d9967191482faf1040c36b9d1c4f9d082e04e2f8d60818ee0de"),
+    "spectrum-mit+1-json": (
+        [*_MIT["1"], "--format", "json"],
+        "8a6d2a04260b0b6352d37109c77a1122b03944ed9876fb3d6134040e7c642c36"),
+    "spectrum-mit-1-csv": (
+        _MIT["-1"], "afcb42426a240377e87e32098c29807fae22edb50c277b069e89b1f9b81f6a22"),
+    "spectrum-mit-1-json": (
+        [*_MIT["-1"], "--format", "json"],
+        "0d9a7df7f3564bd7967d05c8e247909b8b974dca59614dce8775c778124fd872"),
+    "zeros": (
+        ["zeros", "--order", "3", "--count", "20"],
+        "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_output_sha256(name, tmp_path):
+    argv, sha = GOLDEN[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
