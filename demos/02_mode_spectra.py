@@ -35,9 +35,9 @@ for i in (1, 2):
 
 print("\nFull enumeration is deterministic and export-ready; first rows:")
 params = PhysicalParams(M=M, R=R, Omega=0.4, beta=1.0)
-modes = enumerate_spectrum(mit(1), params, 1.5, 2)
-print("  " + "\n  ".join(spectrum_to_csv(modes, R).splitlines()[:6]))
-print(f"  ... {len(modes)} modes total")
+spectrum = enumerate_spectrum(mit(1), params, 1.5, 2)
+print("  " + "\n  ".join(spectrum_to_csv(spectrum, R).splitlines()[:6]))
+print(f"  ... {len(spectrum)} modes total")
 
-energies = sorted({round(m.E, 6) for m in modes if m.E > 0})
+energies = sorted({round(E, 6) for E in spectrum.E.tolist() if E > 0})
 print(f"\nDistinct positive energies (j <= 3/2, i <= 2): {energies}")

@@ -3,7 +3,7 @@ spectral and MIT bag boundary conditions, vacuum equivalence checks, and the
 vacuum-subtracted thermal fermion condensate."""
 
 from .boundary import (BoundaryKind, BoundaryReport, FasterThanLightError,
-                       QuantizedMode, SolverError, SPECTRAL, VacuumReport,
+                       QuantizedMode, SolverError, SPECTRAL, Spectrum, VacuumReport,
                        enumerate_spectrum, mit, mit_momenta, mit_norm,
                        quantization_residual, radial_integral_minus,
                        radial_integral_plus, spectral_momentum, spectral_norm,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularDensity", "BoundaryKind", "BoundaryReport", "CondensateGrid",
     "FasterThanLightError", "PhysicalParams", "QuantizedMode", "QuantumNumbers",
-    "RadialPair", "SolverError", "SPECTRAL", "UnsupportedOrderError",
+    "RadialPair", "SolverError", "SPECTRAL", "Spectrum", "UnsupportedOrderError",
     "VacuumReport", "angular_density", "assemble_spinor", "assoc_legendre_density",
     "bessel_orders", "bessel_zeros", "condensate_grid", "condensate_nonrotating",
     "condensate_point", "conjugate_index", "corotating_energy", "density_terms",

@@ -6,23 +6,20 @@ spherical Bessel zeros.  The MIT bag condition -i gamma^r psi = varsigma psi
 leads to a transcendental momentum equation solved here by a guarded sign
 scan plus bracketed root refinement, which cannot skip roots silently.
 
-All momenta are handled as the dimensionless combination x = p*R; energies
-are E = esign * sqrt(p^2 + M^2) and the corotating energy is
-E_tilde = E - Omega * m_j.  When Omega*R < 1 every mode satisfies
-E * E_tilde > 0, so the rotating and nonrotating vacua coincide; this is
-what verify_vacuum_equivalence checks mode by mode.
-
-The wall checks assemble each mode's explicit spinor once on a fixed grid of
-5 polar x 3 azimuthal samples at r = R, with sph_harm_y and the explicit
-gamma^r (independent of the condensate kernel), and reduce each residual to
-one array maximum.
+All momenta are handled as x = p*R; energies are E = esign * sqrt(p^2 + M^2)
+and E_tilde = E - Omega * m_j.  A Spectrum holds the modes as flat columns
+read from the cached shell tables, so the vacuum check (E * E_tilde > 0 for
+every mode when Omega*R < 1: the rotating and nonrotating vacua coincide)
+and the quantization residual are array expressions.  The wall checks take
+QuantizedMode objects from Spectrum.modes() and assemble each explicit
+spinor once on 5 x 3 (theta, phi) samples at r = R.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -285,50 +282,74 @@ def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
 # ---------------------------------------------------------------------------
 
 
-def quantization_residual(bc: BoundaryKind, mode: QuantizedMode, R: float,
-                          M: float) -> float:
-    """Absolute residual of the active quantization condition at p*R."""
-    qn = mode.qn
-    x = mode.p * R
-    if bc.is_mit:
-        return abs(float(_mit_equation(x, qn.two_j, qn.kappa, qn.esign, M * R,
-                                       bc.varsigma)))
-    sign_mk = 1 if qn.two_mj * qn.kappa > 0 else -1
-    n = (qn.two_j + 1) // 2 if sign_mk > 0 else (qn.two_j - 1) // 2
-    return abs(float(spherical_jn(n, x)))
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A truncated spectrum as flat per-mode columns in the deterministic order
+    ascending (j, kappa, i, m_j, esign); half-integers are doubled."""
+
+    esign: np.ndarray
+    two_j: np.ndarray
+    two_mj: np.ndarray
+    kappa: np.ndarray
+    i: np.ndarray
+    p: np.ndarray
+    E: np.ndarray
+    E_tilde: np.ndarray
+    C: np.ndarray
+
+    def __len__(self) -> int:
+        return self.E.size
+
+    def modes(self, mask=slice(None)) -> list[QuantizedMode]:
+        """QuantizedMode objects of the modes selected by a numpy index."""
+        # tolist() gives Python scalars: numpy 2 scalars print as np.int64(3)
+        cols = [getattr(self, f.name)[mask].tolist() for f in fields(self)]
+        return [QuantizedMode(QuantumNumbers(*row[:5]), *row[5:]) for row in zip(*cols)]
 
 
 def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
-                       i_max: int) -> list[QuantizedMode]:
+                       i_max: int) -> Spectrum:
     """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j.
 
-    Deterministic ordering: ascending (j, kappa, i, m_j, esign).  Requires
-    Omega*R < 1; a sphere whose surface moves at or above the speed of light
-    is rejected.
+    Requires Omega*R < 1; a sphere whose surface moves at or above the speed
+    of light is rejected.
     """
     M, R, Omega = params.M, params.R, params.Omega
     if Omega * R >= 1.0:
         raise FasterThanLightError(
             f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
-    two_j_max = two_j_from(j_max)
-
-    modes: list[QuantizedMode] = []
-    for two_j in range(1, two_j_max + 1, 2):
+    labels, values = [], []
+    i = np.arange(1, i_max + 1)[:, None, None]
+    for two_j in range(1, two_j_from(j_max) + 1, 2):
         k0 = (two_j + 1) // 2
+        two_mj = np.arange(-two_j, two_j + 1, 2)
         for kappa in (-k0, k0):
-            rows = {}  # (esign, m_j > 0) -> [(p, E, C) of i = 1..i_max]
-            for es in (-1, 1):
-                for m_pos in (False, True):
-                    key_kappa = kappa if m_pos or bc.is_mit else -kappa
-                    table = shell_table(bc, two_j, key_kappa, es, M, R, i_max)
-                    rows[es, m_pos] = list(zip(*(a.tolist() for a in table)))
-            for i in range(1, i_max + 1):
-                for two_mj in range(-two_j, two_j + 1, 2):
-                    for esign in (-1, 1):
-                        p, E, C = rows[esign, two_mj > 0][i - 1]
-                        qn = QuantumNumbers(esign, two_j, two_mj, kappa, i)
-                        modes.append(QuantizedMode(qn, p, E, E - Omega * two_mj / 2.0, C))
-    return modes
+            # tab[esign, m_j > 0, (p, E, C), i - 1]; a block's axes are (i, m_j, esign)
+            keys = (kappa, kappa) if bc.is_mit else (-kappa, kappa)
+            tab = np.array([[shell_table(bc, two_j, k, es, M, R, i_max) for k in keys]
+                            for es in (-1, 1)])
+            values.append(tab[:, (two_mj > 0).astype(int)].transpose(2, 3, 1, 0).reshape(3, -1))
+            labels.append(np.stack(np.broadcast_arrays(
+                np.array([-1, 1]), two_j, two_mj[:, None], kappa, i)).reshape(5, -1))
+    esign, two_j, two_mj, kappa, i = np.concatenate(labels, axis=1)
+    p, E, C = np.concatenate(values, axis=1)
+    return Spectrum(esign, two_j, two_mj, kappa, i, p, E, E - Omega * two_mj / 2.0, C)
+
+
+def quantization_residual(bc: BoundaryKind, spectrum: Spectrum, R: float,
+                          M: float) -> np.ndarray:
+    """Per-mode absolute residual of the active quantization condition at p*R."""
+    x = spectrum.p * R
+    if not bc.is_mit:
+        # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
+        n = (spectrum.two_j + np.where(spectrum.two_mj * spectrum.kappa > 0, 1, -1)) // 2
+        return np.abs(spherical_jn(n, x))
+    out = np.empty_like(x)
+    shells = set(zip(spectrum.two_j.tolist(), spectrum.kappa.tolist(), spectrum.esign.tolist()))
+    for two_j, kappa, esign in shells:
+        sel = (spectrum.kappa == kappa) & (spectrum.esign == esign)  # kappa fixes j
+        out[sel] = np.abs(_mit_equation(x[sel], two_j, kappa, esign, M * R, bc.varsigma))
+    return out
 
 
 @dataclass
@@ -345,21 +366,17 @@ class VacuumReport:
         return not self.violations
 
 
-def verify_vacuum_equivalence(modes: Sequence[QuantizedMode], Omega: float,
-                              R: float) -> VacuumReport:
+def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> VacuumReport:
     """List modes with E * E_tilde <= 0 at the given Omega.
 
     E_tilde is recomputed from E and m_j so the check can be run against a
     hypothetical rotation rate, including unphysical Omega*R >= 1.
     """
-    violations = []
-    min_abs = math.inf
-    for mo in modes:
-        et = mo.E - Omega * mo.qn.two_mj / 2.0
-        if mo.E * et <= 0.0:
-            violations.append(mo)
-        min_abs = min(min_abs, abs(et))
-    return VacuumReport(violations, min_abs, len(modes), Omega * R)
+    if not math.isfinite(Omega):
+        raise ValueError(f"Omega must be finite, got {Omega}")
+    et = spectrum.E - Omega * spectrum.two_mj / 2.0
+    return VacuumReport(spectrum.modes(spectrum.E * et <= 0.0),
+                        float(np.min(np.abs(et), initial=math.inf)), len(spectrum), Omega * R)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +458,18 @@ def verify_boundary_residuals(bc: BoundaryKind, modes: Sequence[QuantizedMode],
 SPECTRUM_FIELDS = ("esign", "two_j", "two_mj", "kappa", "i", "pR", "E", "Etilde", "C")
 
 
-def _mode_row(mo: QuantizedMode, R: float) -> tuple:
-    return (mo.qn.esign, mo.qn.two_j, mo.qn.two_mj, mo.qn.kappa, mo.qn.i,
-            mo.p * R, mo.E, mo.E_tilde, mo.C)
+def _rows(spectrum: Spectrum, R: float):
+    cols = (spectrum.esign, spectrum.two_j, spectrum.two_mj, spectrum.kappa, spectrum.i,
+            spectrum.p * R, spectrum.E, spectrum.E_tilde, spectrum.C)
+    return zip(*(c.tolist() for c in cols))
 
 
-def spectrum_to_csv(modes: Sequence[QuantizedMode], R: float) -> str:
+def spectrum_to_csv(spectrum: Spectrum, R: float) -> str:
     lines = [",".join(SPECTRUM_FIELDS)]
-    for mo in modes:
-        row = _mode_row(mo, R)
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in _rows(spectrum, R)]
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_json(modes: Sequence[QuantizedMode], R: float) -> str:
-    rows = [dict(zip(SPECTRUM_FIELDS, _mode_row(mo, R))) for mo in modes]
+def spectrum_to_json(spectrum: Spectrum, R: float) -> str:
+    rows = [dict(zip(SPECTRUM_FIELDS, row)) for row in _rows(spectrum, R)]
     return json.dumps(rows, indent=1) + "\n"

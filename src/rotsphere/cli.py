@@ -269,10 +269,10 @@ def _run_zeros(cfg: RunConfig) -> int:
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
-    modes = bnd.enumerate_spectrum(cfg.boundary, cfg.params, cfg.two_j_max / 2.0,
-                                   cfg.i_max)
-    text = (bnd.spectrum_to_json(modes, cfg.R) if cfg.format == "json"
-            else bnd.spectrum_to_csv(modes, cfg.R))
+    spectrum = bnd.enumerate_spectrum(cfg.boundary, cfg.params, cfg.two_j_max / 2.0,
+                                      cfg.i_max)
+    text = (bnd.spectrum_to_json(spectrum, cfg.R) if cfg.format == "json"
+            else bnd.spectrum_to_csv(spectrum, cfg.R))
     _write(cfg.out, text)
     return 0
 
@@ -303,27 +303,26 @@ def _run_condensate(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    modes = bnd.enumerate_spectrum(cfg.boundary, cfg.params, cfg.two_j_max / 2.0,
-                                   cfg.i_max)
-    vac = bnd.verify_vacuum_equivalence(modes, cfg.Omega, cfg.R)
-    print(f"vacuum equivalence: {len(modes)} modes, Omega*R={vac.omega_r:g}, "
+    bc = cfg.boundary
+    spectrum = bnd.enumerate_spectrum(bc, cfg.params, cfg.two_j_max / 2.0, cfg.i_max)
+    vac = bnd.verify_vacuum_equivalence(spectrum, cfg.Omega, cfg.R)
+    print(f"vacuum equivalence: {vac.n_modes} modes, Omega*R={vac.omega_r:g}, "
           f"min|E_tilde|={vac.min_abs_corotating:.6g}, "
           f"violations={len(vac.violations)}")
     for mo in vac.violations[:20]:
         print(f"  E*E_tilde<=0: {mo.qn} E={mo.E!r} E_tilde={mo.E_tilde!r}")
 
     # wall residuals on the subset j <= 9/2, i <= 6: each mode assembles its spinor
-    sub = [mo for mo in modes if mo.qn.two_j <= 9 and mo.qn.i <= 6]
-    rep = bnd.verify_boundary_residuals(cfg.boundary, sub, cfg.R, cfg.M)
-    if cfg.boundary.is_mit:
+    sub = spectrum.modes((spectrum.two_j <= 9) & (spectrum.i <= 6))
+    rep = bnd.verify_boundary_residuals(bc, sub, cfg.R, cfg.M)
+    if bc.is_mit:
         print(f"boundary residuals ({rep.n_modes} modes): "
               f"max|MIT condition|={rep.max_condition:.3e} (tol {rep.tol_condition:g}), "
               f"max|A+B|(R)={rep.max_density:.3e} (tol {rep.tol_density:g})")
     else:
         print(f"boundary residuals ({rep.n_modes} modes): "
               f"max|component|(R)={rep.max_component:.3e} (tol {rep.tol_component:g})")
-    quant = max(bnd.quantization_residual(cfg.boundary, mo, cfg.R, cfg.M)
-                for mo in modes)
+    quant = float(np.max(bnd.quantization_residual(bc, spectrum, cfg.R, cfg.M)))
     print(f"quantization residual: max={quant:.3e} (tol 1e-10)")
     ok = vac.ok and rep.ok and quant <= 1e-10
     print("verify: " + ("OK" if ok else "FAILED"))

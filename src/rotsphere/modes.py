@@ -45,14 +45,6 @@ class QuantumNumbers:
         if self.i < 1:
             raise ValueError(f"radial index i must be >= 1, got {self.i}")
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
-    @property
-    def m_j(self) -> float:
-        return self.two_mj / 2.0
-
 
 def conjugate_index(k: QuantumNumbers) -> QuantumNumbers:
     """Charge-conjugate label: flips esign, m_j and kappa; keeps j and i."""
@@ -138,9 +130,11 @@ def _energy(esign: int, p: float, M: float) -> float:
     return esign * math.hypot(p, M)
 
 
-def _check_momentum_radius(p: float, r: float) -> None:
+def _check_momentum_radius(p: float, M: float, r: float) -> None:
     if not 0 < p < math.inf:
         raise ValueError(f"momentum must be positive and finite, got {p}")
+    if not 0 <= M < math.inf:
+        raise ValueError(f"mass must be non-negative and finite, got {M}")
     if not 0 <= r < math.inf:
         raise ValueError(f"radius must be non-negative and finite, got {r}")
 
@@ -153,7 +147,7 @@ def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
     with E = esign * sqrt(p^2 + M^2).  Both ratios (E+-M)/(2E) are
     non-negative for |E| >= M regardless of the sign of E.
     """
-    _check_momentum_radius(p, r)
+    _check_momentum_radius(p, M, r)
     E = _energy(k.esign, p, M)
     l_f, l_g = bessel_orders(k.kappa)
     pref_f = math.sqrt((E + M) / (2.0 * E))
@@ -166,7 +160,7 @@ def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
 def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
                   theta: float) -> tuple[float, float]:
     """Scalar-density split (A, B) of the (unnormalized) mode; see density_split."""
-    _check_momentum_radius(p, r)
+    _check_momentum_radius(p, M, r)
     n_lo = (k.two_j - 1) // 2
     dens = angular_density(k.two_j, k.two_mj, k.kappa, theta)
     jm2 = float(spherical_jn(n_lo, p * r)) ** 2

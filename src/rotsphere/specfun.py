@@ -145,9 +145,12 @@ def legendre_density_table(l_max: int, cos_theta: float) -> np.ndarray:
 
     Entry [l, m] holds |Y_{l,m}(theta,.)|^2; entries with m > l are zero,
     which makes vanishing-coefficient lookups in spinor-harmonic sums safe.
+    Raises ValueError unless cos_theta lies in [-1, 1] (NaN included).
     """
     x = float(cos_theta)
-    sx = math.sqrt(max(0.0, 1.0 - x * x))
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"cos_theta must be in [-1, 1], got {x}")
+    sx = math.sqrt(1.0 - x * x)
     tab = np.zeros((l_max + 1, l_max + 1))
     pmm = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(0, l_max + 1):

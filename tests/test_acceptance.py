@@ -139,11 +139,11 @@ def test_criterion_4_boundary_residuals():
     R = 1.0
     for M in (0.0, 1.0):
         params = rs.PhysicalParams(M=M, R=R, Omega=0.5, beta=1.0)
-        spem = rs.enumerate_spectrum(rs.SPECTRAL, params, 4.5, 4)
+        spem = rs.enumerate_spectrum(rs.SPECTRAL, params, 4.5, 4).modes()
         worst = max(spectral_component_residual(mo, R, M) for mo in spem)
         ok &= worst <= 1e-10
         for vs in (1, -1):
-            mits = rs.enumerate_spectrum(rs.mit(vs), params, 4.5, 4)
+            mits = rs.enumerate_spectrum(rs.mit(vs), params, 4.5, 4).modes()
             worst_cond = max(mit_condition_residual(mo, R, M, vs) for mo in mits)
             worst_dens = max(mit_density_residual(mo, R, M) for mo in mits)
             ok &= worst_cond <= 1e-9 and worst_dens <= 1e-9
@@ -161,8 +161,8 @@ def test_criterion_5_vacuum_equivalence():
         for M in (0.0, 1.0, 5.0):
             params = rs.PhysicalParams(M=M, R=R, Omega=omega_r / R, beta=1.0)
             for bc in (rs.SPECTRAL, rs.mit(1)):
-                modes = rs.enumerate_spectrum(bc, params, 12.5, 20)
-                rep = rs.verify_vacuum_equivalence(modes, params.Omega, R)
+                spectrum = rs.enumerate_spectrum(bc, params, 12.5, 20)
+                rep = rs.verify_vacuum_equivalence(spectrum, params.Omega, R)
                 ok &= rep.ok
                 worst_min = min(worst_min, rep.min_abs_corotating)
     ok &= worst_min > 0.0

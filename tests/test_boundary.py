@@ -5,16 +5,18 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
+from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
+                       QuantumNumbers, SPECTRAL, Spectrum, VacuumReport,
                        density_terms, enumerate_spectrum, mit, mit_momenta, mit_norm,
                        quantization_residual, radial_integral_minus,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
-from rotsphere.boundary import (_WALL_PHI, _WALL_THETA, SolverError,
+from rotsphere.boundary import (_WALL_PHI, _WALL_THETA, SolverError, _mit_equation,
                                 mit_condition_residual, mit_density_residual,
-                                spectral_component_residual, two_j_from)
+                                shell_table, spectral_component_residual, two_j_from)
 from rotsphere.modes import assemble_spinor, gamma_radial, scalar_density, spinor_harmonic
+from rotsphere.specfun import spherical_jn
 from oracles import (bisect_root, quadrature_mode_norm, quadrature_mode_overlap,
                      radial_quadrature, scan_mit_momenta)
 
@@ -57,6 +59,78 @@ def _mit_density_reference(mode, R: float, M: float,
         A, B = density_terms(mode.qn, mode.p, M, R, th)
         worst = max(worst, mode.C**2 * abs(A + B))
     return worst
+
+
+# The per-mode spectrum code that the column path replaced, kept verbatim as
+# references: the mode loop of enumerate_spectrum, the vacuum loop, the
+# scalar quantization residual and the per-mode CSV/JSON rows.
+
+
+def _enumerate_spectrum_reference(bc, params, j_max: float,
+                                  i_max: int) -> list[QuantizedMode]:
+    M, R, Omega = params.M, params.R, params.Omega
+    if Omega * R >= 1.0:
+        raise FasterThanLightError(
+            f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
+    two_j_max = two_j_from(j_max)
+
+    modes: list[QuantizedMode] = []
+    for two_j in range(1, two_j_max + 1, 2):
+        k0 = (two_j + 1) // 2
+        for kappa in (-k0, k0):
+            rows = {}  # (esign, m_j > 0) -> [(p, E, C) of i = 1..i_max]
+            for es in (-1, 1):
+                for m_pos in (False, True):
+                    key_kappa = kappa if m_pos or bc.is_mit else -kappa
+                    table = shell_table(bc, two_j, key_kappa, es, M, R, i_max)
+                    rows[es, m_pos] = list(zip(*(a.tolist() for a in table)))
+            for i in range(1, i_max + 1):
+                for two_mj in range(-two_j, two_j + 1, 2):
+                    for esign in (-1, 1):
+                        p, E, C = rows[esign, two_mj > 0][i - 1]
+                        qn = QuantumNumbers(esign, two_j, two_mj, kappa, i)
+                        modes.append(QuantizedMode(qn, p, E, E - Omega * two_mj / 2.0, C))
+    return modes
+
+
+def _verify_vacuum_equivalence_reference(modes, Omega: float, R: float) -> VacuumReport:
+    violations = []
+    min_abs = math.inf
+    for mo in modes:
+        et = mo.E - Omega * mo.qn.two_mj / 2.0
+        if mo.E * et <= 0.0:
+            violations.append(mo)
+        min_abs = min(min_abs, abs(et))
+    return VacuumReport(violations, min_abs, len(modes), Omega * R)
+
+
+def _quantization_residual_reference(bc, mode: QuantizedMode, R: float,
+                                     M: float) -> float:
+    qn = mode.qn
+    x = mode.p * R
+    if bc.is_mit:
+        return abs(float(_mit_equation(x, qn.two_j, qn.kappa, qn.esign, M * R,
+                                       bc.varsigma)))
+    sign_mk = 1 if qn.two_mj * qn.kappa > 0 else -1
+    n = (qn.two_j + 1) // 2 if sign_mk > 0 else (qn.two_j - 1) // 2
+    return abs(float(spherical_jn(n, x)))
+
+
+def _csv_reference(modes, R: float) -> str:
+    lines = ["esign,two_j,two_mj,kappa,i,pR,E,Etilde,C"]
+    for mo in modes:
+        row = (mo.qn.esign, mo.qn.two_j, mo.qn.two_mj, mo.qn.kappa, mo.qn.i,
+               mo.p * R, mo.E, mo.E_tilde, mo.C)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_reference(modes, R: float) -> str:
+    fields = ("esign", "two_j", "two_mj", "kappa", "i", "pR", "E", "Etilde", "C")
+    rows = [dict(zip(fields, (mo.qn.esign, mo.qn.two_j, mo.qn.two_mj, mo.qn.kappa,
+                              mo.qn.i, mo.p * R, mo.E, mo.E_tilde, mo.C)))
+            for mo in modes]
+    return json.dumps(rows, indent=1) + "\n"
 
 
 class TestSpectralMomentum:
@@ -231,8 +305,8 @@ class TestEnumerate:
 
     def test_canonical_ordering_and_determinism(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.4, beta=1.0)
-        a = enumerate_spectrum(mit(1), params, 1.5, 2)
-        b = enumerate_spectrum(mit(1), params, 1.5, 2)
+        a = enumerate_spectrum(mit(1), params, 1.5, 2).modes()
+        b = enumerate_spectrum(mit(1), params, 1.5, 2).modes()
         assert a == b
         keys = [(m.qn.two_j, m.qn.kappa, m.qn.i, m.qn.two_mj, m.qn.esign) for m in a]
         assert keys == sorted(keys)
@@ -240,20 +314,20 @@ class TestEnumerate:
     def test_all_corotating_products_positive(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.9, beta=1.0)
         for bc in (SPECTRAL, mit(1)):
-            modes = enumerate_spectrum(bc, params, 4.5, 4)
-            assert all(m.E * m.E_tilde > 0 for m in modes)
+            spec = enumerate_spectrum(bc, params, 4.5, 4)
+            assert np.all(spec.E * spec.E_tilde > 0)
 
     def test_spectral_momentum_lower_bound(self):
         params = PhysicalParams(M=0.5, R=2.0, Omega=0.3, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 4.5, 3)
-        for m in modes:
-            assert m.p * params.R > m.qn.two_j / 2.0 + 0.5
+        spec = enumerate_spectrum(SPECTRAL, params, 4.5, 3)
+        assert np.all(spec.p * params.R > spec.two_j / 2.0 + 0.5)
 
     def test_quantization_residuals(self):
         params = PhysicalParams(M=1.3, R=0.8, Omega=0.5, beta=1.0)
         for bc in (SPECTRAL, mit(-1)):
-            for m in enumerate_spectrum(bc, params, 2.5, 3):
-                assert quantization_residual(bc, m, params.R, params.M) <= 1e-10
+            spec = enumerate_spectrum(bc, params, 2.5, 3)
+            resid = quantization_residual(bc, spec, params.R, params.M)
+            assert resid.shape == (len(spec),) and np.all(resid <= 1e-10)
 
     def test_two_j_from(self):
         assert two_j_from(0.5) == 1
@@ -265,31 +339,85 @@ class TestEnumerate:
                 two_j_from(bad)
 
 
+_COLUMN_CASES = [(bc, M, R, Omega) for bc in (SPECTRAL, mit(1), mit(-1))
+                 for M, R, Omega in ((1.0, 1.0, 0.99), (2.0, 1.3, 0.5))]
+
+
+class TestSpectrumColumns:
+    """The column spectrum and its readers reproduce the per-mode references."""
+
+    @pytest.mark.parametrize("bc, M, R, Omega", _COLUMN_CASES)
+    def test_columns_match_reference(self, bc, M, R, Omega):
+        params = PhysicalParams(M=M, R=R, Omega=Omega, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 6.5, 8)
+        ref = _enumerate_spectrum_reference(bc, params, 6.5, 8)
+        assert isinstance(spec, Spectrum) and len(spec) == len(ref) == 7 * 8 * 8 * 2 * 2
+        for col in ("esign", "two_j", "two_mj", "kappa", "i"):
+            assert getattr(spec, col).tolist() == [getattr(mo.qn, col) for mo in ref]
+        for col in ("p", "E", "E_tilde", "C"):
+            assert ([v.hex() for v in getattr(spec, col).tolist()]
+                    == [getattr(mo, col).hex() for mo in ref])
+        assert spec.modes() == ref
+        mask = (spec.two_j <= 3) & (spec.i <= 2)
+        assert spec.modes(mask) == [mo for mo in ref if mo.qn.two_j <= 3 and mo.qn.i <= 2]
+        # Python scalars, not numpy ones, so printed labels and values keep their bytes
+        first = spec.modes()[0]
+        assert all(type(v) is int for v in vars(first.qn).values())
+        assert all(type(v) is float for v in (first.p, first.E, first.E_tilde, first.C))
+        assert spectrum_to_csv(spec, R) == _csv_reference(ref, R)
+        assert spectrum_to_json(spec, R) == _json_reference(ref, R)
+
+    @pytest.mark.parametrize("bc, M, R, Omega", _COLUMN_CASES)
+    def test_vacuum_and_residual_match_reference(self, bc, M, R, Omega):
+        params = PhysicalParams(M=M, R=R, Omega=Omega, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 12.5, 6)
+        ref = _enumerate_spectrum_reference(bc, params, 12.5, 6)
+        # the physical rate, and a hypothetical Omega*R = 1.5 that has violations
+        for omega in (Omega, 1.5 / R):
+            got = verify_vacuum_equivalence(spec, omega, R)
+            want = _verify_vacuum_equivalence_reference(ref, omega, R)
+            assert got == want
+            assert got.min_abs_corotating.hex() == want.min_abs_corotating.hex()
+        assert not got.ok
+        resid = quantization_residual(bc, spec, R, M)
+        want = [_quantization_residual_reference(bc, mo, R, M) for mo in ref]
+        assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
+        assert float(np.max(resid)).hex() == max(want).hex()
+
+
 class TestVacuumEquivalence:
     def test_nonrotating_trivial(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 2.5, 2)
-        rep = verify_vacuum_equivalence(modes, 0.0, 1.0)
-        assert rep.ok and rep.n_modes == len(modes)
+        spec = enumerate_spectrum(SPECTRAL, params, 2.5, 2)
+        rep = verify_vacuum_equivalence(spec, 0.0, 1.0)
+        assert rep.ok and rep.n_modes == len(spec)
 
     def test_high_rotation_ok(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 6.5, 8)
-        assert verify_vacuum_equivalence(modes, 0.99, 1.0).ok
+        spec = enumerate_spectrum(SPECTRAL, params, 6.5, 8)
+        assert verify_vacuum_equivalence(spec, 0.99, 1.0).ok
 
     def test_hypothetical_superluminal_shows_violations(self):
         params = PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 10.5, 4)
-        rep = verify_vacuum_equivalence(modes, 1.5, 1.0)
+        spec = enumerate_spectrum(SPECTRAL, params, 10.5, 4)
+        rep = verify_vacuum_equivalence(spec, 1.5, 1.0)
         assert not rep.ok
         assert all(abs(m.qn.two_mj) / 2.0 > 1.0 for m in rep.violations)
+
+    def test_rejects_non_finite_omega(self):
+        # E * E_tilde <= 0 is False for a NaN E_tilde, which would pass every mode
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=1.0)
+        spec = enumerate_spectrum(SPECTRAL, params, 2.5, 2)
+        for omega in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="Omega must be finite"):
+                verify_vacuum_equivalence(spec, omega, 1.0)
 
 
 class TestOrthonormality:
     def test_norms_and_overlaps(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.2, beta=1.0)
         for bc in (SPECTRAL, mit(1)):
-            modes = enumerate_spectrum(bc, params, 1.5, 3)
+            modes = enumerate_spectrum(bc, params, 1.5, 3).modes()
             for mo in modes[::5]:
                 assert quadrature_mode_norm(mo, params.M, params.R) == pytest.approx(
                     1.0, abs=1e-8)
@@ -305,14 +433,14 @@ class TestOrthonormality:
 class TestBoundaryResiduals:
     def test_spectral_wall_components(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.3, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 2.5, 2)
+        modes = enumerate_spectrum(SPECTRAL, params, 2.5, 2).modes()
         for mo in modes:
             assert spectral_component_residual(mo, params.R, params.M) <= 1e-10
 
     @pytest.mark.parametrize("vs", [1, -1])
     def test_mit_wall_condition(self, vs):
         params = PhysicalParams(M=0.8, R=1.0, Omega=0.3, beta=1.0)
-        modes = enumerate_spectrum(mit(vs), params, 2.5, 2)
+        modes = enumerate_spectrum(mit(vs), params, 2.5, 2).modes()
         for mo in modes:
             assert mit_condition_residual(mo, params.R, params.M, vs) <= 1e-9
             assert mit_density_residual(mo, params.R, params.M) <= 1e-9
@@ -333,7 +461,7 @@ class TestWallArrayPath:
     def test_matches_per_sample_reference(self, bc, M):
         params = PhysicalParams(M=M, R=1.0, Omega=0.5, beta=1.0)
         R = params.R
-        for mo in enumerate_spectrum(bc, params, 4.5, 6):
+        for mo in enumerate_spectrum(bc, params, 4.5, 6).modes():
             if bc.is_mit:
                 assert (mit_condition_residual(mo, R, M, bc.varsigma)
                         == _mit_condition_reference(mo, R, M, bc.varsigma))
@@ -345,7 +473,7 @@ class TestWallArrayPath:
 
     def test_broadcast_equals_scalar_calls(self):
         params = PhysicalParams(M=0.7, R=1.3, Omega=0.5, beta=1.0)
-        modes = enumerate_spectrum(mit(1), params, 4.5, 2)
+        modes = enumerate_spectrum(mit(1), params, 4.5, 2).modes()
         for mo in modes[::7]:
             k = mo.qn
             args = (k, mo.p, params.M, params.R)
@@ -375,24 +503,24 @@ class TestWallArrayPath:
 class TestExport:
     def test_csv_header_and_roundtrip(self):
         params = PhysicalParams(M=1.0, R=2.0, Omega=0.25, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 1.5, 2)
-        csv_text = spectrum_to_csv(modes, params.R)
+        spec = enumerate_spectrum(SPECTRAL, params, 1.5, 2)
+        csv_text = spectrum_to_csv(spec, params.R)
         lines = csv_text.strip().split("\n")
         assert lines[0] == "esign,two_j,two_mj,kappa,i,pR,E,Etilde,C"
-        assert len(lines) == len(modes) + 1
+        assert len(lines) == len(spec) + 1
         first = lines[1].split(",")
         assert len(first) == 9
 
-        rows = json.loads(spectrum_to_json(modes, params.R))
-        assert len(rows) == len(modes)
+        rows = json.loads(spectrum_to_json(spec, params.R))
+        assert len(rows) == len(spec)
         assert set(rows[0]) == {"esign", "two_j", "two_mj", "kappa", "i", "pR",
                                 "E", "Etilde", "C"}
-        for row, mo in zip(rows, modes):
+        for row, mo in zip(rows, spec.modes()):
             assert row["pR"] == mo.p * params.R
             assert row["C"] == mo.C
 
     def test_byte_identical_reruns(self):
         params = PhysicalParams(M=0.5, R=1.0, Omega=0.1, beta=1.0)
-        modes = enumerate_spectrum(mit(1), params, 1.5, 2)
+        spec = enumerate_spectrum(mit(1), params, 1.5, 2)
         again = enumerate_spectrum(mit(1), params, 1.5, 2)
-        assert spectrum_to_csv(modes, params.R) == spectrum_to_csv(again, params.R)
+        assert spectrum_to_csv(spec, params.R) == spectrum_to_csv(again, params.R)

@@ -24,7 +24,7 @@ def unreduced_sum(bc, params, r, theta, j_max, i_max, subtracted=True):
     components but no m_j symmetry folding."""
     wfun = thermal_weight_subtracted if subtracted else thermal_weight
     total = []
-    for mo in enumerate_spectrum(bc, params, j_max, i_max):
+    for mo in enumerate_spectrum(bc, params, j_max, i_max).modes():
         w = wfun(mo.E_tilde, mo.qn.esign, params.beta, params.mu)
         if w == 0.0:
             continue

@@ -1,7 +1,8 @@
 """Byte identity of listed CLI outputs: each file's sha256 is pinned.
 
 A change that moves any of these bytes must say which and why, and update
-the pinned value in the same change.
+the pinned value in the same change.  `verify` writes only to stdout, so its
+pins hash the captured stdout.
 """
 
 import hashlib
@@ -45,3 +46,26 @@ def test_output_sha256(name, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+_VERIFY = ["verify", "--M", "1", "--Omega", "0.99", "--beta", "1", "--jmax", "25/2",
+           "--imax", "20"]
+
+VERIFY_GOLDEN = {
+    "verify-spectral": (
+        ["--bc", "spectral"],
+        "1caaeffeea3493af5c063cabe30f68cb9151ec3aa84bf175352a35d99253c26f"),
+    "verify-mit+1": (
+        ["--bc", "mit", "--varsigma", "1"],
+        "fa349e10eba7c3c3140525a492291b4ef4820dd85664fce78143ff9eea61ad84"),
+    "verify-mit-1": (
+        ["--bc", "mit", "--varsigma", "-1"],
+        "7bf9af878e6f14dc582ddc172dc6f9c5ba702691b14e1e76d1b174559b0ff778"),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_GOLDEN)
+def test_verify_stdout_sha256(name, capsys):
+    flags, sha = VERIFY_GOLDEN[name]
+    assert main([*_VERIFY, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

@@ -155,6 +155,17 @@ class TestRadialPair:
                 radial_pair(k, p, 1.0, r)
 
 
+    def test_rejects_bad_mass(self):
+        k = QuantumNumbers(1, 3, 1, 2, 1)
+        for M in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="mass must be non-negative and finite"):
+                radial_pair(k, 2.0, M, 0.5)
+            with pytest.raises(ValueError, match="mass must be non-negative and finite"):
+                density_terms(k, 2.0, M, 0.5, 1.0)
+        rp = radial_pair(k, 2.0, 0.0, 0.5)
+        assert math.isfinite(rp.f) and math.isfinite(rp.g_over_i)
+
+
 class TestDensityTerms:
     def test_massless_b_vanishes(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotsphere import boundary, condensate, modes, specfun
-from rotsphere import (UnsupportedOrderError, assoc_legendre_density, bessel_zeros,
+from rotsphere import (QuantumNumbers, UnsupportedOrderError, angular_density,
+                       assoc_legendre_density, bessel_zeros, density_terms,
                        legendre_density_table, spherical_bessel_j,
                        spherical_bessel_j_prime, spherical_bessel_zero)
 from oracles import mp_spherical_j, scan_bessel_zeros
@@ -199,6 +200,21 @@ class TestLegendreDensity:
             assoc_legendre_density(1, 2, 0.5)
         with pytest.raises(ValueError):
             assoc_legendre_density(-1, 0, 0.5)
+
+    def test_rejects_cos_theta_outside_unit_interval(self):
+        for x in (math.nan, 2.0, -1.0000000000000002, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cos_theta"):
+                legendre_density_table(2, x)
+        # every caller goes through the table: a NaN angle fails loudly
+        k = QuantumNumbers(1, 3, 1, 2, 1)
+        with pytest.raises(ValueError, match="cos_theta"):
+            assoc_legendre_density(2, 1, math.nan)
+        with pytest.raises(ValueError, match="cos_theta"):
+            angular_density(3, 1, 2, math.nan)
+        with pytest.raises(ValueError, match="cos_theta"):
+            density_terms(k, 2.0, 1.0, 0.5, math.nan)
+        for x in (-1.0, 1.0):
+            assert np.all(np.isfinite(legendre_density_table(3, x)))
 
     def test_table_matches_scalar(self):
         theta = 0.77
