@@ -4,7 +4,7 @@ Two boundary conditions are supported.  The spectral condition zeroes one
 pair of spinor components on the wall and discretizes the momentum at
 spherical Bessel zeros.  The MIT bag condition -i gamma^r psi = varsigma psi
 leads to a transcendental momentum equation solved here by a guarded sign
-scan plus bracketed root refinement, which cannot skip roots silently.
+scan, which cannot skip roots silently, plus array Brent root refinement.
 
 All momenta are handled as x = p*R; energies are E = esign * sqrt(p^2 + M^2)
 and E_tilde = E - Omega * m_j.  A Spectrum holds the modes as flat columns
@@ -24,19 +24,14 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .modes import QuantumNumbers, assemble_spinor, bessel_orders, gamma_radial, scalar_density
-from .specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
+from .specfun import I_MAX_DEFAULT, SolverError, _brentq_array, bessel_zeros, spherical_jn
 
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
 
 _SCAN_STEP = math.pi / 8.0
-
-
-class SolverError(RuntimeError):
-    """Root solving failed or produced an inconsistent momentum/energy pair."""
 
 
 class FasterThanLightError(ValueError):
@@ -153,8 +148,8 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
     """First `count` positive momenta allowed by the MIT condition, ascending.
 
     Roots in x = p*R are located by a sign scan over intervals bounded by the
-    zeros of both Bessel orders, subdivided to at most pi/8, then refined by
-    bracketed solving.  Raises SolverError rather than skipping roots.
+    zeros of both Bessel orders, subdivided to at most pi/8, then refined
+    together by array Brent.  Raises SolverError rather than skipping roots.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
@@ -168,32 +163,27 @@ def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
     for _ in range(6):
         k_hi = min(need + 2, I_MAX_DEFAULT)
         breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
-        # near-zero approach: log-spaced probes below the first break
-        pts = [np.geomspace(1e-6, breaks[0], 12)]
-        lo = breaks[0]
-        for hi in breaks[1:]:
-            nseg = max(2, int(math.ceil((hi - lo) / _SCAN_STEP)))
-            pts.append(np.linspace(lo, hi, nseg + 1)[1:])
-            lo = hi
-        grid = np.concatenate(pts)
+        # near-zero approach: log-spaced probes below the first break; then
+        # linspace(lo, hi, nseg + 1)[1:] of every gap at once, bit for bit
+        lo, hi = breaks[:-1, None], breaks[1:, None]
+        nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
+        k = np.arange(1, nseg.max() + 1)
+        scan = np.where(k < nseg, k * ((hi - lo) / nseg) + lo, hi)[k <= nseg]
+        grid = np.concatenate([np.geomspace(1e-6, breaks[0], 12), scan])
         vals = f(grid)
         if not np.all(np.isfinite(vals)):
             raise SolverError("non-finite values in momentum equation scan")
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        roots = []
-        for idx in sign_change:
-            roots.append(brentq(f, grid[idx], grid[idx + 1], xtol=_ROOT_XTOL))
+        sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        roots = _brentq_array(f, grid[sign_change], grid[sign_change + 1])
         exact = grid[vals == 0.0]
-        if exact.size:
-            roots = sorted(set(roots) | set(exact.tolist()))
-        if len(roots) >= count:
-            roots = sorted(roots)[:count]
-            for x in roots:
-                if abs(f(x)) > 1e-10:
-                    raise SolverError(
-                        f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
-                        f"(two_j={two_j}, kappa={kappa}, esign={esign})")
-            return np.array([x / R for x in roots])
+        roots = (np.union1d(roots, exact) if exact.size else np.sort(roots))[:count]
+        if roots.size == count:
+            resid = np.abs(f(roots))
+            if np.any(resid > 1e-10):
+                raise SolverError(
+                    f"momentum root residual {resid[resid > 1e-10][0]:.2e} exceeds 1e-10 "
+                    f"(two_j={two_j}, kappa={kappa}, esign={esign})")
+            return roots / R
         need += 4
     raise SolverError(
         f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
@@ -221,28 +211,30 @@ def radial_integral_minus(n: int, p: float, R: float) -> float:
     return (R * R / (2.0 * p)) * float(spherical_jn(n, x)) * float(spherical_jn(n + 1, x))
 
 
-def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
-             varsigma: int, p: float) -> float:
-    """Normalization constant of the MIT mode with verified momentum p.
+def _mit_norms(two_j: int, kappa: int, i: Sequence[int], R: float, M: float, esign: int,
+               varsigma: int, p: np.ndarray) -> np.ndarray:
+    """Normalization constants of the MIT modes i with verified momenta p.
 
     Uses the closed form obtained by eliminating one Bessel order through the
     momentum equation; the ratio under the square root is checked positive,
     since a non-positive value means (p, E) do not solve the same branch.
     """
-    E = esign * math.hypot(p, M)
-    x = p * R
-    if kappa > 0:
-        denom = 2.0 * E * R - varsigma * (two_j + 1) + varsigma * M / E
-        jval = abs(float(spherical_jn((two_j + 1) // 2, x)))
-    else:
-        denom = 2.0 * E * R + varsigma * (two_j + 1) + varsigma * M / E
-        jval = abs(float(spherical_jn((two_j - 1) // 2, x)))
-    ratio = (E + M) / denom
-    if not ratio > 0.0 or jval == 0.0:
+    E = esign * np.frompyfunc(math.hypot, 2, 1)(p, M).astype(float)  # not np.hypot's bits
+    sgn_k = 1 if kappa > 0 else -1
+    ratio = (E + M) / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E)
+    jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
+    bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
+    if bad.size:
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j}, "
-            f"kappa={kappa}, i={i}, esign={esign}, p={p})")
-    return (math.sqrt(2.0) / (R * jval)) * math.sqrt(ratio)
+            f"kappa={kappa}, i={i[bad[0]]}, esign={esign}, p={p[bad[0]]})")
+    return math.sqrt(2.0) / (R * jval) * np.sqrt(ratio)
+
+
+def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
+             varsigma: int, p: float) -> float:
+    """Normalization constant of the MIT mode i with verified momentum p."""
+    return float(_mit_norms(two_j, kappa, [i], R, M, esign, varsigma, np.array([p]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +257,9 @@ def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
         raise ValueError(f"i_max must be in [1, {I_MAX_DEFAULT}], got {i_max}")
     if bc.is_mit:
         p = mit_momenta(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-        # mit_norm computes its own energy with math.hypot, which differs from
-        # the np.hypot E below in the last bit for some (p, M)
-        C = np.array([mit_norm(two_j, kappa, i + 1, R, M, esign, bc.varsigma, x)
-                      for i, x in enumerate(p)])
+        # the norms use a math.hypot energy, which differs from the np.hypot
+        # E below in the last bit for some (p, M)
+        C = _mit_norms(two_j, kappa, range(1, i_max + 1), R, M, esign, bc.varsigma, p)
     else:
         p, C = _spectral_shell(two_j, 1 if kappa > 0 else -1, i_max, R)
     E = esign * np.hypot(p, M)

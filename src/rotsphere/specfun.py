@@ -5,7 +5,7 @@ Spherical Bessel evaluation is delegated to scipy (accurate to ~1e-14
 relative across the supported order/argument range).  Every module calls
 the `spherical_jn` bound here: scipy's ufunc, whose public Python wrapper
 costs ~25x more per scalar call and changes no bit for x >= 0.  Zeros are
-found by bracketed root solving inside guaranteed interlacing intervals, so
+found by array Brent refinement inside guaranteed interlacing intervals, so
 no zero can be missed or duplicated.  Associated Legendre values are
 computed with the fully normalized (l, m) recurrence, which stays bounded
 and avoids the factorial overflow of the unnormalized functions above
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import spherical_jn as _spherical_jn_public
 
 # The ufunc name is private to scipy.  For real z >= 0 the public wrapper does
@@ -31,8 +30,12 @@ except ImportError:  # pragma: no cover - scipy moved or renamed the ufunc
 N_MAX_DEFAULT = 200
 I_MAX_DEFAULT = 500
 
-# brentq converges to ~machine precision with these settings
-_ROOT_XTOL = 1e-14
+# ~machine precision; rtol and the iteration limit are scipy brentq's defaults
+_ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-14, 4 * np.finfo(float).eps, 100
+
+
+class SolverError(RuntimeError):
+    """Root solving failed or produced an inconsistent momentum/energy pair."""
 
 
 class UnsupportedOrderError(ValueError):
@@ -78,6 +81,58 @@ def spherical_bessel_j_prime(n: int, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise SolverError("non-finite function value in root refinement")
+    return v
+
+
+def _brentq_array(f, a, b) -> np.ndarray:
+    """Roots of the elementwise function f in the brackets [a_k, b_k], all at once.
+
+    scipy's brentq.c, branch for branch, on arrays from which each bracket
+    leaves when it converges: each root has the bits of
+    scipy.optimize.brentq(f, a_k, b_k, xtol=_ROOT_XTOL).  Raises SolverError
+    on a non-finite f, a bracket without a sign change, or no convergence.
+    """
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    fpre, fcur = _finite(f(xpre)), _finite(f(xcur))
+    root = np.where(fpre == 0, xpre, xcur)  # an endpoint at a zero is the root
+    act = np.flatnonzero((fpre != 0) & (fcur != 0))
+    xpre, xcur, fpre, fcur = xpre[act], xcur[act], fpre[act], fcur[act]
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+        raise SolverError("f must have different signs at the ends of each bracket")
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    for _ in range(_ROOT_MAXITER):
+        new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre, scur = (np.where(new, xcur - xpre, s) for s in (spre, scur))
+        # xcur becomes the end with the smaller |f|
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
+        xcur, fcur = np.where(swap, xblk, xcur), np.where(swap, fblk, fcur)
+        xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
+        delta, sbis = (_ROOT_XTOL + _ROOT_RTOL * np.abs(xcur)) / 2, (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[act[done]] = xcur[done]
+        if done.all():
+            return root
+        act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in (
+            act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),  # interpolate
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        # take the interpolation step if it is short enough, else bisect
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = _finite(f(xcur))
+    raise SolverError(f"root refinement did not converge in {_ROOT_MAXITER} iterations")
+
+
 # ---------------------------------------------------------------------------
 # Zeros of j_n
 # ---------------------------------------------------------------------------
@@ -99,11 +154,8 @@ def _extend_zeros(n: int, count: int) -> None:
         have[:] = [math.pi * k for k in range(1, count + 1)]
         return
     _extend_zeros(n - 1, count + 1)
-    below = _zero_cache[n - 1]
-    f = lambda x: spherical_jn(n, x)
-    for i in range(len(have), count):
-        root = brentq(f, below[i], below[i + 1], xtol=_ROOT_XTOL)
-        have.append(root)
+    edges = np.array(_zero_cache[n - 1][len(have):count + 1])
+    have += _brentq_array(lambda x: spherical_jn(n, x), edges[:-1], edges[1:]).tolist()
     # first-zero lower bound xi_{n,1} > n + 1
     if have[0] <= n + 1:
         raise RuntimeError(f"zero table inconsistent at order {n}: xi_1 = {have[0]}")
@@ -114,7 +166,9 @@ def bessel_zeros(n: int, count: int) -> np.ndarray:
     _check_order(n)
     if count < 1 or count > I_MAX_DEFAULT:
         raise ValueError(f"count must be in [1, {I_MAX_DEFAULT}]")
-    _extend_zeros(n, count)
+    # round order 0's count + n zeros up to blocks of 32, so that orders asked
+    # for in turn at one count do not each extend every lower table by one
+    _extend_zeros(n, -(-(count + n) // 32) * 32 - n)
     return np.array(_zero_cache[n][:count])
 
 

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 from typing import Iterable
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        QuantumNumbers, SPECTRAL, Spectrum, VacuumReport,
@@ -12,11 +14,13 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
-from rotsphere.boundary import (_WALL_PHI, _WALL_THETA, SolverError, _mit_equation,
-                                mit_condition_residual, mit_density_residual,
-                                shell_table, spectral_component_residual, two_j_from)
-from rotsphere.modes import assemble_spinor, gamma_radial, scalar_density, spinor_harmonic
-from rotsphere.specfun import spherical_jn
+from rotsphere.boundary import (_SCAN_STEP, _WALL_PHI, _WALL_THETA, SolverError,
+                                _mit_equation, mit_condition_residual,
+                                mit_density_residual, shell_table,
+                                spectral_component_residual, two_j_from)
+from rotsphere.modes import (assemble_spinor, bessel_orders, gamma_radial, scalar_density,
+                             spinor_harmonic)
+from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, quadrature_mode_norm, quadrature_mode_overlap,
                      radial_quadrature, scan_mit_momenta)
 
@@ -59,6 +63,86 @@ def _mit_density_reference(mode, R: float, M: float,
         A, B = density_terms(mode.qn, mode.p, M, R, th)
         worst = max(worst, mode.C**2 * abs(A + B))
     return worst
+
+
+# The scalar MIT root and norm code that the array path replaced, kept
+# verbatim as references: the per-interval linspace scan, one scipy brentq
+# call per bracket, the per-root residual check and the per-mode norm.
+
+
+def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: float,
+                           varsigma: int, count: int) -> np.ndarray:
+    if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
+        raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
+    if esign not in (-1, 1) or varsigma not in (-1, 1):
+        raise ValueError("esign and varsigma must be +-1")
+    rho = M * R
+    n_f, n_g = bessel_orders(kappa)
+    f = lambda x: _mit_equation(x, two_j, kappa, esign, rho, varsigma)
+
+    need = count
+    for _ in range(6):
+        k_hi = min(need + 2, I_MAX_DEFAULT)
+        breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
+        # near-zero approach: log-spaced probes below the first break
+        pts = [np.geomspace(1e-6, breaks[0], 12)]
+        lo = breaks[0]
+        for hi in breaks[1:]:
+            nseg = max(2, int(math.ceil((hi - lo) / _SCAN_STEP)))
+            pts.append(np.linspace(lo, hi, nseg + 1)[1:])
+            lo = hi
+        grid = np.concatenate(pts)
+        vals = f(grid)
+        if not np.all(np.isfinite(vals)):
+            raise SolverError("non-finite values in momentum equation scan")
+        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        roots = []
+        for idx in sign_change:
+            roots.append(brentq(f, grid[idx], grid[idx + 1], xtol=_ROOT_XTOL))
+        exact = grid[vals == 0.0]
+        if exact.size:
+            roots = sorted(set(roots) | set(exact.tolist()))
+        if len(roots) >= count:
+            roots = sorted(roots)[:count]
+            for x in roots:
+                if abs(f(x)) > 1e-10:
+                    raise SolverError(
+                        f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
+                        f"(two_j={two_j}, kappa={kappa}, esign={esign})")
+            return np.array([x / R for x in roots])
+        need += 4
+    raise SolverError(
+        f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
+        f"esign={esign}, M={M}, varsigma={varsigma})")
+
+
+def _mit_norm_reference(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
+                        varsigma: int, p: float) -> float:
+    E = esign * math.hypot(p, M)
+    x = p * R
+    if kappa > 0:
+        denom = 2.0 * E * R - varsigma * (two_j + 1) + varsigma * M / E
+        jval = abs(float(spherical_jn((two_j + 1) // 2, x)))
+    else:
+        denom = 2.0 * E * R + varsigma * (two_j + 1) + varsigma * M / E
+        jval = abs(float(spherical_jn((two_j - 1) // 2, x)))
+    ratio = (E + M) / denom
+    if not ratio > 0.0 or jval == 0.0:
+        raise SolverError(
+            f"inconsistent momentum/energy pair for MIT norm (two_j={two_j}, "
+            f"kappa={kappa}, i={i}, esign={esign}, p={p})")
+    return (math.sqrt(2.0) / (R * jval)) * math.sqrt(ratio)
+
+
+def _mit_shells(two_j_max: int = 41):
+    """(two_j, kappa) of every shell up to two_j_max."""
+    for two_j, sign in itertools.product(range(1, two_j_max + 1, 2), (-1, 1)):
+        yield two_j, sign * ((two_j + 1) // 2)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # The per-mode spectrum code that the column path replaced, kept verbatim as
@@ -281,6 +365,51 @@ class TestMitNorm:
         # a momentum far below any root drives the bracket negative
         with pytest.raises(SolverError):
             mit_norm(1, 1, 1, 1.0, 0.1, 1, 1, 0.05)
+
+
+class TestMitArrayPath:
+    """Array momenta and norms keep the bits of the scalar references."""
+
+    @pytest.mark.parametrize("count", [1, 20, 60])
+    @pytest.mark.parametrize("M", [0.0, 0.3, 1.0, 2.0, 2.7182, 3.5, 7.0, 11.5])
+    def test_shell_tables_match_reference(self, M, count):
+        for R, vs, esign in itertools.product((0.7, 1.0, 2.3), (1, -1), (1, -1)):
+            for two_j, kappa in _mit_shells():
+                # bypass the cache: this sweep would only evict other shells
+                p, _, C = shell_table.__wrapped__(mit(vs), two_j, kappa, esign, M, R, count)
+                ref = _mit_momenta_reference(two_j, kappa, esign, R, M, vs, count)
+                ref_C = [_mit_norm_reference(two_j, kappa, i + 1, R, M, esign, vs, x)
+                         for i, x in enumerate(ref)]
+                assert _same_bits(p, ref), (R, vs, esign, two_j, kappa)
+                assert _same_bits(C, ref_C), (R, vs, esign, two_j, kappa)
+
+    def test_same_solver_errors_at_huge_mass(self):
+        # at M R = 1e7 the esign = -1 residual check fails on these shells
+        failed = 0
+        for vs, (two_j, kappa) in itertools.product((1, -1), _mit_shells()):
+            try:
+                ref = _mit_momenta_reference(two_j, kappa, -1, 1.0, 1e7, vs, 20)
+            except SolverError as exc:
+                with pytest.raises(SolverError) as got:
+                    mit_momenta(two_j, kappa, -1, 1.0, 1e7, vs, 20)
+                assert str(got.value) == str(exc)
+                failed += 1
+            else:
+                assert _same_bits(mit_momenta(two_j, kappa, -1, 1.0, 1e7, vs, 20), ref)
+        assert failed == 57
+
+    def test_scalar_norm_matches_reference(self):
+        R, M, vs = 1.3, 0.9, -1
+        for esign, (two_j, kappa) in itertools.product((1, -1), _mit_shells(9)):
+            for i, x in enumerate(mit_momenta(two_j, kappa, esign, R, M, vs, 5).tolist(), 1):
+                got = mit_norm(two_j, kappa, i, R, M, esign, vs, x)
+                assert got.hex() == _mit_norm_reference(two_j, kappa, i, R, M, esign, vs,
+                                                        x).hex()
+        with pytest.raises(SolverError) as want:
+            _mit_norm_reference(1, 1, 1, 1.0, 0.1, 1, 1, 0.05)
+        with pytest.raises(SolverError) as got:
+            mit_norm(1, 1, 1, 1.0, 0.1, 1, 1, 0.05)
+        assert str(got.value) == str(want.value)
 
 
 class TestEnumerate:

@@ -14,11 +14,19 @@ from rotsphere.cli import main
 _SPECTRUM = ["spectrum", "--M", "1", "--Omega", "0.4", "--jmax", "21/2", "--imax", "20"]
 _MIT = {vs: [*_SPECTRUM, "--bc", "mit", "--varsigma", vs] for vs in ("1", "-1")}
 
+_README = ["--M", "1", "--Omega", "0.5", "--beta", "2", "--r-grid", "0:1:41",
+           "--theta-grid", "1.5707963"]
+
 GOLDEN = {
     "condensate-readme": (
-        ["condensate", "--bc", "spectral", "--M", "1", "--Omega", "0.5", "--beta", "2",
-         "--r-grid", "0:1:41", "--theta-grid", "1.5707963"],
+        ["condensate", "--bc", "spectral", *_README],
         "f6988691cdb61ced5687266bf741981919aee339b12920e2d835ca50ed85e04f"),
+    "condensate-mit+1": (
+        ["condensate", "--bc", "mit", "--varsigma", "1", *_README],
+        "24eda54a8d7af86871716efaf0623eea97cc505a0f355d1b4e6370d49d4d073e"),
+    "condensate-mit-1": (
+        ["condensate", "--bc", "mit", "--varsigma", "-1", *_README],
+        "3152b0de7fef77e2d46103a7d02b4b9a0e1d94215de86b7607ae05e833ae8e9a"),
     "spectrum-spectral-csv": (
         _SPECTRUM, "3b3ee3ea6ac016327e5b0e7b251c4d90f50aa9eadaf2557d882cc01e2693e59d"),
     "spectrum-spectral-json": (
@@ -37,6 +45,9 @@ GOLDEN = {
     "zeros": (
         ["zeros", "--order", "3", "--count", "20"],
         "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
+    "zeros-deep": (
+        ["zeros", "--order", "40", "--count", "200"],
+        "21a488ffe37902cbd8ba4a70813d7bc295454c186304e7cd8c6304b49ea89747"),
 }
 
 

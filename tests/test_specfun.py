@@ -5,12 +5,14 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from rotsphere import boundary, condensate, modes, specfun
 from rotsphere import (QuantumNumbers, UnsupportedOrderError, angular_density,
                        assoc_legendre_density, bessel_zeros, density_terms,
                        legendre_density_table, spherical_bessel_j,
                        spherical_bessel_j_prime, spherical_bessel_zero)
+from rotsphere.specfun import _ROOT_XTOL, SolverError, _brentq_array, spherical_jn
 from oracles import mp_spherical_j, scan_bessel_zeros
 
 # first zero of j_1, frozen from bisection over (pi, 2*pi); mpmath-confirmed below
@@ -147,6 +149,114 @@ class TestZeros:
             bessel_zeros(201, 1)
         with pytest.raises(ValueError, match=r"\[1, 500\]"):
             bessel_zeros(0, 501)
+
+
+# The scalar zero-table code that the array path replaced, kept verbatim as a
+# reference: one scipy brentq call per interlacing bracket.
+
+
+def _extend_zeros_reference(cache: dict, n: int, count: int) -> None:
+    have = cache.setdefault(n, [])
+    if len(have) >= count:
+        return
+    if n == 0:
+        have[:] = [math.pi * k for k in range(1, count + 1)]
+        return
+    _extend_zeros_reference(cache, n - 1, count + 1)
+    below = cache[n - 1]
+    f = lambda x: spherical_jn(n, x)
+    for i in range(len(have), count):
+        root = brentq(f, below[i], below[i + 1], xtol=_ROOT_XTOL)
+        have.append(root)
+    # first-zero lower bound xi_{n,1} > n + 1
+    if have[0] <= n + 1:
+        raise RuntimeError(f"zero table inconsistent at order {n}: xi_1 = {have[0]}")
+
+
+class TestZeroTableArrayPath:
+    def test_incremental_tables_match_reference(self, monkeypatch):
+        # an empty cache, grown by prefixes as the library grows it
+        monkeypatch.setattr(specfun, "_zero_cache", {})
+        ref: dict = {}
+        for count in (20, 60, 200):
+            for n in range(61):
+                _extend_zeros_reference(ref, n, count)
+                got = bessel_zeros(n, count)
+                assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref[n][:count]]
+        # the library keeps whole blocks of zeros, and every one of them matches
+        for n, zeros in specfun._zero_cache.items():
+            _extend_zeros_reference(ref, n, len(zeros))
+            assert [x.hex() for x in zeros] == [x.hex() for x in ref[n][:len(zeros)]]
+
+
+# Smooth test functions, written with numpy ufuncs so that a scalar and an
+# array evaluation give the same bits; sin, the cubic and exp make the
+# solver take interpolation, extrapolation and bisection steps.
+_SMOOTH = {
+    "sin": lambda x: np.sin(x) - 0.3,
+    "cubic": lambda x: x * x * x - 2.0 * x - 5.0,
+    "exp": lambda x: np.exp(x) - 3.0,
+    "tanh": lambda x: np.tanh(4.0 * (x - 0.7)),
+    "atan": lambda x: np.arctan(1e6 * (x - 0.5)),
+    "cbrt": lambda x: np.cbrt(x - 0.25),
+    "tiny": lambda x: 1e-200 * (x - 1.0),
+}
+
+
+def _scalar(f):
+    return lambda t: f(np.array([t]))[0]
+
+
+class TestBrentqArray:
+    """_brentq_array against scipy.optimize.brentq, bit for bit."""
+
+    @pytest.mark.parametrize("name", _SMOOTH)
+    def test_random_brackets_match_scipy(self, name):
+        f = _SMOOTH[name]
+        rng = np.random.default_rng(sorted(_SMOOTH).index(name))
+        a, b = rng.uniform(-3.0, 1.0, 400), rng.uniform(1.0, 4.0, 400)
+        keep = np.signbit(f(a)) != np.signbit(f(b))
+        a, b = a[keep], b[keep]
+        assert a.size > 50
+        ref = [brentq(_scalar(f), x, y, xtol=_ROOT_XTOL) for x, y in zip(a, b)]
+        assert [x.hex() for x in _brentq_array(f, a, b).tolist()] == [x.hex() for x in ref]
+
+    @pytest.mark.parametrize("name", ["sin", "cubic", "exp"])
+    def test_same_iterates_as_scipy(self, name):
+        f = _SMOOTH[name]
+        want, got = [], []
+        brentq(lambda t: want.append(t) or _scalar(f)(t), -1.5, 2.5, xtol=_ROOT_XTOL)
+        _brentq_array(lambda x: got.extend(x.tolist()) or f(x), [-1.5], [2.5])
+        assert len(got) > 6 and got == want
+
+    def test_exact_zeros(self):
+        f = lambda x: x - 1.0
+        # endpoints at a zero, and a step that lands on the zero mid-iteration
+        a, b = np.array([1.0, -2.0, 0.0, 0.0]), np.array([3.0, 1.0, 2.0, 1.5])
+        got = _brentq_array(f, a, b)
+        ref = [brentq(f, x, y, xtol=_ROOT_XTOL) for x, y in zip(a, b)]
+        assert got.tolist() == ref == [1.0, 1.0, 1.0, 1.0]
+        assert _brentq_array(f, np.array([]), np.array([])).size == 0
+
+    def test_non_finite_value_raises(self):
+        f = lambda x: np.where(np.abs(x - 1.0) < 0.4, np.nan, x - 1.0)
+        with pytest.raises(ValueError):  # the first step lands on a NaN
+            brentq(f, 0.0, 2.0, xtol=_ROOT_XTOL)
+        with pytest.raises(SolverError, match="non-finite"):
+            _brentq_array(f, np.array([0.0]), np.array([2.0]))
+        with np.errstate(divide="ignore"), pytest.raises(SolverError, match="non-finite"):
+            _brentq_array(lambda x: 1.0 / (x - 2.0), np.array([0.0]), np.array([2.0]))
+
+    def test_no_convergence_raises(self):
+        f = lambda x: (x - 1.3) * (x - 1.3) * (x - 1.3)
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(f, 0.0, 2.0, xtol=_ROOT_XTOL)
+        with pytest.raises(SolverError, match="100 iterations"):
+            _brentq_array(f, np.array([0.0]), np.array([2.0]))
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(SolverError, match="different signs"):
+            _brentq_array(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
 
 
 class TestLegendreDensity:
