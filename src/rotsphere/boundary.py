@@ -10,9 +10,9 @@ All momenta are handled as x = p*R; energies are E = esign * sqrt(p^2 + M^2)
 and E_tilde = E - Omega * m_j.  A Spectrum holds the modes as flat columns
 read from the cached shell tables, so the vacuum check (E * E_tilde > 0 for
 every mode when Omega*R < 1: the rotating and nonrotating vacua coincide)
-and the quantization residual are array expressions.  The wall checks take
-QuantizedMode objects from Spectrum.modes() and assemble each explicit
-spinor once on 5 x 3 (theta, phi) samples at r = R.
+and the quantization residual are array expressions.  The wall checks
+assemble the explicit spinors of a whole (j, kappa) block of a Spectrum in
+one call, once per mode, on 5 x 3 (theta, phi) samples at r = R.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .modes import QuantumNumbers, assemble_spinor, bessel_orders, gamma_radial, scalar_density
+from .modes import (QuantumNumbers, _energy, _ubar_u, assemble_spinor, bessel_orders,
+                    gamma_radial)
 from .specfun import I_MAX_DEFAULT, SolverError, _brentq_array, bessel_zeros, spherical_jn
 
 if TYPE_CHECKING:
@@ -219,7 +220,7 @@ def _mit_norms(two_j: int, kappa: int, i: Sequence[int], R: float, M: float, esi
     momentum equation; the ratio under the square root is checked positive,
     since a non-positive value means (p, E) do not solve the same branch.
     """
-    E = esign * np.frompyfunc(math.hypot, 2, 1)(p, M).astype(float)  # not np.hypot's bits
+    E = _energy(esign, p, M)
     sgn_k = 1 if kappa > 0 else -1
     ratio = (E + M) / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E)
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
@@ -244,7 +245,8 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 
 # Working sets: fig-sweep and verify-spectrum warm-ups take 378 and 492 shells,
 # `--preset fig1` plus `fig2` 378; at i_max = 60 each shell holds ~2.4 KB.
-@lru_cache(maxsize=1024)
+# typed: a float i_max must miss the entry of the equal int and be rejected.
+@lru_cache(maxsize=1024, typed=True)
 def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
                 R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign) shell.
@@ -253,8 +255,8 @@ def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
     of kappa holds the modes with m_j > 0, and a mode with m_j < 0 reads the
     table of -kappa.  MIT modes do not depend on m_j.
     """
-    if not 1 <= i_max <= I_MAX_DEFAULT:
-        raise ValueError(f"i_max must be in [1, {I_MAX_DEFAULT}], got {i_max}")
+    if not isinstance(i_max, (int, np.integer)) or not 1 <= i_max <= I_MAX_DEFAULT:
+        raise ValueError(f"i_max must be an integer in [1, {I_MAX_DEFAULT}], got {i_max!r}")
     if bc.is_mit:
         p = mit_momenta(two_j, kappa, esign, R, M, bc.varsigma, i_max)
         # the norms use a math.hypot energy, which differs from the np.hypot
@@ -291,10 +293,14 @@ class Spectrum:
     def __len__(self) -> int:
         return self.E.size
 
+    def __getitem__(self, mask) -> Spectrum:
+        """The modes selected by a numpy index, as a Spectrum."""
+        return Spectrum(*(getattr(self, f.name)[mask] for f in fields(self)))
+
     def modes(self, mask=slice(None)) -> list[QuantizedMode]:
         """QuantizedMode objects of the modes selected by a numpy index."""
         # tolist() gives Python scalars: numpy 2 scalars print as np.int64(3)
-        cols = [getattr(self, f.name)[mask].tolist() for f in fields(self)]
+        cols = [col.tolist() for col in vars(self[mask]).values()]
         return [QuantizedMode(QuantumNumbers(*row[:5]), *row[5:]) for row in zip(*cols)]
 
 
@@ -371,7 +377,7 @@ def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> Vac
 
 
 # ---------------------------------------------------------------------------
-# Per-mode boundary residuals
+# Wall residuals
 # ---------------------------------------------------------------------------
 
 # The 15 wall samples: 5 polar angles x 3 azimuths, axes (theta, phi)
@@ -380,31 +386,30 @@ _WALL_THETA, _WALL_PHI = np.meshgrid((0.17, 0.9, math.pi / 2, 2.3, 2.95), (0.0, 
 _WALL_GAMMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)
 
 
-def _wall_spinor(mode: QuantizedMode, R: float, M: float) -> np.ndarray:
-    """Normalized spinor C u at r = R on the wall samples, shape (4, 5, 3)."""
-    return mode.C * assemble_spinor(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
+def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
+    """Per-mode maxima over the wall samples at r = R, rows (vanishing
+    components, MIT condition -i gamma^r psi = varsigma psi, C^2 |u-bar u|).
 
-
-def spectral_component_residual(mode: QuantizedMode, R: float, M: float) -> float:
-    """Largest magnitude of the wall-vanishing spinor components at r = R.
-
-    The lower pair must vanish for m_j > 0, the upper pair for m_j < 0.
+    Spectral modes fill the first row: their lower pair must vanish for
+    m_j > 0, their upper pair for m_j < 0.  MIT modes fill the other two
+    from one assembly.  The rows a condition does not check hold 0.  Each
+    (j, kappa) block is assembled in one call, which bounds the memory.
     """
-    sel = slice(2, 4) if mode.qn.two_mj > 0 else slice(0, 2)
-    return float(np.max(np.abs(_wall_spinor(mode, R, M)[sel])))
-
-
-def mit_condition_residual(mode: QuantizedMode, R: float, M: float, varsigma: int) -> float:
-    """Largest componentwise residual of -i gamma^r psi = varsigma psi at r = R."""
-    u = _wall_spinor(mode, R, M)
-    resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, u) - varsigma * u
-    return float(np.max(np.abs(resid)))
-
-
-def mit_density_residual(mode: QuantizedMode, R: float, M: float) -> float:
-    """Largest |C|^2 |u-bar u| on the wall; the MIT condition forces it to zero."""
-    dens = scalar_density(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
-    return float(np.max(mode.C**2 * np.abs(dens)))
+    out = np.zeros((3, len(spectrum)))
+    for kappa in np.unique(spectrum.kappa):  # kappa fixes j
+        sel = spectrum.kappa == kappa
+        block = spectrum[sel]
+        C = block.C[:, None, None]
+        u = assemble_spinor(block, block.p, M, R, _WALL_THETA, _WALL_PHI)  # (4, modes, 5, 3)
+        Cu = C * u
+        if bc.is_mit:
+            resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu) - bc.varsigma * Cu
+            out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
+            out[2, sel] = (C**2 * np.abs(_ubar_u(u))).max(axis=(1, 2))
+        else:
+            pairs = np.abs(Cu).reshape(2, 2, len(block), -1).max(axis=(1, 3))  # upper, lower
+            out[0, sel] = np.where(block.two_mj > 0, pairs[1], pairs[0])
+    return out
 
 
 @dataclass
@@ -426,20 +431,12 @@ class BoundaryReport:
                 and self.max_density <= self.tol_density)
 
 
-def verify_boundary_residuals(bc: BoundaryKind, modes: Sequence[QuantizedMode],
-                              R: float, M: float) -> BoundaryReport:
-    """Run the per-mode wall checks appropriate to the boundary condition."""
-    if bc.is_mit:
-        max_cond = max((mit_condition_residual(mo, R, M, bc.varsigma) for mo in modes),
-                       default=0.0)
-        max_dens = max((mit_density_residual(mo, R, M) for mo in modes), default=0.0)
-        return BoundaryReport(0.0, max_cond, max_dens, len(modes),
-                              tol_component=math.inf, tol_condition=1e-9,
-                              tol_density=1e-9)
-    max_comp = max((spectral_component_residual(mo, R, M) for mo in modes), default=0.0)
-    return BoundaryReport(max_comp, 0.0, 0.0, len(modes),
-                          tol_component=1e-10, tol_condition=math.inf,
-                          tol_density=math.inf)
+def verify_boundary_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float,
+                              M: float) -> BoundaryReport:
+    """Worst wall residuals of the modes of a Spectrum under its boundary condition."""
+    worst = _wall_residuals(bc, spectrum, R, M).max(axis=1, initial=0.0).tolist()
+    tols = (math.inf, 1e-9, 1e-9) if bc.is_mit else (1e-10, math.inf, math.inf)
+    return BoundaryReport(*worst, len(spectrum), *tols)
 
 
 # ---------------------------------------------------------------------------

@@ -128,18 +128,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown boundary {cfg.bc!r} for key 'bc'")
     if cfg.varsigma not in (-1, 1):
         raise ConfigError("varsigma must be 1 or -1 for key 'varsigma'")
-    if cfg.M < 0:
-        raise ConfigError("M must be >= 0 for key 'M'")
-    if cfg.R <= 0:
-        raise ConfigError("R must be > 0 for key 'R'")
-    if cfg.Omega < 0:
-        raise ConfigError("Omega must be >= 0 for key 'Omega'")
-    if cfg.Omega * cfg.R >= 1.0:
-        raise ConfigError(
-            f"Omega*R = {cfg.Omega * cfg.R} >= 1 is a faster-than-light boundary "
-            "(keys 'Omega', 'R')")
-    if not cfg.beta > 0:
-        raise ConfigError(f"beta must be > 0 for key 'beta', got {cfg.beta}")
+    try:
+        cfg.params  # PhysicalParams owns the physical-input checks
+    except bnd.FasterThanLightError as exc:
+        raise ConfigError(f"faster-than-light boundary: {exc} (keys 'Omega', 'R')") from None
+    except ValueError as exc:  # its messages start with the field name
+        raise ConfigError(f"{exc} for key '{str(exc).split()[0]}'") from None
     if not 1 <= cfg.i_max <= I_MAX_DEFAULT:
         raise ConfigError(f"imax must be in [1, {I_MAX_DEFAULT}] for key 'imax'")
     if cfg.format not in _FORMATS:
@@ -312,8 +306,8 @@ def _run_verify(cfg: RunConfig) -> int:
     for mo in vac.violations[:20]:
         print(f"  E*E_tilde<=0: {mo.qn} E={mo.E!r} E_tilde={mo.E_tilde!r}")
 
-    # wall residuals on the subset j <= 9/2, i <= 6: each mode assembles its spinor
-    sub = spectrum.modes((spectrum.two_j <= 9) & (spectrum.i <= 6))
+    # wall residuals on the subset j <= 9/2, i <= 6
+    sub = spectrum[(spectrum.two_j <= 9) & (spectrum.i <= 6)]
     rep = bnd.verify_boundary_residuals(bc, sub, cfg.R, cfg.M)
     if bc.is_mit:
         print(f"boundary residuals ({rep.n_modes} modes): "

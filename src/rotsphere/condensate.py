@@ -45,7 +45,7 @@ class PhysicalParams:
     beta: float
     mu: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # every ValueError message must start with the field name
         for name in ("M", "R", "Omega", "beta", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

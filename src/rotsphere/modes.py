@@ -8,8 +8,9 @@ two_mj) so quantum numbers compare exactly.
 The scalar density of a mode separates into a radial amplitude pair
 (f, g) acting on the two spinor-harmonic angular densities; only those real
 quantities enter the condensate sums.  An explicit 4-component spinor
-assembler, broadcasting over arrays of angles, is provided for verification
-(boundary residuals, oracle tests) and is not used in the hot path.
+assembler, broadcasting over label columns (a mode axis) and arrays of
+angles, is provided for verification (wall residuals over a whole block of
+modes, oracle tests) and is not used in the hot path.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ def bessel_orders(kappa: int) -> tuple[int, int]:
     """Orders (l_f, l_g) of the upper/lower radial Bessel amplitudes.
 
     l_f = kappa - 1 and l_g = kappa for kappa > 0; l_f = -kappa and
-    l_g = -kappa - 1 for kappa < 0.
+    l_g = -kappa - 1 for kappa < 0.  Elementwise over an integer array.
     """
-    if kappa > 0:
-        return kappa - 1, kappa
-    return -kappa, -kappa - 1
+    return abs(kappa) - (kappa > 0), abs(kappa) - (kappa < 0)
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,14 @@ class RadialPair:
     g_over_i: float
 
 
-def _energy(esign: int, p: float, M: float) -> float:
-    return esign * math.hypot(p, M)
+def _energy(esign, p, M):
+    """esign * sqrt(p^2 + M^2), elementwise with math.hypot's bits: np.hypot
+    differs from it in the last bit for some (p, M)."""
+    return esign * np.asarray(np.frompyfunc(math.hypot, 2, 1)(p, M), dtype=float)
 
 
-def _check_momentum_radius(p: float, M: float, r: float) -> None:
-    if not 0 < p < math.inf:
+def _check_momentum_radius(p, M: float, r: float) -> None:
+    if not np.all((0 < p) & (p < math.inf)):
         raise ValueError(f"momentum must be positive and finite, got {p}")
     if not 0 <= M < math.inf:
         raise ValueError(f"mass must be non-negative and finite, got {M}")
@@ -139,22 +140,23 @@ def _check_momentum_radius(p: float, M: float, r: float) -> None:
         raise ValueError(f"radius must be non-negative and finite, got {r}")
 
 
-def radial_pair(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
+def radial_pair(k: QuantumNumbers, p, M: float, r: float) -> RadialPair:
     """Radial amplitude pair of the mode at radius r.
 
     f = sqrt((E+M)/(2E)) j_{l_f}(p r) and
     g_over_i = sgn(E) sgn(kappa) sqrt((E-M)/(2E)) j_{l_g}(p r),
     with E = esign * sqrt(p^2 + M^2).  Both ratios (E+-M)/(2E) are
-    non-negative for |E| >= M regardless of the sign of E.
+    non-negative for |E| >= M regardless of the sign of E.  Broadcasts over
+    label arrays k.esign and k.kappa and momenta p.
     """
     _check_momentum_radius(p, M, r)
     E = _energy(k.esign, p, M)
     l_f, l_g = bessel_orders(k.kappa)
-    pref_f = math.sqrt((E + M) / (2.0 * E))
-    pref_g = math.sqrt((E - M) / (2.0 * E))
-    f = pref_f * float(spherical_jn(l_f, p * r))
-    g_i = k.esign * (1 if k.kappa > 0 else -1) * pref_g * float(spherical_jn(l_g, p * r))
-    return RadialPair(f, g_i)
+    pref_f = np.sqrt((E + M) / (2.0 * E))
+    pref_g = np.sqrt((E - M) / (2.0 * E))
+    f = pref_f * spherical_jn(l_f, p * r)
+    g_i = k.esign * np.sign(k.kappa) * pref_g * spherical_jn(l_g, p * r)
+    return RadialPair(f, g_i) if np.ndim(f) else RadialPair(float(f), float(g_i))
 
 
 def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
@@ -166,7 +168,7 @@ def density_terms(k: QuantumNumbers, p: float, M: float, r: float,
     jm2 = float(spherical_jn(n_lo, p * r)) ** 2
     jp2 = float(spherical_jn(n_lo + 1, p * r)) ** 2
     return density_split(k.kappa, dens.d_plus, dens.d_minus, jm2, jp2,
-                         M / (2.0 * _energy(k.esign, p, M)))
+                         float(M / (2.0 * _energy(k.esign, p, M))))
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +198,44 @@ def gamma_radial(theta, phi) -> np.ndarray:
     return out
 
 
-def spinor_harmonic(two_j: int, two_mj: int, sign: int, theta, phi) -> np.ndarray:
+def spinor_harmonic(two_j, two_mj, sign, theta, phi) -> np.ndarray:
     """Two-component spinor harmonic chi^sign_{j m_j} at (theta, phi).
 
-    Broadcasts over array theta and phi; the result has shape (2, ...).
-    sph_harm_y is 0 for |m| > l, where the matching coefficient vanishes.
+    Broadcasts over integer label arrays and array theta and phi; the result
+    has shape (2, ...).  sph_harm_y is 0 for |m| > l, where the matching
+    coefficient vanishes.
     """
-    m_lo = (two_mj - 1) // 2
-    m_hi = (two_mj + 1) // 2
-    if sign > 0:
-        l = (two_j - 1) // 2
-        c1 = math.sqrt((two_j + two_mj) / (2.0 * two_j))
-        c2 = math.sqrt((two_j - two_mj) / (2.0 * two_j))
-    else:
-        l = (two_j + 1) // 2
-        c1 = math.sqrt((two_j - two_mj + 2) / (2.0 * (two_j + 2)))
-        c2 = -math.sqrt((two_j + two_mj + 2) / (2.0 * (two_j + 2)))
-    return np.array([c1 * sph_harm_y(l, m_lo, theta, phi),
-                     c2 * sph_harm_y(l, m_hi, theta, phi)])
+    # with t = 2j + 1 - sign: l = (2j - sign)/2, c1 = sqrt((t + sign 2m_j)/(2t))
+    # and c2 = sign sqrt((t - sign 2m_j)/(2t))
+    t = two_j + 1 - sign
+    l = (two_j - sign) // 2
+    c1 = np.sqrt((t + sign * two_mj) / (2.0 * t))
+    c2 = sign * np.sqrt((t - sign * two_mj) / (2.0 * t))
+    return np.array([c1 * sph_harm_y(l, (two_mj - 1) // 2, theta, phi),
+                     c2 * sph_harm_y(l, (two_mj + 1) // 2, theta, phi)])
 
 
-def assemble_spinor(k: QuantumNumbers, p: float, M: float, r: float,
-                    theta, phi) -> np.ndarray:
+def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     """Explicit 4-component eigenspinor u_k(r, theta, phi), unnormalized.
 
-    Broadcasts over array theta and phi; the result has shape (4, ...).
-    Verification path only: boundary-residual checks and oracle tests build
-    the full spinor; production sums never materialize it.
+    k is a QuantumNumbers, or has esign, two_j, two_mj and kappa columns (a
+    Spectrum) that match the momenta p.  The result has shape
+    (4, *modes, *angles), where the angle axes are those of theta and phi
+    broadcast.  Verification path only: wall-residual checks and oracle
+    tests build the full spinor; production sums never materialize it.
     """
+    tail = (1,) * np.broadcast(theta, phi).ndim
+    col = lambda v: np.reshape(v, np.shape(v) + tail)  # mode axes, then angle axes
     rad = radial_pair(k, p, M, r)
-    chi_up = spinor_harmonic(k.two_j, k.two_mj, +1 if k.kappa > 0 else -1, theta, phi)
-    chi_dn = spinor_harmonic(k.two_j, k.two_mj, -1 if k.kappa > 0 else +1, theta, phi)
-    return np.concatenate([rad.f * chi_up, 1j * rad.g_over_i * chi_dn])
+    two_j, two_mj, sign = col(k.two_j), col(k.two_mj), col(np.sign(k.kappa))
+    chi_up = spinor_harmonic(two_j, two_mj, sign, theta, phi)
+    chi_dn = spinor_harmonic(two_j, two_mj, -sign, theta, phi)
+    return np.concatenate([col(rad.f) * chi_up, 1j * col(rad.g_over_i) * chi_dn])
+
+
+def _ubar_u(u: np.ndarray) -> np.ndarray:
+    """u-bar u = u^dag gamma^t u, contracted over the spinor axis 0 of u."""
+    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
 
 
 def scalar_density(k: QuantumNumbers, p: float, M: float, r: float,
@@ -236,5 +244,4 @@ def scalar_density(k: QuantumNumbers, p: float, M: float, r: float,
 
     Broadcasts over array theta and phi.
     """
-    u = assemble_spinor(k, p, M, r, theta, phi)
-    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
+    return _ubar_u(assemble_spinor(k, p, M, r, theta, phi))

@@ -164,8 +164,8 @@ def _extend_zeros(n: int, count: int) -> None:
 def bessel_zeros(n: int, count: int) -> np.ndarray:
     """First `count` positive zeros xi_{n,1} < ... < xi_{n,count} of j_n."""
     _check_order(n)
-    if count < 1 or count > I_MAX_DEFAULT:
-        raise ValueError(f"count must be in [1, {I_MAX_DEFAULT}]")
+    if not isinstance(count, (int, np.integer)) or not 1 <= count <= I_MAX_DEFAULT:
+        raise ValueError(f"count must be an integer in [1, {I_MAX_DEFAULT}], got {count!r}")
     # round order 0's count + n zeros up to blocks of 32, so that orders asked
     # for in turn at one count do not each extend every lower table by one
     _extend_zeros(n, -(-(count + n) // 32) * 32 - n)

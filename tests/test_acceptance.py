@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 import rotsphere as rs
-from rotsphere.boundary import (mit_condition_residual, mit_density_residual,
-                                spectral_component_residual)
 from oracles import (brute_force_condensate, brute_force_modes,
                      quadrature_mode_norm, quadrature_mode_overlap,
                      radial_quadrature)
@@ -139,14 +137,13 @@ def test_criterion_4_boundary_residuals():
     R = 1.0
     for M in (0.0, 1.0):
         params = rs.PhysicalParams(M=M, R=R, Omega=0.5, beta=1.0)
-        spem = rs.enumerate_spectrum(rs.SPECTRAL, params, 4.5, 4).modes()
-        worst = max(spectral_component_residual(mo, R, M) for mo in spem)
+        spem = rs.enumerate_spectrum(rs.SPECTRAL, params, 4.5, 4)
+        worst = rs.verify_boundary_residuals(rs.SPECTRAL, spem, R, M).max_component
         ok &= worst <= 1e-10
         for vs in (1, -1):
-            mits = rs.enumerate_spectrum(rs.mit(vs), params, 4.5, 4).modes()
-            worst_cond = max(mit_condition_residual(mo, R, M, vs) for mo in mits)
-            worst_dens = max(mit_density_residual(mo, R, M) for mo in mits)
-            ok &= worst_cond <= 1e-9 and worst_dens <= 1e-9
+            mits = rs.enumerate_spectrum(rs.mit(vs), params, 4.5, 4)
+            rep = rs.verify_boundary_residuals(rs.mit(vs), mits, R, M)
+            ok &= rep.max_condition <= 1e-9 and rep.max_density <= 1e-9
     _report(4, "wall residuals: spectral components <= 1e-10, MIT relation and "
                "scalar density <= 1e-9 for both chirality signs",
             ok, time.time() - t0, 30.0)

@@ -6,6 +6,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import sph_harm_y
 
 from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        QuantumNumbers, SPECTRAL, Spectrum, VacuumReport,
@@ -14,17 +15,97 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
-from rotsphere.boundary import (_SCAN_STEP, _WALL_PHI, _WALL_THETA, SolverError,
-                                _mit_equation, mit_condition_residual,
-                                mit_density_residual, shell_table,
-                                spectral_component_residual, two_j_from)
-from rotsphere.modes import (assemble_spinor, bessel_orders, gamma_radial, scalar_density,
-                             spinor_harmonic)
+from rotsphere.boundary import (_SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI, _WALL_THETA,
+                                SolverError, _mit_equation, _wall_residuals, shell_table,
+                                two_j_from)
+from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
+                             gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, quadrature_mode_norm, quadrature_mode_overlap,
                      radial_quadrature, scan_mit_momenta)
 
 XI_1_1 = 4.493409457909064
+
+# The scalar spinor assembly and the per-mode wall checks that the block
+# path replaced, kept verbatim as references: one mode per assembly, and the
+# MIT density assembled a second time through scalar_density.
+
+
+def _energy_reference(esign: int, p: float, M: float) -> float:
+    return esign * math.hypot(p, M)
+
+
+def _check_momentum_radius_reference(p: float, M: float, r: float) -> None:
+    if not 0 < p < math.inf:
+        raise ValueError(f"momentum must be positive and finite, got {p}")
+    if not 0 <= M < math.inf:
+        raise ValueError(f"mass must be non-negative and finite, got {M}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be non-negative and finite, got {r}")
+
+
+def _radial_pair_reference(k: QuantumNumbers, p: float, M: float, r: float) -> RadialPair:
+    _check_momentum_radius_reference(p, M, r)
+    E = _energy_reference(k.esign, p, M)
+    l_f, l_g = bessel_orders(k.kappa)
+    pref_f = math.sqrt((E + M) / (2.0 * E))
+    pref_g = math.sqrt((E - M) / (2.0 * E))
+    f = pref_f * float(spherical_jn(l_f, p * r))
+    g_i = k.esign * (1 if k.kappa > 0 else -1) * pref_g * float(spherical_jn(l_g, p * r))
+    return RadialPair(f, g_i)
+
+
+def _spinor_harmonic_reference(two_j: int, two_mj: int, sign: int, theta, phi) -> np.ndarray:
+    m_lo = (two_mj - 1) // 2
+    m_hi = (two_mj + 1) // 2
+    if sign > 0:
+        l = (two_j - 1) // 2
+        c1 = math.sqrt((two_j + two_mj) / (2.0 * two_j))
+        c2 = math.sqrt((two_j - two_mj) / (2.0 * two_j))
+    else:
+        l = (two_j + 1) // 2
+        c1 = math.sqrt((two_j - two_mj + 2) / (2.0 * (two_j + 2)))
+        c2 = -math.sqrt((two_j + two_mj + 2) / (2.0 * (two_j + 2)))
+    return np.array([c1 * sph_harm_y(l, m_lo, theta, phi),
+                     c2 * sph_harm_y(l, m_hi, theta, phi)])
+
+
+def _assemble_spinor_reference(k: QuantumNumbers, p: float, M: float, r: float,
+                               theta, phi) -> np.ndarray:
+    rad = _radial_pair_reference(k, p, M, r)
+    chi_up = _spinor_harmonic_reference(k.two_j, k.two_mj, +1 if k.kappa > 0 else -1,
+                                        theta, phi)
+    chi_dn = _spinor_harmonic_reference(k.two_j, k.two_mj, -1 if k.kappa > 0 else +1,
+                                        theta, phi)
+    return np.concatenate([rad.f * chi_up, 1j * rad.g_over_i * chi_dn])
+
+
+def _scalar_density_reference(k: QuantumNumbers, p: float, M: float, r: float,
+                              theta, phi=0.0):
+    u = _assemble_spinor_reference(k, p, M, r, theta, phi)
+    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
+
+
+def _wall_spinor_reference(mode: QuantizedMode, R: float, M: float) -> np.ndarray:
+    return mode.C * _assemble_spinor_reference(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
+
+
+def _spectral_component_residual_reference(mode: QuantizedMode, R: float, M: float) -> float:
+    sel = slice(2, 4) if mode.qn.two_mj > 0 else slice(0, 2)
+    return float(np.max(np.abs(_wall_spinor_reference(mode, R, M)[sel])))
+
+
+def _mit_condition_residual_reference(mode: QuantizedMode, R: float, M: float,
+                                      varsigma: int) -> float:
+    u = _wall_spinor_reference(mode, R, M)
+    resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, u) - varsigma * u
+    return float(np.max(np.abs(resid)))
+
+
+def _mit_density_residual_reference(mode: QuantizedMode, R: float, M: float) -> float:
+    dens = _scalar_density_reference(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
+    return float(np.max(mode.C**2 * np.abs(dens)))
+
 
 # The per-sample wall checks that the array path replaced, kept verbatim as
 # references: one scalar spinor assembly per (theta, phi) sample.
@@ -39,7 +120,7 @@ def _spectral_component_reference(mode, R: float, M: float,
     worst = 0.0
     for th in thetas:
         for ph in phis:
-            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
+            u = mode.C * _assemble_spinor_reference(mode.qn, mode.p, M, R, th, ph)
             worst = max(worst, float(np.max(np.abs(u[sel]))))
     return worst
 
@@ -50,7 +131,7 @@ def _mit_condition_reference(mode, R: float, M: float, varsigma: int,
     worst = 0.0
     for th in thetas:
         for ph in phis:
-            u = mode.C * assemble_spinor(mode.qn, mode.p, M, R, th, ph)
+            u = mode.C * _assemble_spinor_reference(mode.qn, mode.p, M, R, th, ph)
             resid = -1j * (gamma_radial(th, ph) @ u) - varsigma * u
             worst = max(worst, float(np.max(np.abs(resid))))
     return worst
@@ -562,65 +643,115 @@ class TestOrthonormality:
 class TestBoundaryResiduals:
     def test_spectral_wall_components(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.3, beta=1.0)
-        modes = enumerate_spectrum(SPECTRAL, params, 2.5, 2).modes()
-        for mo in modes:
-            assert spectral_component_residual(mo, params.R, params.M) <= 1e-10
+        spec = enumerate_spectrum(SPECTRAL, params, 2.5, 2)
+        comp, cond, dens = _wall_residuals(SPECTRAL, spec, params.R, params.M)
+        assert np.all(comp <= 1e-10) and not np.any(cond) and not np.any(dens)
+        rep = verify_boundary_residuals(SPECTRAL, spec, params.R, params.M)
+        assert rep.ok and rep.n_modes == len(spec) == comp.size
+        assert rep.max_component == float(np.max(comp))
 
     @pytest.mark.parametrize("vs", [1, -1])
     def test_mit_wall_condition(self, vs):
         params = PhysicalParams(M=0.8, R=1.0, Omega=0.3, beta=1.0)
-        modes = enumerate_spectrum(mit(vs), params, 2.5, 2).modes()
-        for mo in modes:
-            assert mit_condition_residual(mo, params.R, params.M, vs) <= 1e-9
-            assert mit_density_residual(mo, params.R, params.M) <= 1e-9
+        spec = enumerate_spectrum(mit(vs), params, 2.5, 2)
+        comp, cond, dens = _wall_residuals(mit(vs), spec, params.R, params.M)
+        assert not np.any(comp) and np.all(cond <= 1e-9) and np.all(dens <= 1e-9)
+        rep = verify_boundary_residuals(mit(vs), spec, params.R, params.M)
+        assert rep.ok and rep.n_modes == len(spec)
+        assert (rep.max_condition, rep.max_density) == (float(np.max(cond)),
+                                                         float(np.max(dens)))
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_empty_mode_list(self, bc):
-        rep = verify_boundary_residuals(bc, [], 1.0, 0.0)
+        spec = enumerate_spectrum(bc, PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.0),
+                                  1.5, 2)
+        rep = verify_boundary_residuals(bc, spec[spec.i > 2], 1.0, 0.0)
         assert rep.n_modes == 0 and rep.ok
         assert (rep.max_component, rep.max_condition, rep.max_density) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_rejects_bad_mass_and_radius(self, bc):
+        spec = enumerate_spectrum(bc, PhysicalParams(M=1.0, R=1.0, Omega=0.3, beta=1.0),
+                                  1.5, 2)
+        for M in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="mass must be non-negative and finite"):
+                verify_boundary_residuals(bc, spec, 1.0, M)
+        with pytest.raises(ValueError, match="radius must be non-negative and finite"):
+            verify_boundary_residuals(bc, spec, math.nan, 1.0)
+
 
 class TestWallArrayPath:
-    """The wall checks broadcast the spinor over the sample grid; they must
-    reproduce the per-sample references."""
+    """The wall checks assemble a (j, kappa) block of modes in one call; they
+    must reproduce the per-mode and per-sample references."""
 
-    @pytest.mark.parametrize("M", [0.0, 1.0])
+    @pytest.mark.parametrize("M", [0.0, 0.7, 1.0, 2.0])
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_matches_per_sample_reference(self, bc, M):
-        params = PhysicalParams(M=M, R=1.0, Omega=0.5, beta=1.0)
-        R = params.R
-        for mo in enumerate_spectrum(bc, params, 4.5, 6).modes():
+        for R in (1.0, 1.3):
+            params = PhysicalParams(M=M, R=R, Omega=0.5, beta=1.0)
+            spec = enumerate_spectrum(bc, params, 4.5, 6)
+            comp, cond, dens = _wall_residuals(bc, spec, R, M)
+            modes = spec.modes()
             if bc.is_mit:
-                assert (mit_condition_residual(mo, R, M, bc.varsigma)
-                        == _mit_condition_reference(mo, R, M, bc.varsigma))
-                assert abs(mit_density_residual(mo, R, M)
-                           - _mit_density_reference(mo, R, M)) <= 1e-14
+                want = [_mit_condition_residual_reference(mo, R, M, bc.varsigma)
+                        for mo in modes]
+                assert [v.hex() for v in cond.tolist()] == [v.hex() for v in want]
+                want = [_mit_density_residual_reference(mo, R, M) for mo in modes]
+                assert np.all(np.abs(dens - want) <= 1e-14) and not np.any(comp)
+                # the reference squares C with libm pow, which differs from C*C
+                # in the last bit for some C; elsewhere the bits are equal
+                same = [mo.C**2 == mo.C * mo.C for mo in modes]
+                assert ([v.hex() for v, s in zip(dens.tolist(), same) if s]
+                        == [v.hex() for v, s in zip(want, same) if s])
             else:
-                assert (spectral_component_residual(mo, R, M)
-                        == _spectral_component_reference(mo, R, M))
+                want = [_spectral_component_residual_reference(mo, R, M) for mo in modes]
+                assert [v.hex() for v in comp.tolist()] == [v.hex() for v in want]
+                assert not np.any(cond) and not np.any(dens)
+            if R == 1.0 and M in (0.0, 1.0):
+                for n, mo in enumerate(modes):
+                    if bc.is_mit:
+                        assert cond[n] == _mit_condition_reference(mo, R, M, bc.varsigma)
+                        assert abs(dens[n] - _mit_density_reference(mo, R, M)) <= 1e-14
+                    else:
+                        assert comp[n] == _spectral_component_reference(mo, R, M)
 
     def test_broadcast_equals_scalar_calls(self):
         params = PhysicalParams(M=0.7, R=1.3, Omega=0.5, beta=1.0)
-        modes = enumerate_spectrum(mit(1), params, 4.5, 2).modes()
-        for mo in modes[::7]:
-            k = mo.qn
-            args = (k, mo.p, params.M, params.R)
-            u = assemble_spinor(*args, _WALL_THETA, _WALL_PHI)
-            dens = scalar_density(*args, _WALL_THETA, _WALL_PHI)
-            chi = [spinor_harmonic(k.two_j, k.two_mj, s, _WALL_THETA, _WALL_PHI)
-                   for s in (1, -1)]
-            assert u.shape == (4,) + _WALL_THETA.shape
-            assert chi[0].shape == (2,) + _WALL_THETA.shape
-            for idx in np.ndindex(_WALL_THETA.shape):
-                th, ph = float(_WALL_THETA[idx]), float(_WALL_PHI[idx])
-                assert np.array_equal(u[(slice(None),) + idx],
-                                      assemble_spinor(*args, th, ph))
-                for s, c in zip((1, -1), chi):
-                    assert np.array_equal(c[(slice(None),) + idx],
-                                          spinor_harmonic(k.two_j, k.two_mj, s, th, ph))
-                assert dens[idx] == pytest.approx(scalar_density(*args, th, ph),
-                                                  rel=1e-12, abs=1e-15)
+        M, R = params.M, params.R
+        spec = enumerate_spectrum(mit(1), params, 4.5, 2)
+        for kappa in (-3, 3):  # both sign branches of the spinor harmonics
+            block = spec[spec.kappa == kappa]
+            u = assemble_spinor(block, block.p, M, R, _WALL_THETA, _WALL_PHI)
+            rad = radial_pair(block, block.p, M, R)
+            assert u.shape == (4, len(block)) + _WALL_THETA.shape
+            for n, mo in enumerate(block.modes()):
+                k = mo.qn
+                args = (k, mo.p, M, R)
+                want = _assemble_spinor_reference(*args, _WALL_THETA, _WALL_PHI)
+                assert np.array_equal(u[:, n], want)
+                assert np.array_equal(assemble_spinor(*args, _WALL_THETA, _WALL_PHI), want)
+                ref = _radial_pair_reference(*args)
+                assert (rad.f[n], rad.g_over_i[n]) == (ref.f, ref.g_over_i)
+                dens = scalar_density(*args, _WALL_THETA, _WALL_PHI)
+                assert np.array_equal(dens, _scalar_density_reference(*args, _WALL_THETA,
+                                                                      _WALL_PHI))
+                for s in (1, -1):
+                    assert np.array_equal(
+                        spinor_harmonic(k.two_j, k.two_mj, s, _WALL_THETA, _WALL_PHI),
+                        _spinor_harmonic_reference(k.two_j, k.two_mj, s, _WALL_THETA, _WALL_PHI))
+                for idx in np.ndindex(_WALL_THETA.shape):
+                    th, ph = float(_WALL_THETA[idx]), float(_WALL_PHI[idx])
+                    assert np.array_equal(assemble_spinor(*args, th, ph),
+                                          _assemble_spinor_reference(*args, th, ph))
+                    assert dens[idx] == pytest.approx(scalar_density(*args, th, ph),
+                                                      rel=1e-12, abs=1e-15)
+            # label columns broadcast against the angle axes
+            chi = spinor_harmonic(block.two_j[:, None, None], block.two_mj[:, None, None], -1,
+                                  _WALL_THETA, _WALL_PHI)
+            assert chi.shape == (2, len(block)) + _WALL_THETA.shape
+            for n, k in enumerate(zip(block.two_j.tolist(), block.two_mj.tolist())):
+                assert np.array_equal(chi[:, n], _spinor_harmonic_reference(*k, -1, _WALL_THETA,
+                                                                           _WALL_PHI))
         gam = gamma_radial(_WALL_THETA, _WALL_PHI)
         assert gam.shape == (4, 4) + _WALL_THETA.shape
         for idx in np.ndindex(_WALL_THETA.shape):

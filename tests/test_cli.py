@@ -155,6 +155,30 @@ class TestCondensateCommand:
         assert exc.value.code == 2
 
 
+# every physical input that PhysicalParams rejects, and what the error must name
+_BAD_PHYSICAL = [({"M": "-1"}, ["'M'"]), ({"R": "0"}, ["'R'"]), ({"R": "-2"}, ["'R'"]),
+                 ({"Omega": "-0.5"}, ["'Omega'"]), ({"beta": "0"}, ["'beta'"]),
+                 ({"beta": "-2"}, ["'beta'"]),
+                 ({"Omega": "0.8", "R": "2"}, ["faster-than-light", "'Omega'", "'R'"])]
+
+
+class TestPhysicalInputErrors:
+    @pytest.mark.parametrize("values, named", _BAD_PHYSICAL)
+    def test_config_file(self, tmp_path, capsys, values, named):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        assert main(["verify", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(s in err for s in named)
+
+    @pytest.mark.parametrize("values, named", _BAD_PHYSICAL)
+    def test_flags(self, capsys, values, named):
+        argv = ["condensate"] + [a for key, value in values.items() for a in (f"--{key}", value)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(s in err for s in named)
+
+
 class TestVerifyCommand:
     def test_high_rotation_passes(self, capsys):
         rc = main(["verify", "--bc", "spectral", "--M", "1", "--R", "1",

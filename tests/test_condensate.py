@@ -211,6 +211,21 @@ class TestCondensatePoint:
             with pytest.raises(ValueError, match="i_max"):
                 condensate_point(bc, params, 0.5, 1.0, 2.5, 501)
 
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1)])
+    def test_float_i_max_rejected_cold_and_warm(self, bc):
+        # the shell cache must not decide: 10.0 and 10 are equal keys to an
+        # untyped lru_cache.  R = 0.93 is used by no other test, so the first
+        # call meets a cold cache.
+        params = PhysicalParams(M=1.0, R=0.93, Omega=0.5, beta=1.0)
+        with pytest.raises(ValueError, match="i_max must be an integer"):
+            condensate_point(bc, params, 0.5, math.pi / 2, 3.5, 10.0)
+        value = condensate_point(bc, params, 0.5, math.pi / 2, 3.5, 10)
+        assert math.isfinite(value)
+        with pytest.raises(ValueError, match="i_max must be an integer"):
+            condensate_point(bc, params, 0.5, math.pi / 2, 3.5, 10.0)
+        with pytest.raises(ValueError, match="i_max must be an integer"):
+            enumerate_spectrum(bc, params, 1.5, 2.5)
+
 
 class TestNonrotating:
     def test_matches_general_path(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -154,6 +155,23 @@ class TestRadialPair:
             with pytest.raises(ValueError, match="finite"):
                 radial_pair(k, p, 1.0, r)
 
+
+    def test_label_columns(self):
+        # esign and kappa columns broadcast with an array of momenta
+        ks = [QuantumNumbers(es, 3, 1, kap, 1) for es in (-1, 1) for kap in (-2, 2)]
+        cols = SimpleNamespace(esign=np.array([k.esign for k in ks]),
+                               kappa=np.array([k.kappa for k in ks]))
+        p = np.array([1.3, 2.0, 2.7, 4.1])
+        rp = radial_pair(cols, p, 0.9, 0.7)
+        for n, k in enumerate(ks):
+            one = radial_pair(k, float(p[n]), 0.9, 0.7)
+            assert (rp.f[n], rp.g_over_i[n]) == (one.f, one.g_over_i)
+            # one label gives Python floats, as the annotations say
+            assert type(one.f) is float and type(one.g_over_i) is float
+            assert all(type(v) is float for v in density_terms(k, float(p[n]), 0.9, 0.7, 1.1))
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="momentum must be positive and finite"):
+                radial_pair(cols, np.where(np.arange(4) == 2, bad, p), 0.9, 0.7)
 
     def test_rejects_bad_mass(self):
         k = QuantumNumbers(1, 3, 1, 2, 1)

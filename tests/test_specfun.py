@@ -12,7 +12,8 @@ from rotsphere import (QuantumNumbers, UnsupportedOrderError, angular_density,
                        assoc_legendre_density, bessel_zeros, density_terms,
                        legendre_density_table, spherical_bessel_j,
                        spherical_bessel_j_prime, spherical_bessel_zero)
-from rotsphere.specfun import _ROOT_XTOL, SolverError, _brentq_array, spherical_jn
+from rotsphere.specfun import (_ROOT_XTOL, I_MAX_DEFAULT, SolverError, _brentq_array,
+                               spherical_jn)
 from oracles import mp_spherical_j, scan_bessel_zeros
 
 # first zero of j_1, frozen from bisection over (pi, 2*pi); mpmath-confirmed below
@@ -125,6 +126,11 @@ class TestZeros:
         for n in (0, 3, 11, 30):
             for xi in bessel_zeros(n, 12):
                 assert abs(spherical_bessel_j(n, float(xi))) <= 1e-11
+
+    def test_rejects_non_integer_count(self):
+        for count in (2.5, 3.0, 0, I_MAX_DEFAULT + 1):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                bessel_zeros(4, count)
 
     def test_against_sign_scan(self):
         got = bessel_zeros(4, 6)
