@@ -5,7 +5,9 @@ the pinned value in the same change.  `verify` writes only to stdout, so its
 pins hash the captured stdout.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -16,6 +18,9 @@ _MIT = {vs: [*_SPECTRUM, "--bc", "mit", "--varsigma", vs] for vs in ("1", "-1")}
 
 _README = ["--M", "1", "--Omega", "0.5", "--beta", "2", "--r-grid", "0:1:41",
            "--theta-grid", "1.5707963"]
+# a 9 x 3 (r, theta) grid: several points and several angles in one call
+_GRID_2D = ["--M", "1", "--Omega", "0.5", "--beta", "2", "--mu", "0.25",
+            "--r-grid", "0:1:9", "--theta-grid", "0.3,1.2,2.5"]
 
 GOLDEN = {
     "condensate-readme": (
@@ -27,6 +32,12 @@ GOLDEN = {
     "condensate-mit-1": (
         ["condensate", "--bc", "mit", "--varsigma", "-1", *_README],
         "3152b0de7fef77e2d46103a7d02b4b9a0e1d94215de86b7607ae05e833ae8e9a"),
+    "condensate-2d-spectral": (
+        ["condensate", "--bc", "spectral", *_GRID_2D],
+        "8d68a957e8b583442691681b2939f581a6489fca36fa9772db323b6834bd9eba"),
+    "condensate-2d-mit+1": (
+        ["condensate", "--bc", "mit", "--varsigma", "1", *_GRID_2D],
+        "6d03c1a657efea967998cf03556decb2afec1f9d214b76fed98bec2b9675f514"),
     "spectrum-spectral-csv": (
         _SPECTRUM, "3b3ee3ea6ac016327e5b0e7b251c4d90f50aa9eadaf2557d882cc01e2693e59d"),
     "spectrum-spectral-json": (
@@ -80,3 +91,28 @@ def test_verify_stdout_sha256(name, capsys):
     flags, sha = VERIFY_GOLDEN[name]
     assert main([*_VERIFY, *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+# the theta-sweep figure panels: every file a preset writes, by name
+PRESET_GOLDEN = {
+    "fig1e": {
+        "p_theta0.3927.csv": "8fac64e0085b3abc7d47785baee805b5a76b670c9a90bc21059c0fc247773db1",
+        "p_theta0.7854.csv": "c09b31e8d386ce12ba13f43ed0aa31e4195ba496b2d306741ebaa8753414a946",
+        "p_theta1.1781.csv": "c26be32e863f9dc08ee2b944914dded3ebc51f7a6252047bd1ba34f01eb43168",
+        "p_theta1.5708.csv": "f84cd5316795059d5344e070478ed5840d19ad559e2f65e622565daa4a30465c",
+    },
+    "fig2f": {
+        "p_theta0.3927.csv": "e56df1f18bee047290025182f0db111d945e64431a74946516f9adee6cd42b4a",
+        "p_theta0.7854.csv": "ddec5dc3a5d1a309093f4f3e9b1ba8f39e4bb490eb4da0edd43470e97d873960",
+        "p_theta1.1781.csv": "1124c1d5cfacc90d6fbcd6d1f0ad7b2f87823d0f2e13b8175a2385bf4975f43d",
+        "p_theta1.5708.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_GOLDEN)
+def test_preset_sha256(preset, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["condensate", "--preset", preset, "--out", str(tmp_path / "p")]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == PRESET_GOLDEN[preset]
