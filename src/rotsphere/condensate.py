@@ -8,16 +8,17 @@ m_j >= 1/2 with paired weights w(E_tilde) -+ w(E_bar), E_bar = E + Omega m_j.
 Vacuum subtraction replaces w by w' = w - theta(E), removing the
 temperature-independent divergent part; w' is the default.
 
-One kernel evaluates points and grids, computing each factor on the axis
-it depends on: the paired weights, |C|^2 and M/(2E) once per (j, kappa)
-shell; the Bessel squares once per shell for all r in one call; the
-Legendre table and spinor densities once per theta.  The terms of a few
-points at a time are then formed elementwise into one buffer, a row per
-point in the canonical order (ascending j, then kappa, i, m_j), and each row
-is reduced by a certified exact sum that is bit-identical to math.fsum.
-Every term is the same IEEE expression of the same operands wherever it is
-computed, and the sum is correctly rounded, so the result does not depend on
-how the terms are batched: points and grids give bit-identical values.
+One kernel evaluates points and grids.  It runs over j, outermost, for all
+points at once, with the two kappa shells of a j stacked along the radial
+index: the paired weights, |C|^2, M/(2E) and the Bessel squares are formed
+once per j, and a spectral j reuses the order-k0 squares of the shell before
+it, whose momenta its -k0 shell shares.  The Legendre table is formed once
+per theta.  The terms of a j block, a row per point in the canonical order
+(ascending j, then kappa, i, m_j), are reduced by a TwoSum tree as they are
+formed; the partials are combined and certified once per point to be the
+correctly rounded sum, math.fsum's bits.  Every term is the same IEEE
+expression of the same operands wherever it is computed, so points and
+grids give bit-identical values.
 """
 
 from __future__ import annotations
@@ -63,68 +64,43 @@ class PhysicalParams:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
+def _weight_input(E_tilde, esign: int, beta: float) -> np.ndarray:
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if esign not in (-1, 1):
+        raise ValueError("esign must be +-1")
+    return np.asarray(E_tilde, dtype=float)
+
+
 def thermal_weight(E_tilde, esign: int, beta: float, mu: float):
     """Occupation-difference weight w = theta(E)/2 [tanh(b(Et-mu)/2) + tanh(b(Et+mu)/2)].
 
     Zero for negative Minkowski energy; odd in E_tilde at mu = 0.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if esign not in (-1, 1):
-        raise ValueError("esign must be +-1")
-    et = np.asarray(E_tilde, dtype=float)
-    if esign < 0:
-        out = np.zeros_like(et)
-    else:
-        out = 0.5 * (np.tanh(0.5 * beta * (et - mu)) + np.tanh(0.5 * beta * (et + mu)))
+    et = _weight_input(E_tilde, esign, beta)
+    out = (np.zeros_like(et) if esign < 0
+           else 0.5 * (np.tanh(0.5 * beta * (et - mu)) + np.tanh(0.5 * beta * (et + mu))))
     return float(out) if out.ndim == 0 else out
 
 
 def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     """Vacuum-subtracted weight w' = -theta(E) [f(E_tilde - mu) + f(E_tilde + mu)]
     with the Fermi factor f(x) = 1/(1 + e^(beta x)); identically w - theta(E)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if esign not in (-1, 1):
-        raise ValueError("esign must be +-1")
-    et = np.asarray(E_tilde, dtype=float)
-    if esign < 0:
-        out = np.zeros_like(et)
-    else:
-        out = -(expit(-beta * (et - mu)) + expit(-beta * (et + mu)))
+    et = _weight_input(E_tilde, esign, beta)
+    out = (np.zeros_like(et) if esign < 0
+           else -(expit(-beta * (et - mu)) + expit(-beta * (et + mu))))
     return float(out) if out.ndim == 0 else out
 
 
-# points whose terms the kernel fills and reduces together: an (r, term)
-# matrix of a whole curve costs memory, and the 4 MiB tracemalloc test of a
-# 41-point curve sets this
-_BLOCK_ROWS = 2
-
-
-def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-d float array, bit for bit.
-
-    A pairwise TwoSum tree over contiguous halves turns each row of n terms
-    into s plus n - 1 errors e, with the same exact sum (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26, 2005).  Any summation order computes
-    E = fl(sum e) to within gamma_{n-2} sum|e|, which 2(n+2) 2^-53 fl(sum|e|)
-    bounds, rounding of the bound included.  With r = fl(s + E) and t its
-    TwoSum residual, the exact sum lies within |t| + bound of r.  If that is
-    below half the smaller gap from r to its neighbouring doubles, r is the
-    correctly rounded sum, which is what math.fsum returns (Shewchuk 1997).
-    The test compares doubles, all multiples of 2^-1074, so a bound that
-    underflows cannot pass it wrongly.
-
-    Rows that fail the test are passed to math.fsum itself, which keeps its
-    signed zeros, inf/nan results and OverflowError.  A zero or subnormal r
-    always fails, as its half gap rounds to 0, and so does an inf or nan r,
-    whose gap is nan.
-    """
-    rows, n = buf.shape
-    x = buf
-    e_sum = np.zeros(rows)
-    e_abs = np.zeros(rows)
+def _tree_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise TwoSum tree over contiguous halves of each row: (s, e_sum,
+    e_abs), where s plus the rounding errors e is the exact sum, e_sum =
+    fl(sum e) and e_abs = fl(sum |e|), or inf where n max|x| >= 2^1000, as
+    math.fsum, adding in another order, could then overflow and raise."""
+    rows, n = x.shape
+    e_sum, e_abs = np.zeros(rows), np.zeros(rows)
     with np.errstate(over="ignore", invalid="ignore"):
+        e_abs[~(n * np.maximum(x.max(axis=1), -x.min(axis=1)) < 2.0**1000)] = np.inf
         while x.shape[1] > 1:
             h = x.shape[1] // 2
             a, b = x[:, :h], x[:, h:2 * h]
@@ -140,68 +116,103 @@ def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
             e_sum += err.sum(axis=1)
             e_abs += np.abs(err, out=err).sum(axis=1)
             x = s
-        s = x[:, 0]
+    return x[:, 0], e_sum, e_abs
+
+
+def _certified_sums(trees: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums r of rows of n terms cut into contiguous chunks, from each chunk's
+    _tree_sums in order, and whether r is provably the correctly rounded sum,
+    which is what math.fsum returns (Shewchuk 1997).
+
+    The partials are reduced by the same tree and all errors added: at most
+    n - 1 errors e however the rows are cut.  Any summation order computes
+    E = fl(sum e) to within gamma_{n-2} sum|e|, which 2(n+2) 2^-53 fl(sum|e|)
+    bounds, rounding included (Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 2005).  With t the TwoSum residual of r = fl(s + E), the exact sum is
+    within |t| + bound of r, which is certified if that is below half the
+    smaller gap from r to its neighbouring doubles.  Doubles are multiples of
+    2^-1074, so an underflowing bound cannot pass wrongly.  A zero, subnormal,
+    inf or nan r always fails: its half gap rounds to 0 or is nan.
+    """
+    s, e_sum, e_abs = _tree_sums(np.stack([tree[0] for tree in trees], axis=1))
+    for _, es, ea in trees:
+        e_sum += es
+        e_abs += ea
+    with np.errstate(over="ignore", invalid="ignore"):
         r = s + e_sum
         bv = r - s
         t = (s - (r - bv)) + (e_sum - bv)
         bound = np.abs(t) + (2.0 * (n + 2) * 2.0**-53) * e_abs
         gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
-        certified = bound < 0.5 * gap
+        return r, bound < 0.5 * gap
+
+
+def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-d float array, bit for bit: rows that
+    fail the certificate go to math.fsum itself, which keeps its signed
+    zeros, inf/nan results and OverflowError."""
+    r, certified = _certified_sums([_tree_sums(buf)], buf.shape[1])
     for i in np.flatnonzero(~certified):
         r[i] = math.fsum(buf[i])
     return r
+
+
+def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
+              tabs: list[np.ndarray], two_j_max: int, i_max: int, weight):
+    """Yield (two_j, it, terms) per j, then per Legendre table tabs[it]: the
+    terms of both kappa shells of j, a row per r in the order (kappa, i, m_j)."""
+    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
+    r_col = np.array(r_vals)[:, None]
+    last = (None, None)  # the previous +k0 shell's momenta and order-k0 squares
+    for two_j in range(1, two_j_max + 1, 2):
+        two_m = np.arange(1, two_j + 1, 2)
+        k0 = (two_j + 1) // 2
+        shells = [shell_table(bc, two_j, kappa, 1, M, params.R, i_max) for kappa in (-k0, k0)]
+        p, E, C = (np.concatenate(cols) for cols in zip(*shells))
+        x = r_col * p
+        jp2 = spherical_jn(k0, x) ** 2
+        # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
+        # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
+        jm2 = (np.concatenate([last[1], spherical_jn(k0 - 1, x[:, i_max:]) ** 2], axis=1)
+               if np.array_equal(last[0], shells[0][0]) else spherical_jn(k0 - 1, x) ** 2)
+        last = (shells[1][0], jp2[:, i_max:])
+        w_t, w_b = (weight(E[:, None] - sign * Omega * (two_m / 2.0), 1, beta, mu)
+                    for sign in (1.0, -1.0))
+        kappa, C2 = np.repeat((-k0, k0), i_max)[:, None], (C * C)[:, None]
+        for it, tab in enumerate(tabs):
+            A, B = density_split(kappa, *spinor_densities(two_j, two_m, tab),
+                                 jm2[:, :, None], jp2[:, :, None], (M / (2.0 * E))[:, None])
+            # MIT: (C2 (w_t + w_b)) (A + B); spectral: C2 ((w_t - w_b) A + (w_t + w_b) B)
+            if not bc.is_mit:
+                A *= w_t - w_b
+                B *= w_t + w_b
+            A += B
+            A *= C2 * (w_t + w_b) if bc.is_mit else C2
+            del B  # free before the caller reduces A
+            yield two_j, it, A.reshape(len(r_vals), -1)
 
 
 def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  th_vals: list[float], two_j_max: int, i_max: int,
                  subtracted: bool) -> tuple[np.ndarray, float]:
     """Condensate over r_vals x th_vals and the largest |last j-shell
-    contribution| over the points.  The m_j sums run over m_j > 0 only, with
-    the paired weights of the module docstring, so every shell has esign = +1.
-    """
-    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
+    contribution| over the points.  A point whose sum is not certified has
+    its terms formed again alone, by the same block code, for math.fsum."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
-    r_col = np.array(r_vals)[:, None]
-
-    # per (j, kappa) shell in canonical order: its weights, C^2 and M/(2E) on
-    # the (i, m_j) block, and its Bessel squares for every r at once
-    shells = []
-    size = tail_start = 0
-    for two_j in range(1, two_j_max + 1, 2):
-        m_vals = np.arange(1, two_j + 1, 2) / 2.0
-        k0 = (two_j + 1) // 2
-        tail_start = size
-        for kappa in (-k0, k0):
-            p, E, C = shell_table(bc, two_j, kappa, 1, M, params.R, i_max)
-            jm2, jp2 = (spherical_jn(n, r_col * p)[:, :, None] ** 2 for n in (k0 - 1, k0))
-            w_t = weight(E[:, None] - Omega * m_vals[None, :], 1, beta, mu)
-            w_b = weight(E[:, None] + Omega * m_vals[None, :], 1, beta, mu)
-            C2 = (C * C)[:, None]
-            # an MIT term is (C2 (w_t + w_b)) (A + B), so its first product is hoisted
-            w = (C2 * (w_t + w_b),) if bc.is_mit else (w_t - w_b, w_t + w_b)
-            shells.append((two_j, kappa, jm2, jp2, C2, (M / (2.0 * E))[:, None], w,
-                           slice(size, size + w_t.size)))
-            size += w_t.size
-
+    tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
+    trees: list[list] = [[] for _ in th_vals]
+    n, tail = 0, 0.0
+    for two_j, it, terms in _j_blocks(bc, params, r_vals, tabs, two_j_max, i_max, weight):
+        trees[it].append(_tree_sums(terms))
+        n += terms.shape[1] * (it == 0)  # terms per point
+        if two_j == two_j_max:
+            tail = max(tail, float(np.abs(_exact_row_sums(terms)).max()))
     values = np.empty((len(r_vals), len(th_vals)))
-    tail = 0.0
-    buf = np.empty((min(_BLOCK_ROWS, len(r_vals)), size))
-    for it, theta in enumerate(th_vals):
-        tab = legendre_density_table((two_j_max + 1) // 2, math.cos(theta))
-        dens = {two_j: spinor_densities(two_j, np.arange(1, two_j + 1, 2), tab)
-                for two_j in range(1, two_j_max + 1, 2)}
-        for r0 in range(0, len(r_vals), _BLOCK_ROWS):
-            rows = slice(r0, r0 + _BLOCK_ROWS)
-            terms = buf[:len(r_vals[rows])]
-            for two_j, kappa, jm2, jp2, C2, mass_ratio, w, block in shells:
-                A, B = density_split(kappa, *dens[two_j], jm2[rows], jp2[rows], mass_ratio)
-                out = terms[:, block].reshape(A.shape)  # point, then i, then m_j
-                if bc.is_mit:
-                    np.multiply(w[0], A + B, out=out)
-                else:
-                    np.multiply(C2, w[0] * A + w[1] * B, out=out)
-            values[rows, it] = -_exact_row_sums(terms)
-            tail = max(tail, float(np.abs(_exact_row_sums(terms[:, tail_start:])).max()))
+    for it, (total, certified) in enumerate(_certified_sums(tree, n) for tree in trees):
+        for ir in np.flatnonzero(~certified):
+            point = _j_blocks(bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight)
+            total[ir] = math.fsum(np.concatenate([t[0] for *_, t in point]))
+        values[:, it] = -total
     return values, tail
 
 
@@ -254,17 +265,11 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
         k0 = (two_j + 1) // 2
         for kappa in (-k0, k0):
             p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
-            C2 = C * C
-            jm2 = spherical_jn(k0 - 1, p * r) ** 2
-            jp2 = spherical_jn(k0, p * r) ** 2
-            w = weight(E, 1, params.beta, params.mu)
-            frak_b = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
-            if bc.is_mit:
-                sgn_k = 1.0 if kappa > 0 else -1.0
-                frak_a = sgn_k * shell_coeff * 0.5 * (jm2 - jp2)
-                terms.append(C2 * w * (frak_a + frak_b))
-            else:
-                terms.append(C2 * w * frak_b)
+            jm2, jp2 = (spherical_jn(n, p * r) ** 2 for n in (k0 - 1, k0))
+            frak = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
+            if bc.is_mit:  # the spectral sum keeps only the mass term
+                frak = (1.0 if kappa > 0 else -1.0) * shell_coeff * 0.5 * (jm2 - jp2) + frak
+            terms.append(C * C * weight(E, 1, params.beta, params.mu) * frak)
     return -float(_exact_row_sums(np.concatenate(terms)[None, :])[0])
 
 
@@ -323,19 +328,9 @@ def condensate_grid(bc: BoundaryKind, params: PhysicalParams, r_grid, theta_grid
 
 
 def _grid_meta(grid: CondensateGrid) -> dict:
-    return {
-        "boundary": grid.boundary.kind,
-        "varsigma": grid.boundary.varsigma,
-        "M": grid.params.M,
-        "R": grid.params.R,
-        "Omega": grid.params.Omega,
-        "beta": grid.params.beta,
-        "mu": grid.params.mu,
-        "j_max": f"{grid.two_j_max}/2",
-        "i_max": grid.i_max,
-        "subtracted": grid.subtracted,
-        "tail_estimate": grid.tail_estimate,
-    }
+    return {"boundary": grid.boundary.kind, "varsigma": grid.boundary.varsigma,
+            **vars(grid.params), "j_max": f"{grid.two_j_max}/2", "i_max": grid.i_max,
+            "subtracted": grid.subtracted, "tail_estimate": grid.tail_estimate}
 
 
 def grid_to_csv(grid: CondensateGrid) -> str:

@@ -92,16 +92,21 @@ def spinor_densities(two_j: int, two_mj, tab: np.ndarray):
     return d_plus, d_minus
 
 
-def density_split(kappa: int, d_plus, d_minus, jm2, jp2, mass_ratio):
+def density_split(kappa, d_plus, d_minus, jm2, jp2, mass_ratio):
     """Scalar-density split U-bar U = A + B, broadcasting over its arguments.
 
     A = sgn(kappa)/2 [jm2 d+ - jp2 d-] carries no mass factor;
     B = M/(2E) [jm2 d+ + jp2 d-], with mass_ratio = M/(2E), vanishes at M = 0
     and has the sign of E*M.  jm2 and jp2 are j_{j-1/2}^2(pr), j_{j+1/2}^2(pr).
+    kappa is an int or an integer array.  jm2 d+ and jp2 d- are formed once
+    and reused in place, so each must have the shape of the result.
     """
-    sgn_k = 1.0 if kappa > 0 else -1.0
-    return (sgn_k * 0.5 * (jm2 * d_plus - jp2 * d_minus),
-            mass_ratio * (jm2 * d_plus + jp2 * d_minus))
+    up, down = jm2 * d_plus, jp2 * d_minus
+    a = up - down
+    a *= (kappa > 0) - 0.5  # sgn(kappa)/2
+    up += down
+    up *= mass_ratio
+    return a, up
 
 
 def angular_density(two_j: int, two_mj: int, kappa: int, theta: float) -> AngularDensity:

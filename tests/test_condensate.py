@@ -305,11 +305,54 @@ class TestGridKernel:
                 assert point.hex() == ref.hex()
         assert grid.tail_estimate == max(tails)
 
+    @staticmethod
+    def _check_fallback(bc, params, r_grid, th_grid, two_j_max, i_max, monkeypatch):
+        """Compare a grid with the point reference by .hex() and return its
+        number of fallback points, asserting that math.fsum ran on all terms
+        of exactly those points, once each, and otherwise only on last-block
+        rows (the tail)."""
+        refs = [[_point_value_reference(bc, params, r, th, two_j_max, i_max, True)
+                 for th in th_grid] for r in r_grid]
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        grid = condensate_grid(bc, params, r_grid, th_grid, two_j_max / 2, i_max)
+        monkeypatch.undo()
+        assert [[v.hex() for v in row] for row in grid.values.tolist()] == [
+            [ref.hex() for ref, _ in row] for row in refs]
+        assert grid.tail_estimate == max(tail for row in refs for _, tail in row)
+        n_last = i_max * (two_j_max + 1)
+        n_all = sum(i_max * (two_j + 1) for two_j in range(1, two_j_max + 1, 2))
+        failing = int(np.sum(grid.values == 0.0))  # here, exactly the fallback points
+        assert calls.count(n_all) == failing
+        assert calls.count(n_last) <= grid.values.size
+        assert len(calls) == calls.count(n_all) + calls.count(n_last)
+        return failing
+
+    @pytest.mark.parametrize("n_r", [1, 3, 41])
+    def test_all_points_fall_back(self, n_r, monkeypatch):
+        # M = 0 and Omega = 0: every spectral term is a signed zero, no sum can
+        # be certified, and every point is math.fsum's -0.0
+        params = PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.3, mu=0.3)
+        r_grid = np.linspace(0.0, 1.0, n_r)
+        failing = self._check_fallback(SPECTRAL, params, r_grid, [0.4, 2.0], 11, 4,
+                                       monkeypatch)
+        assert failing == 2 * n_r
+
+    def test_mixed_certified_and_fallback_points(self, monkeypatch):
+        # M = 0 and mu far above the j = 1/2 energies: w_t and w_b of those
+        # shells both round to -1, so at r = 0, where only j = 1/2 has nonzero
+        # Bessel factors, every term is a signed zero; elsewhere shells near mu
+        # give certified sums
+        params = PhysicalParams(M=0.0, R=1.0, Omega=0.5, beta=10.0, mu=20.0)
+        failing = self._check_fallback(SPECTRAL, params, np.linspace(0.0, 1.0, 5),
+                                       [0.4, 2.0], 11, 4, monkeypatch)
+        assert failing == 2
+
     def test_memory_stays_below_term_matrix(self):
         # a 41-point curve at j_max = 41/2, i_max = 60 has 27,720 terms per
         # point; an (r, term) matrix of them alone would take 9.1 MB.  The
-        # kernel fills and reduces condensate._BLOCK_ROWS points at a time, and
-        # this bound sets that block size
+        # kernel forms and reduces one j block of every point at a time (the
+        # last, largest one takes 0.8 MB per buffer), in place where it can
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=2.0, mu=0.2)
         args = (SPECTRAL, params, np.linspace(0.0, 1.0, 41), [math.pi / 2], 20.5, 60)
         condensate_grid(*args)  # warm the shell tables
@@ -336,6 +379,12 @@ def _fsum_rows(buf):
 
 
 _MAX = np.finfo(float).max
+# finite rows whose correctly rounded sum a pairwise tree finds, but on which
+# math.fsum's running sum overflows, so that it raises OverflowError
+_FSUM_OVERFLOWS = (
+    [0.0, -8.988465674311579e+307, -8.98846567431158e+307, 4.9896007738368e+291],
+    [0.0, 2.0**1023, 2.0**1023, -(2.0**1023), -(2.0**1023), 1.0],
+)
 # rows the certificate cannot accept: exact midpoint ties (one of them broken
 # by a term far below, which fl(s + E) loses), heavy cancellation, subnormal
 # sums, zeros, overflow, inf and nan
@@ -345,14 +394,41 @@ _FALLBACK_ROWS = (
     [5e-324, 5e-324], [3e-320, -1e-320, 2e-321], [-0.0], [-0.0, -0.0],
     [0.0] * 7, [_MAX, 2.0**970], [_MAX, _MAX, -_MAX], [math.inf, 1.0],
     [-math.inf, -2.0, 3.0], [math.inf, -math.inf], [math.nan, 1.0],
+    *_FSUM_OVERFLOWS,
 )
+
+
+# rows of any floats, inf and nan included
+_FLOAT_ROWS = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3))
+# (n, rows, span, seed) of _spread_rows
+_SPREAD_ARGS = (st.integers(1, 5000), st.integers(1, 3), st.integers(0, 1200),
+                st.integers(0, 2**32 - 1))
+
+
+def _spread_rows(n, rows, span, seed):
+    """Random rows whose binary exponents spread over `span` octaves."""
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(-span // 2, span - span // 2 + 1, size=(rows, n))
+    return rng.standard_normal((rows, n)) * np.exp2(np.clip(exps, -1070, 960))
+
+
+def _split_sums(buf, cuts):
+    """The kernel's streamed reduction of each row cut at `cuts`: the .hex()
+    of the certified sum, or None where the certificate fails."""
+    trees = [cnd._tree_sums(chunk) for chunk in np.split(buf, cuts, axis=1)]
+    r, certified = cnd._certified_sums(trees, buf.shape[1])
+    return [v.hex() if ok else None for v, ok in zip(r.tolist(), certified.tolist())]
+
+
+def _cuts(data, n):
+    return sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=12)))) if n > 1 else []
 
 
 class TestExactRowSums:
     """_exact_row_sums must return math.fsum's bits, or raise as it does."""
 
-    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
-        st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)))
+    @given(_FLOAT_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_floats(self, rows):
         # any float, inf and nan included; a row that raises is checked alone
@@ -362,33 +438,82 @@ class TestExactRowSums:
         if all(isinstance(out, list) for out in single):
             assert _outcome(cnd._exact_row_sums, buf) == sum(single, [])
 
-    @given(st.integers(1, 5000), st.integers(1, 3), st.integers(0, 1200),
-           st.integers(0, 2**32 - 1))
+    @given(*_SPREAD_ARGS)
     @settings(max_examples=80, deadline=None)
     def test_random_arrays(self, n, rows, span, seed):
         # odd and even lengths, binary exponents spread over `span` octaves
-        rng = np.random.default_rng(seed)
-        exps = rng.integers(-span // 2, span - span // 2 + 1, size=(rows, n))
-        buf = rng.standard_normal((rows, n)) * np.exp2(np.clip(exps, -1070, 960))
+        buf = _spread_rows(n, rows, span, seed)
         assert _outcome(cnd._exact_row_sums, buf) == _outcome(_fsum_rows, buf)
+
+    @given(_FLOAT_ROWS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_arbitrary_floats(self, rows, data):
+        # a row cut into contiguous chunks, each tree-reduced, then combined:
+        # a certified sum must be math.fsum's, and math.fsum must not raise
+        buf = np.array(rows)
+        got = _split_sums(buf, _cuts(data, buf.shape[1]))
+        for row, hexed in zip(buf, got):
+            if hexed is not None:
+                assert _outcome(_fsum_rows, row[None, :]) == [hexed]
+
+    @given(*_SPREAD_ARGS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_random_arrays(self, n, rows, span, seed, data):
+        buf = _spread_rows(n, rows, span, seed)
+        got = _split_sums(buf, _cuts(data, n))
+        for row, hexed in zip(buf, got):
+            if hexed is not None:
+                assert _outcome(_fsum_rows, row[None, :]) == [hexed]
+
+    @pytest.mark.parametrize("row", _FSUM_OVERFLOWS, ids=repr)
+    def test_split_never_certifies_where_fsum_raises(self, row):
+        buf = np.array([row])
+        assert _outcome(_fsum_rows, buf) == "OverflowError"
+        for cuts in ([], [1], [2], [3], [1, 2, 3]):
+            assert _split_sums(buf, cuts) == [None]
+
+    def test_split_certifies_kernel_like_rows(self):
+        # the certificate is not vacuous: rows like the kernel's, with
+        # exponents over 600 octaves, certify however they are cut
+        buf = _spread_rows(3000, 3, 600, 7)
+        expected = [v.hex() for v in _fsum_rows(buf)]
+        for cuts in ([], [1], [1500], [7, 8, 900, 2999], list(range(100, 3000, 100))):
+            assert _split_sums(buf, cuts) == expected
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_kernel_buffers(self, bc, monkeypatch):
-        captured = []
-        exact = cnd._exact_row_sums
+        # every reduction the kernel makes agrees with math.fsum on the same
+        # terms: each point's value with math.fsum of its j blocks joined in
+        # order, each tail and the nonrotating row with math.fsum of that
+        # buffer, and each j block's own exact sum with math.fsum of it
+        blocks, exact_bufs = [], []
+        j_blocks, exact = cnd._j_blocks, cnd._exact_row_sums
 
-        def capture(buf):
-            captured.append(buf.copy())
-            return exact(buf)
+        def capture_blocks(*args):
+            for two_j, it, terms in j_blocks(*args):
+                blocks.append((two_j, it, terms.copy()))
+                yield two_j, it, terms
 
-        monkeypatch.setattr(cnd, "_exact_row_sums", capture)
+        monkeypatch.setattr(cnd, "_j_blocks", capture_blocks)
+        monkeypatch.setattr(cnd, "_exact_row_sums",
+                            lambda buf: exact_bufs.append(buf.copy()) or exact(buf))
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=0.9, mu=0.3)
-        condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), [0.4, math.pi / 2],
-                        10.5, 30)
+        thetas = [0.4, math.pi / 2]
+        grid = condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), thetas, 10.5, 30)
+        # j-major: a block per (j, theta), both thetas of a j before the next j
+        assert [(two_j, it) for two_j, it, _ in blocks] == [
+            (two_j, it) for two_j in range(1, 22, 2) for it in range(2)]
+        assert all(terms.shape == (7, 30 * (two_j + 1)) for two_j, _, terms in blocks)
+        for it in range(2):
+            rows = np.concatenate([terms for _, i, terms in blocks if i == it], axis=1)
+            assert rows.shape[1] == 30 * 11 * 12
+            assert [float(-v).hex() for v in grid.values[:, it]] == _outcome(_fsum_rows, rows)
+        assert len(exact_bufs) == 2  # the last j block of each theta, for the tail
+        assert grid.tail_estimate == max(abs(v) for buf in exact_bufs for v in _fsum_rows(buf))
         condensate_nonrotating(bc, PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=0.9),
                                0.6, 10.5, 30)
-        assert len(captured) == 2 * 2 * 4 + 1  # (value, tail) per block, + 1 row
-        for buf in captured:
+        assert len(exact_bufs) == 3 and exact_bufs[-1].shape == (1, 30 * 11 * 2)
+        for buf in exact_bufs + [terms for *_, terms in blocks]:
             assert _outcome(exact, buf) == _outcome(_fsum_rows, buf)
 
     @pytest.mark.parametrize("row", _FALLBACK_ROWS, ids=repr)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from rotsphere import (QuantumNumbers, angular_density, assemble_spinor,
                        bessel_orders, conjugate_index, corotating_energy,
-                       density_terms, radial_pair, scalar_density)
-from rotsphere.modes import GAMMA_T, gamma_radial, spinor_harmonic
+                       density_terms, radial_pair, scalar_density, spherical_bessel_j)
+from rotsphere.modes import GAMMA_T, density_split, gamma_radial, spinor_harmonic
 from oracles import mp_spherical_j
 
 
@@ -240,6 +240,49 @@ class TestDensityTerms:
             frak_b = (M / (2 * E)) * (two_j + 1) / (4 * math.pi) * (jm2 + jp2)
             assert total_a == pytest.approx(frak_a, rel=1e-12, abs=1e-16)
             assert total_b == pytest.approx(frak_b, rel=1e-12, abs=1e-16)
+
+
+def _density_split_parent(kappa, d_plus, d_minus, jm2, jp2, mass_ratio):
+    """density_split as it was written before it formed each product once."""
+    sgn_k = 1.0 if kappa > 0 else -1.0
+    return (sgn_k * 0.5 * (jm2 * d_plus - jp2 * d_minus),
+            mass_ratio * (jm2 * d_plus + jp2 * d_minus))
+
+
+class TestDensitySplit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_parent_expression(self, seed):
+        # the kernel's call: both kappa shells of a j stacked along i, with a
+        # kappa column; r runs down to 0, where the Bessel squares of higher
+        # orders are subnormal or zero
+        rng = np.random.default_rng(seed)
+        i_max, two_j = 6, int(rng.choice([1, 5, 13]))
+        k0 = (two_j + 1) // 2
+        r = np.concatenate([[0.0], np.geomspace(1e-170, 1e-5, 400), rng.uniform(0, 1, 4)])
+        p = np.sort(rng.uniform(1.0, 40.0, 2 * i_max))
+        jm2, jp2 = (spherical_bessel_j(n, r[:, None] * p)[:, :, None] ** 2
+                    for n in (k0 - 1, k0))
+        d_plus, d_minus = rng.uniform(0, 0.5, (2, (two_j + 1) // 2))
+        mass_ratio = rng.uniform(0, 0.5, 2 * i_max)[:, None]
+        kappa = np.repeat((-k0, k0), i_max)[:, None]
+        A, B = density_split(kappa, d_plus, d_minus, jm2, jp2, mass_ratio)
+        for half, kap in ((slice(None, i_max), -k0), (slice(i_max, None), k0)):
+            ref = _density_split_parent(kap, d_plus, d_minus, jm2[:, half], jp2[:, half],
+                                        mass_ratio[half])
+            for got, want in zip((A[:, half], B[:, half]), ref):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for sq in (jm2, jp2)[two_j == 1:]:  # j_0^2 is never subnormal
+            assert np.any((sq > 0) & (sq < np.finfo(float).tiny))
+
+    @given(st.sampled_from([-3, -1, 1, 2]), st.floats(0, 1), st.floats(0, 1),
+           st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_bits_and_type(self, kappa, d_plus, d_minus, jm2, jp2, mass_ratio):
+        # subnormal and zero inputs included; Python floats stay Python floats
+        got = density_split(kappa, d_plus, d_minus, jm2, jp2, mass_ratio)
+        want = _density_split_parent(kappa, d_plus, d_minus, jm2, jp2, mass_ratio)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestChargeConjugationSpinor:
