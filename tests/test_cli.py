@@ -101,6 +101,14 @@ class TestSpectrumCommand:
             # 2 m_j x 2 kappa x 500 i x 2 esign = 4000 modes
             assert len(out.read_text().strip().split("\n")) == 1 + 4000
 
+    def test_solver_error_exit_code(self, capsys):
+        # at M R = 1e7 the esign = -1 root check fails on the first shell
+        assert main(["spectrum", "--bc", "mit", "--varsigma", "1", "--M", "1e7",
+                     "--Omega", "0.5", "--jmax", "3/2", "--imax", "20"]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: momentum root residual 2.93e-10 exceeds 1e-10 "
+            "(two_j=1, kappa=-1, esign=-1)\n")
+
     def test_imax_above_limit(self, capsys):
         for bc in ("spectral", "mit"):
             assert main(["spectrum", "--bc", bc, "--jmax", "1/2", "--imax", "501"]) == 2

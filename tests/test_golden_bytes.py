@@ -15,6 +15,9 @@ from rotsphere.cli import main
 
 _SPECTRUM = ["spectrum", "--M", "1", "--Omega", "0.4", "--jmax", "21/2", "--imax", "20"]
 _MIT = {vs: [*_SPECTRUM, "--bc", "mit", "--varsigma", vs] for vs in ("1", "-1")}
+# every MIT shell of both E signs at the largest benchmark truncation, off M = R = 1
+_MIT_DEEP = ["spectrum", "--bc", "mit", "--M", "2.7182", "--R", "1.3", "--Omega", "0.5",
+             "--jmax", "41/2", "--imax", "60"]
 
 _README = ["--M", "1", "--Omega", "0.5", "--beta", "2", "--r-grid", "0:1:41",
            "--theta-grid", "1.5707963"]
@@ -53,6 +56,12 @@ GOLDEN = {
     "spectrum-mit-1-json": (
         [*_MIT["-1"], "--format", "json"],
         "0d9a7df7f3564bd7967d05c8e247909b8b974dca59614dce8775c778124fd872"),
+    "spectrum-mit+1-deep": (
+        [*_MIT_DEEP, "--varsigma", "1"],
+        "cef8cc5099c3cf6a6b2332579a9c69c70fff2a27efffe7fbc19ca4efaa592be1"),
+    "spectrum-mit-1-deep": (
+        [*_MIT_DEEP, "--varsigma", "-1"],
+        "57394ab93facbac0eefd0299ee09102ecb64f053ed22e33bc3127aa0a69a795b"),
     "zeros": (
         ["zeros", "--order", "3", "--count", "20"],
         "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
