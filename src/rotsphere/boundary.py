@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -128,67 +128,87 @@ def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mit_equation(x, two_j: int, kappa: int, esign: int, rho: float, varsigma: int):
-    """Residual of j_{l_f}(x) - sgn(kappa) varsigma p/(E+M) j_{l_g}(x) at x = p R.
+def _mit_equation(x, two_j, kappa, esign, rho: float, varsigma: int):
+    """Residual of j_{l_f}(x) - sgn(kappa) varsigma p/(E+M) j_{l_g}(x) at x = p R,
+    elementwise over x and label columns kappa and esign (kappa fixes j).
 
     rho = M*R; the coefficient is x / (esign * sqrt(x^2 + rho^2) + rho).  For
     esign = -1 that denominator is about -x^2/(2 rho) and cancels, so the
     coefficient is computed as the equal -(sqrt(x^2 + rho^2) + rho) / x.
     """
     n_f, n_g = bessel_orders(kappa)
-    sgn_k = 1.0 if kappa > 0 else -1.0
-    if esign < 0:
-        coeff = -(np.sqrt(x * x + rho * rho) + rho) / x
-        return spherical_jn(n_f, x) - sgn_k * varsigma * coeff * spherical_jn(n_g, x)
-    denom = esign * np.sqrt(x * x + rho * rho) + rho
-    return spherical_jn(n_f, x) - sgn_k * varsigma * x / denom * spherical_jn(n_g, x)
+    s = np.sqrt(x * x + rho * rho)
+    coeff = np.where(esign < 0, -(s + rho) / x, x / (s + rho))[()]  # [()]: scalars stay fast
+    sgn_k = (kappa > 0) * 2.0 - 1.0
+    return spherical_jn(n_f, x) - sgn_k * varsigma * coeff * spherical_jn(n_g, x)
+
+
+def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
+               count: int) -> np.ndarray:
+    """First `count` momenta of each MIT shell of the label columns (two_j,
+    kappa, esign), ascending, a row per shell.
+
+    Each shell's roots in x = p*R are located by a sign scan over intervals
+    bounded by the zeros of both Bessel orders, subdivided to at most pi/8;
+    the scans of all shells are refined by one array Brent call, so a root
+    has the bits of its shell solved alone.  A shell short of roots rescans
+    with 4 more zeros.  Raises SolverError rather than skipping roots.
+    """
+    if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
+        raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
+    two_j, kappa, esign = (v.ravel() for v in np.broadcast_arrays(two_j, kappa, esign))
+    if not (np.isin(esign, (-1, 1)).all() and varsigma in (-1, 1)):
+        raise ValueError("esign and varsigma must be +-1")
+    f = lambda x, kappa, esign: _mit_equation(x, None, kappa, esign, M * R, varsigma)
+    n = kappa.size
+    roots, k_hi, todo = [None] * n, np.full(n, min(count + 2, I_MAX_DEFAULT)), range(n)
+    for _ in range(6):
+        grids = []
+        for top, *orders in np.transpose([k_hi[todo], *bessel_orders(kappa[todo])]).tolist():
+            breaks = np.union1d(*(bessel_zeros(n_fg, top) for n_fg in orders))
+            # near-zero approach: log-spaced probes below the first break; then
+            # linspace(lo, hi, nseg + 1)[1:] of every gap at once, bit for bit
+            lo, hi = breaks[:-1, None], breaks[1:, None]
+            nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
+            k = np.arange(1, nseg.max() + 1)
+            scan = np.where(k < nseg, k * ((hi - lo) / nseg) + lo, hi)[k <= nseg]
+            grids.append(np.concatenate([np.geomspace(1e-6, breaks[0], 12), scan]))
+        shell, grid = np.repeat(todo, [g.size for g in grids]), np.concatenate(grids)
+        vals = f(grid, kappa[shell], esign[shell])
+        if not np.all(np.isfinite(vals)):
+            raise SolverError("non-finite values in momentum equation scan")
+        sign_change = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+                                     & (shell[:-1] == shell[1:]))
+        at = shell[sign_change]
+        found = _brentq_array(f, grid[sign_change], grid[sign_change + 1],
+                              (kappa[at], esign[at]))
+        for s in todo:
+            exact, got = grid[(shell == s) & (vals == 0.0)], found[at == s]
+            roots[s] = (np.union1d(got, exact) if exact.size else np.sort(got))[:count]
+        todo = [s for s in todo if roots[s].size < count]
+        if not todo:
+            break
+        k_hi[todo] = np.minimum(k_hi[todo] + 4, I_MAX_DEFAULT)
+    # the first failing shell raises, as it would with the shells solved in turn
+    stop = todo[0] if todo else n
+    resid = np.abs(f(np.reshape(roots[:stop], (stop, count)), kappa[:stop, None],
+                     esign[:stop, None]))
+    fails = np.flatnonzero((resid > 1e-10).any(axis=1))
+    if fails.size:
+        s, r = fails[0], resid[fails[0]]
+        raise SolverError(f"momentum root residual {r[r > 1e-10][0]:.2e} exceeds 1e-10 "
+                          f"(two_j={two_j[s]}, kappa={kappa[s]}, esign={esign[s]})")
+    if todo:
+        s = todo[0]
+        raise SolverError(f"could not locate {count} momentum roots (two_j={two_j[s]}, "
+                          f"kappa={kappa[s]}, esign={esign[s]}, M={M}, varsigma={varsigma})")
+    return np.array(roots) / R
 
 
 def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
                 varsigma: int, count: int) -> np.ndarray:
-    """First `count` positive momenta allowed by the MIT condition, ascending.
-
-    Roots in x = p*R are located by a sign scan over intervals bounded by the
-    zeros of both Bessel orders, subdivided to at most pi/8, then refined
-    together by array Brent.  Raises SolverError rather than skipping roots.
-    """
-    if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
-        raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
-    if esign not in (-1, 1) or varsigma not in (-1, 1):
-        raise ValueError("esign and varsigma must be +-1")
-    rho = M * R
-    n_f, n_g = bessel_orders(kappa)
-    f = lambda x: _mit_equation(x, two_j, kappa, esign, rho, varsigma)
-
-    need = count
-    for _ in range(6):
-        k_hi = min(need + 2, I_MAX_DEFAULT)
-        breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
-        # near-zero approach: log-spaced probes below the first break; then
-        # linspace(lo, hi, nseg + 1)[1:] of every gap at once, bit for bit
-        lo, hi = breaks[:-1, None], breaks[1:, None]
-        nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
-        k = np.arange(1, nseg.max() + 1)
-        scan = np.where(k < nseg, k * ((hi - lo) / nseg) + lo, hi)[k <= nseg]
-        grid = np.concatenate([np.geomspace(1e-6, breaks[0], 12), scan])
-        vals = f(grid)
-        if not np.all(np.isfinite(vals)):
-            raise SolverError("non-finite values in momentum equation scan")
-        sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        roots = _brentq_array(f, grid[sign_change], grid[sign_change + 1])
-        exact = grid[vals == 0.0]
-        roots = (np.union1d(roots, exact) if exact.size else np.sort(roots))[:count]
-        if roots.size == count:
-            resid = np.abs(f(roots))
-            if np.any(resid > 1e-10):
-                raise SolverError(
-                    f"momentum root residual {resid[resid > 1e-10][0]:.2e} exceeds 1e-10 "
-                    f"(two_j={two_j}, kappa={kappa}, esign={esign})")
-            return roots / R
-        need += 4
-    raise SolverError(
-        f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
-        f"esign={esign}, M={M}, varsigma={varsigma})")
+    """First `count` positive momenta allowed by the MIT condition, ascending."""
+    return _mit_roots(two_j, kappa, esign, R, M, varsigma, count)[0]
 
 
 def _check_p_R(p: float, R: float) -> None:
@@ -212,62 +232,83 @@ def radial_integral_minus(n: int, p: float, R: float) -> float:
     return (R * R / (2.0 * p)) * float(spherical_jn(n, x)) * float(spherical_jn(n + 1, x))
 
 
-def _mit_norms(two_j: int, kappa: int, i: Sequence[int], R: float, M: float, esign: int,
-               varsigma: int, p: np.ndarray) -> np.ndarray:
-    """Normalization constants of the MIT modes i with verified momenta p.
+def _mit_norms(two_j, kappa, i, R: float, M: float, esign, varsigma: int,
+               p: np.ndarray) -> np.ndarray:
+    """Normalization constants of the MIT modes i with verified momenta p,
+    elementwise over labels that broadcast against p.
 
     Uses the closed form obtained by eliminating one Bessel order through the
     momentum equation; the ratio under the square root is checked positive,
     since a non-positive value means (p, E) do not solve the same branch.
     """
+    two_j, kappa, i, esign, p = np.broadcast_arrays(two_j, kappa, i, esign, p)
     E = _energy(esign, p, M)
-    sgn_k = 1 if kappa > 0 else -1
+    sgn_k = np.where(kappa > 0, 1, -1)
     ratio = (E + M) / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E)
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
     bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
     if bad.size:
+        at = np.unravel_index(bad[0], p.shape)
         raise SolverError(
-            f"inconsistent momentum/energy pair for MIT norm (two_j={two_j}, "
-            f"kappa={kappa}, i={i[bad[0]]}, esign={esign}, p={p[bad[0]]})")
+            f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "
+            f"kappa={kappa[at]}, i={i[at]}, esign={esign[at]}, p={p[at]})")
     return math.sqrt(2.0) / (R * jval) * np.sqrt(ratio)
 
 
 def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
              varsigma: int, p: float) -> float:
     """Normalization constant of the MIT mode i with verified momentum p."""
-    return float(_mit_norms(two_j, kappa, [i], R, M, esign, varsigma, np.array([p]))[0])
+    return float(_mit_norms(two_j, kappa, i, R, M, esign, varsigma, p))
 
 
 # ---------------------------------------------------------------------------
-# Shell tables
+# The shell store
 # ---------------------------------------------------------------------------
 
 
-# Working sets: fig-sweep and verify-spectrum warm-ups take 378 and 492 shells,
-# `--preset fig1` plus `fig2` 378; at i_max = 60 each shell holds ~2.4 KB.
+# The store: j rows per (bc, esign, M, R, i_max) set, grown by whole j
+# prefixes like the zero tables.  24 sets hold the working sets (fig-sweep 9,
+# verify-spectrum 18, `--preset fig1` plus `fig2` 9) and, at 42 shells (~60 KB)
+# per set at j_max = 41/2, i_max = 60, about the 1,024 shells of a shell cache.
 # typed: a float i_max must miss the entry of the equal int and be rejected.
-@lru_cache(maxsize=1024, typed=True)
-def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
-                R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign) shell.
-
-    A spectral mode's p and C depend only on sign(m_j kappa), so the table
-    of kappa holds the modes with m_j > 0, and a mode with m_j < 0 reads the
-    table of -kappa.  MIT modes do not depend on m_j.
-    """
+@lru_cache(maxsize=24, typed=True)
+def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> list:
     if not isinstance(i_max, (int, np.integer)) or not 1 <= i_max <= I_MAX_DEFAULT:
         raise ValueError(f"i_max must be an integer in [1, {I_MAX_DEFAULT}], got {i_max!r}")
-    if bc.is_mit:
-        p = mit_momenta(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-        # the norms use a math.hypot energy, which differs from the np.hypot
-        # E below in the last bit for some (p, M)
-        C = _mit_norms(two_j, kappa, range(1, i_max + 1), R, M, esign, bc.varsigma, p)
-    else:
-        p, C = _spectral_shell(two_j, 1 if kappa > 0 else -1, i_max, R)
-    E = esign * np.hypot(p, M)
-    for arr in (p, E, C):
-        arr.flags.writeable = False
-    return p, E, C
+    return []
+
+
+def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
+               two_j_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Read-only (p, E, C) rows of j = 1/2 .. two_j_max/2 from the store, each
+    the kappa = -k0 shell (i = 1..i_max), then kappa = +k0.  Only the j past
+    the end of the set are solved: MIT shells as one batch.  A spectral
+    shell of kappa holds the modes with m_j > 0, as p and C depend only on
+    sign(m_j kappa): a mode with m_j < 0 reads the shell of -kappa."""
+    rows = _shell_set(bc, esign, M, R, i_max)
+    if len(rows) <= two_j_max // 2:
+        two_j = np.repeat(np.arange(2 * len(rows) + 1, two_j_max + 1, 2), 2)
+        kappa = np.tile([-1, 1], two_j.size // 2) * (two_j + 1) // 2
+        if bc.is_mit:
+            p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
+            # the norms' math.hypot energy may differ from the np.hypot E in the last bit
+            C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M,
+                           esign, bc.varsigma, p)
+        else:
+            p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
+                             in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
+        p, E, C = (v.reshape(two_j.size // 2, -1) for v in (p, esign * np.hypot(p, M), C))
+        p.flags.writeable = E.flags.writeable = C.flags.writeable = False
+        rows += zip(p, E, C)
+    return rows[:(two_j_max + 1) // 2]
+
+
+def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
+                R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign)
+    shell: its half of the j row of shell_rows."""
+    half = slice(i_max, None) if kappa > 0 else slice(i_max)
+    return tuple(v[half] for v in shell_rows(bc, esign, M, R, i_max, two_j)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +358,16 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
             f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
     labels, values = [], []
     i = np.arange(1, i_max + 1)[:, None, None]
-    for two_j in range(1, two_j_from(j_max) + 1, 2):
+    two_j_max = two_j_from(j_max)
+    sets = [shell_rows(bc, es, M, R, i_max, two_j_max) for es in (-1, 1)]
+    for two_j, *rows in zip(range(1, two_j_max + 1, 2), *sets):
         k0 = (two_j + 1) // 2
         two_mj = np.arange(-two_j, two_j + 1, 2)
-        for kappa in (-k0, k0):
-            # tab[esign, m_j > 0, (p, E, C), i - 1]; a block's axes are (i, m_j, esign)
-            keys = (kappa, kappa) if bc.is_mit else (-kappa, kappa)
-            tab = np.array([[shell_table(bc, two_j, k, es, M, R, i_max) for k in keys]
-                            for es in (-1, 1)])
-            values.append(tab[:, (two_mj > 0).astype(int)].transpose(2, 3, 1, 0).reshape(3, -1))
+        tab = np.reshape(rows, (2, 3, 2, i_max))  # [esign, (p, E, C), kappa shell, i - 1]
+        for h, kappa in enumerate((-k0, k0)):
+            # the shell each m_j reads; a block's axes are (i, m_j, esign)
+            shell = np.where((two_mj > 0) | bc.is_mit, h, 1 - h)
+            values.append(tab[:, :, shell].transpose(1, 3, 2, 0).reshape(3, -1))
             labels.append(np.stack(np.broadcast_arrays(
                 np.array([-1, 1]), two_j, two_mj[:, None], kappa, i)).reshape(5, -1))
     esign, two_j, two_mj, kappa, i = np.concatenate(labels, axis=1)
@@ -341,12 +383,8 @@ def quantization_residual(bc: BoundaryKind, spectrum: Spectrum, R: float,
         # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
         n = (spectrum.two_j + np.where(spectrum.two_mj * spectrum.kappa > 0, 1, -1)) // 2
         return np.abs(spherical_jn(n, x))
-    out = np.empty_like(x)
-    shells = set(zip(spectrum.two_j.tolist(), spectrum.kappa.tolist(), spectrum.esign.tolist()))
-    for two_j, kappa, esign in shells:
-        sel = (spectrum.kappa == kappa) & (spectrum.esign == esign)  # kappa fixes j
-        out[sel] = np.abs(_mit_equation(x[sel], two_j, kappa, esign, M * R, bc.varsigma))
-    return out
+    return np.abs(_mit_equation(x, spectrum.two_j, spectrum.kappa, spectrum.esign, M * R,
+                                bc.varsigma))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .boundary import BoundaryKind, FasterThanLightError, shell_table, two_j_from
+from .boundary import BoundaryKind, FasterThanLightError, shell_rows, two_j_from
 from .modes import density_split, spinor_densities
 from .specfun import legendre_density_table, spherical_jn
 
@@ -147,11 +147,11 @@ def _certified_sums(trees: list, n: int) -> tuple[np.ndarray, np.ndarray]:
         return r, bound < 0.5 * gap
 
 
-def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-d float array, bit for bit: rows that
-    fail the certificate go to math.fsum itself, which keeps its signed
-    zeros, inf/nan results and OverflowError."""
-    r, certified = _certified_sums([_tree_sums(buf)], buf.shape[1])
+def _exact_row_sums(buf: np.ndarray, tree: tuple | None = None) -> np.ndarray:
+    """math.fsum of each row of a 2-d float array, bit for bit, from its
+    _tree_sums if given: rows that fail the certificate go to math.fsum
+    itself, which keeps its signed zeros, inf/nan results and OverflowError."""
+    r, certified = _certified_sums([tree or _tree_sums(buf)], buf.shape[1])
     for i in np.flatnonzero(~certified):
         r[i] = math.fsum(buf[i])
     return r
@@ -164,18 +164,17 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col = np.array(r_vals)[:, None]
     last = (None, None)  # the previous +k0 shell's momenta and order-k0 squares
-    for two_j in range(1, two_j_max + 1, 2):
+    rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
+    for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
         two_m = np.arange(1, two_j + 1, 2)
         k0 = (two_j + 1) // 2
-        shells = [shell_table(bc, two_j, kappa, 1, M, params.R, i_max) for kappa in (-k0, k0)]
-        p, E, C = (np.concatenate(cols) for cols in zip(*shells))
         x = r_col * p
         jp2 = spherical_jn(k0, x) ** 2
         # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
         # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
         jm2 = (np.concatenate([last[1], spherical_jn(k0 - 1, x[:, i_max:]) ** 2], axis=1)
-               if np.array_equal(last[0], shells[0][0]) else spherical_jn(k0 - 1, x) ** 2)
-        last = (shells[1][0], jp2[:, i_max:])
+               if np.array_equal(last[0], p[:i_max]) else spherical_jn(k0 - 1, x) ** 2)
+        last = (p[i_max:], jp2[:, i_max:])
         w_t, w_b = (weight(E[:, None] - sign * Omega * (two_m / 2.0), 1, beta, mu)
                     for sign in (1.0, -1.0))
         kappa, C2 = np.repeat((-k0, k0), i_max)[:, None], (C * C)[:, None]
@@ -206,7 +205,7 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         trees[it].append(_tree_sums(terms))
         n += terms.shape[1] * (it == 0)  # terms per point
         if two_j == two_j_max:
-            tail = max(tail, float(np.abs(_exact_row_sums(terms)).max()))
+            tail = max(tail, float(np.abs(_exact_row_sums(terms, trees[it][-1])).max()))
     values = np.empty((len(r_vals), len(th_vals)))
     for it, (total, certified) in enumerate(_certified_sums(tree, n) for tree in trees):
         for ir in np.flatnonzero(~certified):
@@ -260,16 +259,15 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
     weight = thermal_weight_subtracted if subtracted else thermal_weight
 
     terms: list[np.ndarray] = []
-    for two_j in range(1, two_j_max + 1, 2):
+    rows = shell_rows(bc, 1, M, R, i_max, two_j_max)
+    for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
         shell_coeff = (two_j + 1) / (4.0 * math.pi)
         k0 = (two_j + 1) // 2
-        for kappa in (-k0, k0):
-            p, E, C = shell_table(bc, two_j, kappa, 1, M, R, i_max)
-            jm2, jp2 = (spherical_jn(n, p * r) ** 2 for n in (k0 - 1, k0))
-            frak = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
-            if bc.is_mit:  # the spectral sum keeps only the mass term
-                frak = (1.0 if kappa > 0 else -1.0) * shell_coeff * 0.5 * (jm2 - jp2) + frak
-            terms.append(C * C * weight(E, 1, params.beta, params.mu) * frak)
+        jm2, jp2 = (spherical_jn(n, p * r) ** 2 for n in (k0 - 1, k0))
+        frak = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
+        if bc.is_mit:  # the spectral sum keeps only the mass term; sgn(kappa) per shell
+            frak = np.repeat((-1.0, 1.0), i_max) * shell_coeff * 0.5 * (jm2 - jp2) + frak
+        terms.append(C * C * weight(E, 1, params.beta, params.mu) * frak)
     return -float(_exact_row_sums(np.concatenate(terms)[None, :])[0])
 
 

@@ -87,19 +87,21 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _brentq_array(f, a, b) -> np.ndarray:
+def _brentq_array(f, a, b, cols=()) -> np.ndarray:
     """Roots of the elementwise function f in the brackets [a_k, b_k], all at once.
 
     scipy's brentq.c, branch for branch, on arrays from which each bracket
     leaves when it converges: each root has the bits of
-    scipy.optimize.brentq(f, a_k, b_k, xtol=_ROOT_XTOL).  Raises SolverError
-    on a non-finite f, a bracket without a sign change, or no convergence.
+    scipy.optimize.brentq(f, a_k, b_k, xtol=_ROOT_XTOL).  f gets the per-bracket
+    parameter arrays cols of the brackets it evaluates: f(x, *cols).  Raises
+    SolverError on a non-finite f, a bracket without a sign change, or no
+    convergence.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
-    fpre, fcur = _finite(f(xpre)), _finite(f(xcur))
+    fpre, fcur = _finite(f(xpre, *cols)), _finite(f(xcur, *cols))
     root = np.where(fpre == 0, xpre, xcur)  # an endpoint at a zero is the root
     act = np.flatnonzero((fpre != 0) & (fcur != 0))
-    xpre, xcur, fpre, fcur = xpre[act], xcur[act], fpre[act], fcur[act]
+    xpre, xcur, fpre, fcur, *cols = (v[act] for v in (xpre, xcur, fpre, fcur, *cols))
     if np.any(np.signbit(fpre) == np.signbit(fcur)):
         raise SolverError("f must have different signs at the ends of each bracket")
     xblk = fblk = spre = scur = np.zeros_like(xcur)
@@ -117,8 +119,9 @@ def _brentq_array(f, a, b) -> np.ndarray:
         root[act[done]] = xcur[done]
         if done.all():
             return root
-        act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in (
-            act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, *cols = (
+            v[~done] for v in (act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+                               sbis, *cols))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
             stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),  # interpolate
@@ -129,7 +132,7 @@ def _brentq_array(f, a, b) -> np.ndarray:
         spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = _finite(f(xcur))
+        fcur = _finite(f(xcur, *cols))
     raise SolverError(f"root refinement did not converge in {_ROOT_MAXITER} iterations")
 
 

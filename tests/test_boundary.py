@@ -15,9 +15,10 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
+from rotsphere import boundary
 from rotsphere.boundary import (_SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI, _WALL_THETA,
-                                SolverError, _mit_equation, _wall_residuals, shell_table,
-                                two_j_from)
+                                SolverError, _mit_equation, _mit_norms, _mit_roots,
+                                _wall_residuals, shell_rows, shell_table, two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
                              gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
@@ -454,15 +455,19 @@ class TestMitArrayPath:
     @pytest.mark.parametrize("count", [1, 20, 60])
     @pytest.mark.parametrize("M", [0.0, 0.3, 1.0, 2.0, 2.7182, 3.5, 7.0, 11.5])
     def test_shell_tables_match_reference(self, M, count):
+        two_j, kappa = np.array(list(_mit_shells())).T
         for R, vs, esign in itertools.product((0.7, 1.0, 2.3), (1, -1), (1, -1)):
-            for two_j, kappa in _mit_shells():
-                # bypass the cache: this sweep would only evict other shells
-                p, _, C = shell_table.__wrapped__(mit(vs), two_j, kappa, esign, M, R, count)
-                ref = _mit_momenta_reference(two_j, kappa, esign, R, M, vs, count)
-                ref_C = [_mit_norm_reference(two_j, kappa, i + 1, R, M, esign, vs, x)
+            # all 42 shells in one batch, as the store solves them; outside the
+            # store, since this sweep would only evict other sets
+            p = _mit_roots(two_j, kappa, esign, R, M, vs, count)
+            C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, count + 1), R, M,
+                           esign, vs, p)
+            for s, (tj, ka) in enumerate(_mit_shells()):
+                ref = _mit_momenta_reference(tj, ka, esign, R, M, vs, count)
+                ref_C = [_mit_norm_reference(tj, ka, i + 1, R, M, esign, vs, x)
                          for i, x in enumerate(ref)]
-                assert _same_bits(p, ref), (R, vs, esign, two_j, kappa)
-                assert _same_bits(C, ref_C), (R, vs, esign, two_j, kappa)
+                assert _same_bits(p[s], ref), (R, vs, esign, tj, ka)
+                assert _same_bits(C[s], ref_C), (R, vs, esign, tj, ka)
 
     def test_same_solver_errors_at_huge_mass(self):
         # at M R = 1e7 the esign = -1 residual check fails on these shells
@@ -479,6 +484,54 @@ class TestMitArrayPath:
                 assert _same_bits(mit_momenta(two_j, kappa, -1, 1.0, 1e7, vs, 20), ref)
         assert failed == 57
 
+    # shells (1, -1) and (1, 1) read orders 0 and 1; shells (5, -3) and (5, 3)
+    # read orders 2 and 3, whose tables the tests below cut short
+    _BATCH = ([1, 1, 5, 5], [-1, 1, -3, 3])
+
+    def _cut_tables(self, monkeypatch, keep):
+        """Zero tables of orders 2 and 3 cut to their first keep(count) zeros;
+        returns the (order, count) calls."""
+        calls, real = [], boundary.bessel_zeros
+
+        def cut(n, count):
+            calls.append((n, count))
+            return real(n, count)[:keep(count)] if n in (2, 3) else real(n, count)
+
+        monkeypatch.setattr(boundary, "bessel_zeros", cut)
+        return calls
+
+    def test_short_scan_retries_that_shell_only(self, monkeypatch):
+        # count 8 scans count + 2 = 10 zeros first; the cut scans find fewer
+        # than 8 roots in shells (5, -3) and (5, 3), which rescan with 14
+        calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
+        p = _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
+        assert sorted(set(calls)) == [(0, 10), (1, 10), (2, 10), (2, 14), (3, 10), (3, 14)]
+        assert calls.count((2, 14)) == calls.count((3, 14)) == 2  # one rescan per shell
+        for row, two_j, kappa in zip(p, *self._BATCH):
+            assert _same_bits(row, _mit_momenta_reference(two_j, kappa, 1, 1.3, 0.7, -1, 8))
+
+    def test_roots_not_located_names_first_failing_shell(self, monkeypatch):
+        self._cut_tables(monkeypatch, lambda count: 6)  # never enough for 8 roots
+        with pytest.raises(SolverError) as got:
+            _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
+        assert str(got.value) == ("could not locate 8 momentum roots (two_j=5, kappa=-3, "
+                                  "esign=1, M=0.7, varsigma=-1)")
+        # the same shell solved alone by the reference, on the same cut tables
+        monkeypatch.setitem(globals(), "bessel_zeros", boundary.bessel_zeros)
+        with pytest.raises(SolverError) as want:
+            _mit_momenta_reference(5, -3, 1, 1.3, 0.7, -1, 8)
+        assert str(got.value) == str(want.value)
+
+    def test_batch_raises_for_first_failing_shell(self):
+        # at M R = 1e7, esign = -1: shell (1, 1) passes, (1, -1) and (3, -2) fail
+        for two_j, kappa in ([1, 1, 3], [1, -1, -2]), ([3, 1, 1], [-2, 1, -1]):
+            with pytest.raises(SolverError) as got:
+                _mit_roots(two_j, kappa, -1, 1.0, 1e7, 1, 20)
+            with pytest.raises(SolverError) as want:
+                for tj, ka in zip(two_j, kappa):
+                    _mit_momenta_reference(tj, ka, -1, 1.0, 1e7, 1, 20)
+            assert str(got.value) == str(want.value)
+
     def test_scalar_norm_matches_reference(self):
         R, M, vs = 1.3, 0.9, -1
         for esign, (two_j, kappa) in itertools.product((1, -1), _mit_shells(9)):
@@ -491,6 +544,46 @@ class TestMitArrayPath:
         with pytest.raises(SolverError) as got:
             mit_norm(1, 1, 1, 1.0, 0.1, 1, 1, 0.05)
         assert str(got.value) == str(want.value)
+
+
+class TestShellStore:
+    """One store of j rows per (bc, esign, M, R, i_max) set."""
+
+    @staticmethod
+    def _bits(rows):
+        return [[v.view(np.int64).tolist() for v in row] for row in rows]
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_grown_set_matches_cold_solve(self, bc):
+        key = (bc, -1, 0.83, 1.7, 12)  # a set no other test uses
+        small = shell_rows(*key, 3)
+        grown = shell_rows(*key, 41)
+        assert len(small) == 2 and len(grown) == 21
+        assert all(a is b for a, b in zip(small, grown))  # the prefix is kept, not re-solved
+        boundary._shell_set.cache_clear()
+        cold = shell_rows(*key, 41)
+        assert cold[0][0] is not grown[0][0]
+        assert self._bits(cold) == self._bits(grown)
+        # each row is the -k0 shell, then the +k0 shell
+        for two_j, (p, E, C) in zip(range(1, 42, 2), cold):
+            k0 = (two_j + 1) // 2
+            for half, kappa in ((slice(12), -k0), (slice(12, None), k0)):
+                table = shell_table(bc, two_j, kappa, -1, 0.83, 1.7, 12)
+                assert self._bits([table]) == self._bits([(p[half], E[half], C[half])])
+            assert not (p.flags.writeable or E.flags.writeable or C.flags.writeable)
+
+    def test_evicted_set_rebuilds_with_same_bits(self):
+        bound = boundary._shell_set.cache_parameters()["maxsize"]
+        boundary._shell_set.cache_clear()
+        first = shell_rows(mit(1), 1, 0.25, 1.1, 6, 7)
+        for k in range(bound):  # one more set than the bound, counting the first
+            shell_rows(mit(1), 1, 0.5 + k, 1.1, 6, 7)
+        assert boundary._shell_set.cache_info().currsize == bound
+        misses = boundary._shell_set.cache_info().misses
+        again = shell_rows(mit(1), 1, 0.25, 1.1, 6, 7)
+        assert boundary._shell_set.cache_info().misses == misses + 1
+        assert again[0][0] is not first[0][0]
+        assert self._bits(again) == self._bits(first)
 
 
 class TestEnumerate:

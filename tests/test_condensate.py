@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
@@ -422,6 +422,10 @@ def _split_sums(buf, cuts):
 
 
 def _cuts(data, n):
+    """Drawn cut points of a row of n terms; an @example, which has no data
+    to draw from, cuts before every term."""
+    if data is None:
+        return list(range(1, n))
     return sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=12)))) if n > 1 else []
 
 
@@ -429,6 +433,8 @@ class TestExactRowSums:
     """_exact_row_sums must return math.fsum's bits, or raise as it does."""
 
     @given(_FLOAT_ROWS)
+    @example([_FSUM_OVERFLOWS[0]])
+    @example([_FSUM_OVERFLOWS[1]])
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_floats(self, rows):
         # any float, inf and nan included; a row that raises is checked alone
@@ -446,6 +452,8 @@ class TestExactRowSums:
         assert _outcome(cnd._exact_row_sums, buf) == _outcome(_fsum_rows, buf)
 
     @given(_FLOAT_ROWS, st.data())
+    @example([_FSUM_OVERFLOWS[0]], None)
+    @example([_FSUM_OVERFLOWS[1]], None)
     @settings(max_examples=300, deadline=None)
     def test_split_arbitrary_floats(self, rows, data):
         # a row cut into contiguous chunks, each tree-reduced, then combined:
@@ -486,23 +494,32 @@ class TestExactRowSums:
         # terms: each point's value with math.fsum of its j blocks joined in
         # order, each tail and the nonrotating row with math.fsum of that
         # buffer, and each j block's own exact sum with math.fsum of it
-        blocks, exact_bufs = [], []
-        j_blocks, exact = cnd._j_blocks, cnd._exact_row_sums
+        blocks, yielded, exact_calls, tree_args = [], [], [], []
+        j_blocks, exact, tree = cnd._j_blocks, cnd._exact_row_sums, cnd._tree_sums
 
         def capture_blocks(*args):
             for two_j, it, terms in j_blocks(*args):
                 blocks.append((two_j, it, terms.copy()))
+                yielded.append(terms)
                 yield two_j, it, terms
 
         monkeypatch.setattr(cnd, "_j_blocks", capture_blocks)
-        monkeypatch.setattr(cnd, "_exact_row_sums",
-                            lambda buf: exact_bufs.append(buf.copy()) or exact(buf))
+        monkeypatch.setattr(cnd, "_exact_row_sums", lambda buf, *given: (
+            exact_calls.append((buf.copy(), given)) or exact(buf, *given)))
+        monkeypatch.setattr(cnd, "_tree_sums", lambda x: tree_args.append(x) or tree(x))
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=0.9, mu=0.3)
         thetas = [0.4, math.pi / 2]
         grid = condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), thetas, 10.5, 30)
         # j-major: a block per (j, theta), both thetas of a j before the next j
         assert [(two_j, it) for two_j, it, _ in blocks] == [
             (two_j, it) for two_j in range(1, 22, 2) for it in range(2)]
+        # one TwoSum tree per block, the tail's included; the other trees
+        # reduce the chunk partials: 11 per point for a value, 1 for a tail
+        assert [sum(x is terms for x in tree_args) for terms in yielded] == [1] * 22
+        assert sorted(x.shape for x in tree_args if not any(x is t for t in yielded)) == [
+            (7, 1), (7, 1), (7, 11), (7, 11)]
+        assert [len(given) for _, given in exact_calls] == [1, 1]  # the tails reuse a tree
+        exact_bufs = [buf for buf, _ in exact_calls]
         assert all(terms.shape == (7, 30 * (two_j + 1)) for two_j, _, terms in blocks)
         for it in range(2):
             rows = np.concatenate([terms for _, i, terms in blocks if i == it], axis=1)
@@ -510,6 +527,8 @@ class TestExactRowSums:
             assert [float(-v).hex() for v in grid.values[:, it]] == _outcome(_fsum_rows, rows)
         assert len(exact_bufs) == 2  # the last j block of each theta, for the tail
         assert grid.tail_estimate == max(abs(v) for buf in exact_bufs for v in _fsum_rows(buf))
+        monkeypatch.setattr(cnd, "_exact_row_sums",
+                            lambda buf: exact_bufs.append(buf.copy()) or exact(buf))
         condensate_nonrotating(bc, PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=0.9),
                                0.6, 10.5, 30)
         assert len(exact_bufs) == 3 and exact_bufs[-1].shape == (1, 30 * 11 * 2)

@@ -235,6 +235,22 @@ class TestBrentqArray:
         _brentq_array(lambda x: got.extend(x.tolist()) or f(x), [-1.5], [2.5])
         assert len(got) > 6 and got == want
 
+    def test_parameter_columns_match_scipy(self):
+        # j_n(x) - c near the first zero of j_n, over 300 (n, c) at once: the
+        # columns must follow their brackets as those converge at different steps
+        rng = np.random.default_rng(11)
+        n, c = rng.integers(0, 30, 300), rng.uniform(-0.01, 0.01, 300)
+        f = lambda x, n, c: spherical_jn(n, x) - c
+        xi = np.array([bessel_zeros(k, 1)[0] for k in n.tolist()])
+        a, b = xi - rng.uniform(0.1, 0.8, 300), xi + rng.uniform(0.1, 0.8, 300)
+        keep = np.signbit(f(a, n, c)) != np.signbit(f(b, n, c))
+        a, b, n, c = a[keep], b[keep], n[keep], c[keep]
+        assert a.size > 250
+        ref = [brentq(lambda t, k=k: f(np.array([t]), n[k], c[k])[0], a[k], b[k],
+                      xtol=_ROOT_XTOL) for k in range(a.size)]
+        got = _brentq_array(f, a, b, (n, c))
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref]
+
     def test_exact_zeros(self):
         f = lambda x: x - 1.0
         # endpoints at a zero, and a step that lands on the zero mid-iteration
