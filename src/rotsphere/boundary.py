@@ -4,15 +4,18 @@ Two boundary conditions are supported.  The spectral condition zeroes one
 pair of spinor components on the wall and discretizes the momentum at
 spherical Bessel zeros.  The MIT bag condition -i gamma^r psi = varsigma psi
 leads to a transcendental momentum equation solved here by a guarded sign
-scan, which cannot skip roots silently, plus array Brent root refinement.
+scan per shell, which cannot skip roots silently, plus one array Brent root
+refinement over the brackets of every shell of a batch.
 
 All momenta are handled as x = p*R; energies are E = esign * sqrt(p^2 + M^2)
-and E_tilde = E - Omega * m_j.  A Spectrum holds the modes as flat columns
-read from the cached shell tables, so the vacuum check (E * E_tilde > 0 for
-every mode when Omega*R < 1: the rotating and nonrotating vacua coincide)
-and the quantization residual are array expressions.  The wall checks
-assemble the explicit spinors of a whole (j, kappa) block of a Spectrum in
-one call, once per mode, on 5 x 3 (theta, phi) samples at r = R.
+and E_tilde = E - Omega * m_j.  One store holds the solved shells: per
+(boundary, esign, M, R, i_max), j rows grown by whole j prefixes, each row
+both kappa shells of a j.  A Spectrum holds the modes as flat columns read
+from the store, so the vacuum check (E * E_tilde > 0 for every mode when
+Omega*R < 1: the rotating and nonrotating vacua coincide) and the
+quantization residual are array expressions.  The wall checks assemble the
+explicit spinors of a whole (j, kappa) block of a Spectrum in one call, once
+per mode, on 5 x 3 (theta, phi) samples at r = R.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
 
     Each shell's roots in x = p*R are located by a sign scan over intervals
     bounded by the zeros of both Bessel orders, subdivided to at most pi/8;
-    the scans of all shells are refined by one array Brent call, so a root
+    the brackets of all shells are refined by one array Brent call, so a root
     has the bits of its shell solved alone.  A shell short of roots rescans
     with 4 more zeros.  Raises SolverError rather than skipping roots.
     """
@@ -177,11 +180,10 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         vals = f(grid, kappa[shell], esign[shell])
         if not np.all(np.isfinite(vals)):
             raise SolverError("non-finite values in momentum equation scan")
-        sign_change = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-                                     & (shell[:-1] == shell[1:]))
-        at = shell[sign_change]
-        found = _brentq_array(f, grid[sign_change], grid[sign_change + 1],
-                              (kappa[at], esign[at]))
+        cross = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+                               & (shell[:-1] == shell[1:]))  # inside one shell's scan
+        at = shell[cross]
+        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
         for s in todo:
             exact, got = grid[(shell == s) & (vals == 0.0)], found[at == s]
             roots[s] = (np.union1d(got, exact) if exact.size else np.sort(got))[:count]
@@ -266,10 +268,9 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 # ---------------------------------------------------------------------------
 
 
-# The store: j rows per (bc, esign, M, R, i_max) set, grown by whole j
-# prefixes like the zero tables.  24 sets hold the working sets (fig-sweep 9,
-# verify-spectrum 18, `--preset fig1` plus `fig2` 9) and, at 42 shells (~60 KB)
-# per set at j_max = 41/2, i_max = 60, about the 1,024 shells of a shell cache.
+# The bound counts sets: 24 hold the working sets (fig-sweep 9, verify-spectrum
+# 18, `--preset fig1` plus `fig2` 9) and, at 42 shells (~60 KB) per set at
+# j_max = 41/2 and i_max = 60, about the 1,024 shells of a per-shell cache.
 # typed: a float i_max must miss the entry of the equal int and be rejected.
 @lru_cache(maxsize=24, typed=True)
 def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> list:
@@ -282,13 +283,13 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
                two_j_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Read-only (p, E, C) rows of j = 1/2 .. two_j_max/2 from the store, each
     the kappa = -k0 shell (i = 1..i_max), then kappa = +k0.  Only the j past
-    the end of the set are solved: MIT shells as one batch.  A spectral
-    shell of kappa holds the modes with m_j > 0, as p and C depend only on
+    the end of the set are solved, MIT shells in batches.  A spectral shell
+    of kappa holds the modes with m_j > 0, as p and C depend only on
     sign(m_j kappa): a mode with m_j < 0 reads the shell of -kappa."""
-    rows = _shell_set(bc, esign, M, R, i_max)
-    if len(rows) <= two_j_max // 2:
-        two_j = np.repeat(np.arange(2 * len(rows) + 1, two_j_max + 1, 2), 2)
-        kappa = np.tile([-1, 1], two_j.size // 2) * (two_j + 1) // 2
+    rows, n = _shell_set(bc, esign, M, R, i_max), (two_j_max + 1) // 2
+    while len(rows) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
+        jx = np.arange(len(rows), min(n, len(rows) + max(1, 1260 // i_max)))
+        two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
         if bc.is_mit:
             p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
             # the norms' math.hypot energy may differ from the np.hypot E in the last bit
@@ -297,10 +298,10 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
         else:
             p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
                              in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
-        p, E, C = (v.reshape(two_j.size // 2, -1) for v in (p, esign * np.hypot(p, M), C))
+        p, E, C = (v.reshape(jx.size, -1) for v in (p, esign * np.hypot(p, M), C))
         p.flags.writeable = E.flags.writeable = C.flags.writeable = False
         rows += zip(p, E, C)
-    return rows[:(two_j_max + 1) // 2]
+    return rows[:n]
 
 
 def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
@@ -358,9 +359,8 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
             f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
     labels, values = [], []
     i = np.arange(1, i_max + 1)[:, None, None]
-    two_j_max = two_j_from(j_max)
-    sets = [shell_rows(bc, es, M, R, i_max, two_j_max) for es in (-1, 1)]
-    for two_j, *rows in zip(range(1, two_j_max + 1, 2), *sets):
+    sets = [shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)]
+    for two_j, *rows in zip(range(1, 2 * len(sets[0]), 2), *sets):
         k0 = (two_j + 1) // 2
         two_mj = np.arange(-two_j, two_j + 1, 2)
         tab = np.reshape(rows, (2, 3, 2, i_max))  # [esign, (p, E, C), kappa shell, i - 1]

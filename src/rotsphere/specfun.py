@@ -4,12 +4,13 @@ normalized associated Legendre values.
 Spherical Bessel evaluation is delegated to scipy (accurate to ~1e-14
 relative across the supported order/argument range).  Every module calls
 the `spherical_jn` bound here: scipy's ufunc, whose public Python wrapper
-costs ~25x more per scalar call and changes no bit for x >= 0.  Zeros are
-found by array Brent refinement inside guaranteed interlacing intervals, so
-no zero can be missed or duplicated.  Associated Legendre values are
-computed with the fully normalized (l, m) recurrence, which stays bounded
-and avoids the factorial overflow of the unnormalized functions above
-l ~ 20.
+costs ~25x more per scalar call and changes no bit for x >= 0; its order may
+be an array.  Zeros are found by array Brent refinement inside guaranteed
+interlacing intervals, so no zero can be missed or duplicated; the same
+solver, given per-bracket parameter columns, refines the MIT momenta of many
+shells in one call.  Associated Legendre values use the fully normalized
+(l, m) recurrence, which stays bounded and avoids the factorial overflow of
+the unnormalized functions above l ~ 20.
 """
 
 from __future__ import annotations

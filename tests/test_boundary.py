@@ -555,20 +555,21 @@ class TestShellStore:
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_grown_set_matches_cold_solve(self, bc):
-        key = (bc, -1, 0.83, 1.7, 12)  # a set no other test uses
+        key = (bc, -1, 0.83, 1.7, 40)  # a set no other test uses; 31 j a batch
         small = shell_rows(*key, 3)
-        grown = shell_rows(*key, 41)
-        assert len(small) == 2 and len(grown) == 21
+        grown = shell_rows(*key, 73)  # 35 more j, in batches of 31 and 4
+        assert len(small) == 2 and len(grown) == 37
         assert all(a is b for a, b in zip(small, grown))  # the prefix is kept, not re-solved
         boundary._shell_set.cache_clear()
-        cold = shell_rows(*key, 41)
+        cold = shell_rows(*key, 73)  # batches of 31 and 6
         assert cold[0][0] is not grown[0][0]
         assert self._bits(cold) == self._bits(grown)
+        assert self._bits(shell_rows(*key, 41)) == self._bits(grown[:21])
         # each row is the -k0 shell, then the +k0 shell
-        for two_j, (p, E, C) in zip(range(1, 42, 2), cold):
+        for two_j, (p, E, C) in zip(range(1, 74, 2), cold):
             k0 = (two_j + 1) // 2
-            for half, kappa in ((slice(12), -k0), (slice(12, None), k0)):
-                table = shell_table(bc, two_j, kappa, -1, 0.83, 1.7, 12)
+            for half, kappa in ((slice(40), -k0), (slice(40, None), k0)):
+                table = shell_table(bc, two_j, kappa, -1, 0.83, 1.7, 40)
                 assert self._bits([table]) == self._bits([(p[half], E[half], C[half])])
             assert not (p.flags.writeable or E.flags.writeable or C.flags.writeable)
 
