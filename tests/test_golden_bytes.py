@@ -18,6 +18,9 @@ _MIT = {vs: [*_SPECTRUM, "--bc", "mit", "--varsigma", vs] for vs in ("1", "-1")}
 # every MIT shell of both E signs at the largest benchmark truncation, off M = R = 1
 _MIT_DEEP = ["spectrum", "--bc", "mit", "--M", "2.7182", "--R", "1.3", "--Omega", "0.5",
              "--jmax", "41/2", "--imax", "60"]
+# a large mass: the E < 0 norms there are sensitive to cancellation in E + M
+_MIT_HEAVY = ["spectrum", "--bc", "mit", "--varsigma", "1", "--M", "1e6", "--Omega", "0.5",
+              "--jmax", "3/2", "--imax", "20"]
 
 _README = ["--M", "1", "--Omega", "0.5", "--beta", "2", "--r-grid", "0:1:41",
            "--theta-grid", "1.5707963"]
@@ -62,6 +65,8 @@ GOLDEN = {
     "spectrum-mit-1-deep": (
         [*_MIT_DEEP, "--varsigma", "-1"],
         "57394ab93facbac0eefd0299ee09102ecb64f053ed22e33bc3127aa0a69a795b"),
+    "spectrum-mit+1-heavy": (
+        _MIT_HEAVY, "666e190d45464731040ede3d21162393ba9468f7c0ee8f9e1eceea7a19fb26aa"),
     "zeros": (
         ["zeros", "--order", "3", "--count", "20"],
         "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
@@ -102,8 +107,17 @@ def test_verify_stdout_sha256(name, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
-# the theta-sweep figure panels: every file a preset writes, by name
+# the mass panel of the MIT figure and the theta-sweep panels: every file a
+# preset writes, by name
 PRESET_GOLDEN = {
+    "fig2d": {
+        "p_M0_vs+1.csv": "acb66894defcf32784e78ab44d005f76090981031f3645976252031acc42d792",
+        "p_M0_vs-1.csv": "4e4caaebe3345e9c9b999837200a1dcd884a32325e100ae19a9bc0d8e0a64d4b",
+        "p_M1_vs+1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_M1_vs-1.csv": "e3492f8000d7faf164975f6ebdaff3c3f9624699ec2076b3042b4116150da938",
+        "p_M2_vs+1.csv": "70c1e2d8416ddc448256614f1a8f06757a4ecefe6cbf83a1797236dafce356ee",
+        "p_M2_vs-1.csv": "62ac2266be4b1806332c277994cc4947c05be0e8f50662eb5b4c2fa5a4e813ea",
+    },
     "fig1e": {
         "p_theta0.3927.csv": "8fac64e0085b3abc7d47785baee805b5a76b670c9a90bc21059c0fc247773db1",
         "p_theta0.7854.csv": "c09b31e8d386ce12ba13f43ed0aa31e4195ba496b2d306741ebaa8753414a946",
