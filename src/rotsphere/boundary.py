@@ -1,21 +1,20 @@
 """Quantization of the rotating Dirac field in a sphere of radius R.
 
-Two boundary conditions are supported.  The spectral condition zeroes one
-pair of spinor components on the wall and discretizes the momentum at
-spherical Bessel zeros.  The MIT bag condition -i gamma^r psi = varsigma psi
-leads to a transcendental momentum equation solved here by a guarded sign
-scan per shell, which cannot skip roots silently, plus one array Brent root
-refinement over the brackets of every shell of a batch.
+The spectral condition zeroes one pair of spinor components on the wall and
+puts the momenta at spherical Bessel zeros.  The MIT bag condition
+-i gamma^r psi = varsigma psi gives a transcendental momentum equation, solved
+by a guarded sign scan per shell, which cannot skip roots silently, and one
+array Brent refinement over the brackets of a batch of shells.  The solver and
+the quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
 
-All momenta are handled as x = p*R; energies are E = esign * sqrt(p^2 + M^2)
-and E_tilde = E - Omega * m_j.  One store holds the solved shells: per
-(boundary, esign, M, R, i_max), j rows grown by whole j prefixes, each row
-both kappa shells of a j.  A Spectrum holds the modes as flat columns read
-from the store, so the vacuum check (E * E_tilde > 0 for every mode when
-Omega*R < 1: the rotating and nonrotating vacua coincide) and the
-quantization residual are array expressions.  The wall checks assemble the
-explicit spinors of a whole (j, kappa) block of a Spectrum in one call, once
-per mode, on 5 x 3 (theta, phi) samples at r = R.
+Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
+E_tilde = E - Omega * m_j.  One store holds the solved shells: per (boundary,
+esign, M, R, i_max), j rows grown by whole j prefixes, each row both kappa
+shells of a j.  A Spectrum holds the modes as flat columns read from it, so
+the vacuum check (E * E_tilde > 0 for every mode when Omega*R < 1: the
+rotating and nonrotating vacua coincide), the quantization residual and the
+wall checks are array expressions; the latter assemble the spinors of a
+(j, kappa) block in one call, on 5 x 3 (theta, phi) samples at r = R.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ if TYPE_CHECKING:
     from .condensate import PhysicalParams
 
 _SCAN_STEP = math.pi / 8.0
+QUANT_TOL = 1e-10  # the largest quantization residual accepted
 
 
 class FasterThanLightError(ValueError):
@@ -134,16 +134,20 @@ def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
 def _mit_equation(x, two_j, kappa, esign, rho: float, varsigma: int):
     """Residual of j_{l_f}(x) - sgn(kappa) varsigma p/(E+M) j_{l_g}(x) at x = p R,
     elementwise over x and label columns kappa and esign (kappa fixes j).
-
-    rho = M*R; the coefficient is x / (esign * sqrt(x^2 + rho^2) + rho).  For
-    esign = -1 that denominator is about -x^2/(2 rho) and cancels, so the
-    coefficient is computed as the equal -(sqrt(x^2 + rho^2) + rho) / x.
+    rho = M*R; the coefficient is x / (esign s + rho), s = sqrt(x^2 + rho^2),
+    which cancels for esign = -1 and is computed there as the equal -(s + rho) / x.
     """
     n_f, n_g = bessel_orders(kappa)
     s = np.sqrt(x * x + rho * rho)
     coeff = np.where(esign < 0, -(s + rho) / x, x / (s + rho))[()]  # [()]: scalars stay fast
     sgn_k = (kappa > 0) * 2.0 - 1.0
     return spherical_jn(n_f, x) - sgn_k * varsigma * coeff * spherical_jn(n_g, x)
+
+
+def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
+    """|_mit_equation| / max(1, |p/(E+M)|): divided by (|E| + M) / p where E < 0."""
+    scale = np.where(esign < 0, (np.sqrt(x * x + rho * rho) + rho) / x, 1.0)
+    return np.abs(_mit_equation(x, None, kappa, esign, rho, varsigma)) / scale
 
 
 def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
@@ -155,7 +159,8 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     bounded by the zeros of both Bessel orders, subdivided to at most pi/8;
     the brackets of all shells are refined by one array Brent call, so a root
     has the bits of its shell solved alone.  A shell short of roots rescans
-    with 4 more zeros.  Raises SolverError rather than skipping roots.
+    with 4 more zeros; an exact 0 counts where j_{l_f} is not 0 (both underflow
+    near x = 0 from j = 83/2).  Raises SolverError rather than skipping roots.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
@@ -184,21 +189,22 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
                                & (shell[:-1] == shell[1:]))  # inside one shell's scan
         at = shell[cross]
         found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
+        zero = vals == 0.0
+        zero[zero] = spherical_jn(bessel_orders(kappa[shell[zero]])[0], grid[zero]) != 0.0
         for s in todo:
-            exact, got = grid[(shell == s) & (vals == 0.0)], found[at == s]
-            roots[s] = (np.union1d(got, exact) if exact.size else np.sort(got))[:count]
+            roots[s] = np.union1d(found[at == s], grid[zero & (shell == s)])[:count]
         todo = [s for s in todo if roots[s].size < count]
         if not todo:
             break
         k_hi[todo] = np.minimum(k_hi[todo] + 4, I_MAX_DEFAULT)
     # the first failing shell raises, as it would with the shells solved in turn
     stop = todo[0] if todo else n
-    resid = np.abs(f(np.reshape(roots[:stop], (stop, count)), kappa[:stop, None],
-                     esign[:stop, None]))
-    fails = np.flatnonzero((resid > 1e-10).any(axis=1))
+    resid = _mit_residual(np.reshape(roots[:stop], (stop, count)), kappa[:stop, None],
+                          esign[:stop, None], M * R, varsigma)
+    fails = np.flatnonzero((resid > QUANT_TOL).any(axis=1))
     if fails.size:
-        s, r = fails[0], resid[fails[0]]
-        raise SolverError(f"momentum root residual {r[r > 1e-10][0]:.2e} exceeds 1e-10 "
+        s, r = fails[0], resid[resid > QUANT_TOL][0]  # the first failing root
+        raise SolverError(f"momentum root residual {r:.2e} exceeds {QUANT_TOL:g} "
                           f"(two_j={two_j[s]}, kappa={kappa[s]}, esign={esign[s]})")
     if todo:
         s = todo[0]
@@ -234,33 +240,33 @@ def radial_integral_minus(n: int, p: float, R: float) -> float:
     return (R * R / (2.0 * p)) * float(spherical_jn(n, x)) * float(spherical_jn(n + 1, x))
 
 
-def _mit_norms(two_j, kappa, i, R: float, M: float, esign, varsigma: int,
+def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
                p: np.ndarray) -> np.ndarray:
-    """Normalization constants of the MIT modes i with verified momenta p,
-    elementwise over labels that broadcast against p.
+    """Normalization constants of the MIT modes i with verified momenta p and
+    energies E, elementwise over labels that broadcast against p.
 
     Uses the closed form obtained by eliminating one Bessel order through the
-    momentum equation; the ratio under the square root is checked positive,
-    since a non-positive value means (p, E) do not solve the same branch.
-    """
-    two_j, kappa, i, esign, p = np.broadcast_arrays(two_j, kappa, i, esign, p)
-    E = _energy(esign, p, M)
+    momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation);
+    the ratio under the square root is checked positive, since a non-positive
+    value means (p, E) do not solve the same branch."""
+    two_j, kappa, i, E, p = np.broadcast_arrays(two_j, kappa, i, E, p)
     sgn_k = np.where(kappa > 0, 1, -1)
-    ratio = (E + M) / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E)
+    ratio = (np.where(E > 0, E + M, -(p * p) / (np.abs(E) + M))
+             / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E))
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
     bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
     if bad.size:
         at = np.unravel_index(bad[0], p.shape)
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "
-            f"kappa={kappa[at]}, i={i[at]}, esign={esign[at]}, p={p[at]})")
+            f"kappa={kappa[at]}, i={i[at]}, esign={int(np.sign(E[at]))}, p={p[at]})")
     return math.sqrt(2.0) / (R * jval) * np.sqrt(ratio)
 
 
 def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
              varsigma: int, p: float) -> float:
     """Normalization constant of the MIT mode i with verified momentum p."""
-    return float(_mit_norms(two_j, kappa, i, R, M, esign, varsigma, p))
+    return float(_mit_norms(two_j, kappa, i, R, M, _energy(esign, p, M), varsigma, p))
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +298,14 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
         two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
         if bc.is_mit:
             p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-            # the norms' math.hypot energy may differ from the np.hypot E in the last bit
-            C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M,
-                           esign, bc.varsigma, p)
+            E = _energy(esign, p, M)
+            C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M, E,
+                           bc.varsigma, p)
         else:
             p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
                              in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
-        p, E, C = (v.reshape(jx.size, -1) for v in (p, esign * np.hypot(p, M), C))
+            E = _energy(esign, p, M)
+        p, E, C = (v.reshape(jx.size, -1) for v in (p, E, C))
         p.flags.writeable = E.flags.writeable = C.flags.writeable = False
         rows += zip(p, E, C)
     return rows[:n]
@@ -377,14 +384,13 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
 
 def quantization_residual(bc: BoundaryKind, spectrum: Spectrum, R: float,
                           M: float) -> np.ndarray:
-    """Per-mode absolute residual of the active quantization condition at p*R."""
+    """Per-mode residual of the quantization condition at p*R, to hold to QUANT_TOL."""
     x = spectrum.p * R
     if not bc.is_mit:
         # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
         n = (spectrum.two_j + np.where(spectrum.two_mj * spectrum.kappa > 0, 1, -1)) // 2
         return np.abs(spherical_jn(n, x))
-    return np.abs(_mit_equation(x, spectrum.two_j, spectrum.kappa, spectrum.esign, M * R,
-                                bc.varsigma))
+    return _mit_residual(x, spectrum.kappa, spectrum.esign, M * R, bc.varsigma)
 
 
 @dataclass

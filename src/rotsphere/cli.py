@@ -309,16 +309,13 @@ def _run_verify(cfg: RunConfig) -> int:
     # wall residuals on the subset j <= 9/2, i <= 6
     sub = spectrum[(spectrum.two_j <= 9) & (spectrum.i <= 6)]
     rep = bnd.verify_boundary_residuals(bc, sub, cfg.R, cfg.M)
-    if bc.is_mit:
-        print(f"boundary residuals ({rep.n_modes} modes): "
-              f"max|MIT condition|={rep.max_condition:.3e} (tol {rep.tol_condition:g}), "
-              f"max|A+B|(R)={rep.max_density:.3e} (tol {rep.tol_density:g})")
-    else:
-        print(f"boundary residuals ({rep.n_modes} modes): "
-              f"max|component|(R)={rep.max_component:.3e} (tol {rep.tol_component:g})")
+    detail = (f"max|MIT condition|={rep.max_condition:.3e} (tol {rep.tol_condition:g}), "
+              f"max|A+B|(R)={rep.max_density:.3e} (tol {rep.tol_density:g})" if bc.is_mit
+              else f"max|component|(R)={rep.max_component:.3e} (tol {rep.tol_component:g})")
+    print(f"boundary residuals ({rep.n_modes} modes): {detail}")
     quant = float(np.max(bnd.quantization_residual(bc, spectrum, cfg.R, cfg.M)))
-    print(f"quantization residual: max={quant:.3e} (tol 1e-10)")
-    ok = vac.ok and rep.ok and quant <= 1e-10
+    print(f"quantization residual: max={quant:.3e} (tol {bnd.QUANT_TOL:g})")
+    ok = vac.ok and rep.ok and quant <= bnd.QUANT_TOL
     print("verify: " + ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 

@@ -1,16 +1,15 @@
 """Mode-level quantities for a Dirac field in a rigidly rotating sphere.
 
-A mode is labeled by (esign, j, m_j, kappa, i) where j is a positive
-half-integer, m_j in {-j, ..., j}, kappa = +-(j + 1/2) and i >= 1 indexes the
-radial excitation.  Half-integers are stored as doubled integers (two_j,
-two_mj) so quantum numbers compare exactly.
+A mode is labeled by (esign, j, m_j, kappa, i): j a positive half-integer,
+m_j in {-j, ..., j}, kappa = +-(j + 1/2) and i >= 1 the radial excitation.
+Half-integers are stored doubled (two_j, two_mj), so labels compare exactly.
+Its energy is E = esign * hypot(p, M), formed by _energy wherever it is used.
 
-The scalar density of a mode separates into a radial amplitude pair
-(f, g) acting on the two spinor-harmonic angular densities; only those real
+The scalar density of a mode separates into a radial amplitude pair (f, g)
+acting on the two spinor-harmonic angular densities; only those real
 quantities enter the condensate sums.  An explicit 4-component spinor
-assembler, broadcasting over label columns (a mode axis) and arrays of
-angles, is provided for verification (wall residuals over a whole block of
-modes, oracle tests) and is not used in the hot path.
+assembler, broadcasting over label columns (a mode axis) and angle arrays,
+serves verification only (wall residuals of a block of modes, oracle tests).
 """
 
 from __future__ import annotations
@@ -131,9 +130,7 @@ class RadialPair:
 
 
 def _energy(esign, p, M):
-    """esign * sqrt(p^2 + M^2), elementwise with math.hypot's bits: np.hypot
-    differs from it in the last bit for some (p, M)."""
-    return esign * np.asarray(np.frompyfunc(math.hypot, 2, 1)(p, M), dtype=float)
+    return esign * np.hypot(p, M)
 
 
 def _check_momentum_radius(p, M: float, r: float) -> None:

@@ -99,6 +99,52 @@ def mit_wall_equation(x, two_j: int, kappa: int, esign: int, M: float, R: float,
             - varsigma * pref_f * spherical_jn(lf, x))
 
 
+def mp_spherical_jn_list(n: int, x, dps: int = 50) -> list:
+    """mpf values j_0(x) .. j_n(x), n >= 1, by upward recurrence from the
+    closed forms of j_0 and j_1.  Below x = n the recurrence loses about
+    log10((2n+1)!!^2 / x^(2n+1)) digits; those are added to the working
+    precision, so each value keeps about dps digits."""
+    lost = (2 * (math.lgamma(2 * n + 2) - n * math.log(2) - math.lgamma(n + 1))
+            - (2 * n + 1) * math.log(x)) / math.log(10)
+    with mp.workdps(dps + max(0, int(lost)) + 10):
+        x = mp.mpf(x)
+        js = [mp.sin(x) / x, mp.sin(x) / x**2 - mp.cos(x) / x]
+        for k in range(1, n):
+            js.append((2 * k + 1) / x * js[-1] - js[-2])
+        return js
+
+
+def mp_mit_sign_change(x: float, kappa: int, esign: int, rho: float, varsigma: int,
+                       rel: float = 1e-14, dps: int = 50) -> bool:
+    """Whether j_{l_f}(y) - sgn(kappa) varsigma y/(esign sqrt(y^2 + rho^2) + rho)
+    j_{l_g}(y), the MIT equation at y = p R and rho = M R as written, changes
+    sign between y = x(1 - rel) and x(1 + rel), evaluated at dps digits."""
+    lf, lg = bessel_orders(kappa)
+    vals = []
+    with mp.workdps(dps):
+        rho = mp.mpf(rho)
+        for y in (mp.mpf(x) * (1 - mp.mpf(rel)), mp.mpf(x) * (1 + mp.mpf(rel))):
+            js = mp_spherical_jn_list(max(lf, lg, 1), y, dps)
+            coeff = y / (esign * mp.sqrt(y * y + rho * rho) + rho)
+            vals.append(js[lf] - (1 if kappa > 0 else -1) * varsigma * coeff * js[lg])
+    return vals[0] * vals[1] < 0
+
+
+def mp_mit_norm(two_j: int, kappa: int, R: float, M: float, esign: int, varsigma: int,
+                p: float, dps: int = 80) -> float:
+    """The closed-form MIT normalization constant at the float momentum p,
+    sqrt(2) / (R |j_n(p R)|) sqrt((E + M) / (2 E R - sgn(kappa) varsigma (2j + 1)
+    + varsigma M / E)) with n = j + sgn(kappa)/2, evaluated at dps digits."""
+    sgn_k = 1 if kappa > 0 else -1
+    n = (two_j + sgn_k) // 2
+    with mp.workdps(dps):
+        p, R, M = mp.mpf(p), mp.mpf(R), mp.mpf(M)
+        E = esign * mp.sqrt(p * p + M * M)
+        jval = abs(mp_spherical_jn_list(max(n, 1), p * R, dps)[n])
+        ratio = (E + M) / (2 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E)
+        return float(mp.sqrt(2) / (R * jval) * mp.sqrt(ratio))
+
+
 def scan_mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
                      varsigma: int, count: int, step: float = 1e-3) -> list[float]:
     """MIT momenta from a dense 1e-3 sign scan of the wall relation."""

@@ -16,14 +16,15 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary
-from rotsphere.boundary import (_SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI, _WALL_THETA,
-                                SolverError, _mit_equation, _mit_norms, _mit_roots,
-                                _wall_residuals, shell_rows, shell_table, two_j_from)
+from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI,
+                                _WALL_THETA, SolverError, _mit_equation, _mit_norms,
+                                _mit_residual, _mit_roots, _wall_residuals, shell_rows,
+                                shell_table, two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
                              gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
-from oracles import (bisect_root, quadrature_mode_norm, quadrature_mode_overlap,
-                     radial_quadrature, scan_mit_momenta)
+from oracles import (bisect_root, mp_mit_norm, mp_mit_sign_change, quadrature_mode_norm,
+                     quadrature_mode_overlap, radial_quadrature, scan_mit_momenta)
 
 XI_1_1 = 4.493409457909064
 
@@ -200,7 +201,7 @@ def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: floa
 
 def _mit_norm_reference(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
                         varsigma: int, p: float) -> float:
-    E = esign * math.hypot(p, M)
+    E = esign * float(np.hypot(p, M))
     x = p * R
     if kappa > 0:
         denom = 2.0 * E * R - varsigma * (two_j + 1) + varsigma * M / E
@@ -208,7 +209,7 @@ def _mit_norm_reference(two_j: int, kappa: int, i: int, R: float, M: float, esig
     else:
         denom = 2.0 * E * R + varsigma * (two_j + 1) + varsigma * M / E
         jval = abs(float(spherical_jn((two_j - 1) // 2, x)))
-    ratio = (E + M) / denom
+    ratio = (E + M if E > 0 else -(p * p) / (abs(E) + M)) / denom
     if not ratio > 0.0 or jval == 0.0:
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j}, "
@@ -275,8 +276,11 @@ def _quantization_residual_reference(bc, mode: QuantizedMode, R: float,
     qn = mode.qn
     x = mode.p * R
     if bc.is_mit:
-        return abs(float(_mit_equation(x, qn.two_j, qn.kappa, qn.esign, M * R,
-                                       bc.varsigma)))
+        rho = M * R
+        s = math.sqrt(x * x + rho * rho)
+        coeff = -(s + rho) / x if qn.esign < 0 else x / (s + rho)
+        return abs(float(_mit_equation(x, qn.two_j, qn.kappa, qn.esign, rho,
+                                       bc.varsigma))) / max(1.0, abs(coeff))
     sign_mk = 1 if qn.two_mj * qn.kappa > 0 else -1
     n = (qn.two_j + 1) // 2 if sign_mk > 0 else (qn.two_j - 1) // 2
     return abs(float(spherical_jn(n, x)))
@@ -391,6 +395,15 @@ class TestMitMomenta:
         ref = scan_mit_momenta(two_j, kappa, -1, 1.0, M, -1, 3)
         assert np.allclose(got, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("two_j, kappa", [(83, -42), (89, 45), (119, -60)])
+    def test_high_j_has_no_near_zero_root(self, two_j, kappa):
+        # from j = 83/2 both Bessel values underflow to 0 at the first near-zero
+        # probes; those exact zeros of the equation are no roots
+        for esign in (1, -1):
+            got = mit_momenta(two_j, kappa, esign, 1.0, 1.23, 1, 5)
+            ref = scan_mit_momenta(two_j, kappa, esign, 1.0, 1.23, 1, 5)
+            assert np.allclose(got, ref, rtol=1e-12, atol=0), esign
+
     @pytest.mark.parametrize("seed", range(4))
     def test_root_completeness(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -448,6 +461,18 @@ class TestMitNorm:
         with pytest.raises(SolverError):
             mit_norm(1, 1, 1, 1.0, 0.1, 1, 1, 0.05)
 
+    @pytest.mark.parametrize("rho", [1e3, 1e6, 1e7])
+    def test_negative_energy_norm_at_large_mass(self, rho):
+        # E + M cancels where E is near -M; against an 80-digit evaluation of
+        # the same closed form at the same float root
+        for (two_j, kappa), vs in itertools.product(((1, -1), (1, 1), (7, 4), (21, -11),
+                                                     (41, 21)), (1, -1)):
+            p = mit_momenta(two_j, kappa, -1, 1.0, rho, vs, 20)
+            for i in (1, 2, 7, 20):
+                got = mit_norm(two_j, kappa, i, 1.0, rho, -1, vs, p[i - 1])
+                want = mp_mit_norm(two_j, kappa, 1.0, rho, -1, vs, p[i - 1])
+                assert got == pytest.approx(want, rel=1e-9, abs=0), (two_j, kappa, vs, i)
+
 
 class TestMitArrayPath:
     """Array momenta and norms keep the bits of the scalar references."""
@@ -461,7 +486,7 @@ class TestMitArrayPath:
             # store, since this sweep would only evict other sets
             p = _mit_roots(two_j, kappa, esign, R, M, vs, count)
             C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, count + 1), R, M,
-                           esign, vs, p)
+                           esign * np.hypot(p, M), vs, p)
             for s, (tj, ka) in enumerate(_mit_shells()):
                 ref = _mit_momenta_reference(tj, ka, esign, R, M, vs, count)
                 ref_C = [_mit_norm_reference(tj, ka, i + 1, R, M, esign, vs, x)
@@ -469,20 +494,37 @@ class TestMitArrayPath:
                 assert _same_bits(p[s], ref), (R, vs, esign, tj, ka)
                 assert _same_bits(C[s], ref_C), (R, vs, esign, tj, ka)
 
-    def test_same_solver_errors_at_huge_mass(self):
-        # at M R = 1e7 the esign = -1 residual check fails on these shells
+    @pytest.mark.parametrize("rho, rejected", [(1e6, 0), (3e6, 8), (1e7, 57)])
+    def test_solves_at_huge_mass(self, rho, rejected):
+        # the esign = -1 coefficient grows like 2 M R / x, and with it the
+        # rounding of the equation at a root: the reference's absolute check
+        # rejects `rejected` of these 84 shells, the scaled check none
+        two_j, kappa = np.array(list(_mit_shells())).T
         failed = 0
-        for vs, (two_j, kappa) in itertools.product((1, -1), _mit_shells()):
-            try:
-                ref = _mit_momenta_reference(two_j, kappa, -1, 1.0, 1e7, vs, 20)
-            except SolverError as exc:
-                with pytest.raises(SolverError) as got:
-                    mit_momenta(two_j, kappa, -1, 1.0, 1e7, vs, 20)
-                assert str(got.value) == str(exc)
-                failed += 1
-            else:
-                assert _same_bits(mit_momenta(two_j, kappa, -1, 1.0, 1e7, vs, 20), ref)
-        assert failed == 57
+        for vs in (1, -1):
+            p = _mit_roots(two_j, kappa, -1, 1.0, rho, vs, 20)
+            for s, (tj, ka) in enumerate(_mit_shells()):
+                for x in p[s].tolist():
+                    assert mp_mit_sign_change(x, ka, -1, rho, vs), (vs, tj, ka, x)
+                try:
+                    ref = _mit_momenta_reference(tj, ka, -1, 1.0, rho, vs, 20)
+                except SolverError:
+                    failed += 1
+                else:
+                    assert _same_bits(p[s], ref), (vs, tj, ka)
+        assert failed == rejected
+
+    @pytest.mark.parametrize("rho", [1e6, 3e6, 1e7])
+    def test_moved_roots_rejected(self, rho):
+        # at the masses above, a root moved by 1e-9 relative fails the scaled
+        # residual check
+        two_j, kappa = np.array(list(_mit_shells())).T
+        for vs, esign in itertools.product((1, -1), (1, -1)):
+            x = _mit_roots(two_j, kappa, esign, 1.0, rho, vs, 20)
+            resid = lambda y: _mit_residual(y, kappa[:, None], esign, rho, vs)
+            assert np.all(resid(x) <= QUANT_TOL)
+            for rel in (-1e-9, 1e-9):
+                assert np.all(resid(x * (1 + rel)) > QUANT_TOL), (vs, esign, rel)
 
     # shells (1, -1) and (1, 1) read orders 0 and 1; shells (5, -3) and (5, 3)
     # read orders 2 and 3, whose tables the tests below cut short
@@ -522,15 +564,24 @@ class TestMitArrayPath:
             _mit_momenta_reference(5, -3, 1, 1.3, 0.7, -1, 8)
         assert str(got.value) == str(want.value)
 
-    def test_batch_raises_for_first_failing_shell(self):
-        # at M R = 1e7, esign = -1: shell (1, 1) passes, (1, -1) and (3, -2) fail
+    def test_batch_raises_for_first_failing_shell(self, monkeypatch):
+        # the roots of the kappa < 0 shells moved by 1e-9 relative: at M R = 1e7,
+        # esign = -1, shell (1, 1) passes, (1, -1) and (3, -2) fail
+        moved = lambda x, kappa: x * np.where(kappa < 0, 1 + 1e-9, 1.0)
+        real = boundary._brentq_array
         for two_j, kappa in ([1, 1, 3], [1, -1, -2]), ([3, 1, 1], [-2, 1, -1]):
-            with pytest.raises(SolverError) as got:
-                _mit_roots(two_j, kappa, -1, 1.0, 1e7, 1, 20)
-            with pytest.raises(SolverError) as want:
-                for tj, ka in zip(two_j, kappa):
-                    _mit_momenta_reference(tj, ka, -1, 1.0, 1e7, 1, 20)
-            assert str(got.value) == str(want.value)
+            x = moved(_mit_roots(two_j, kappa, -1, 1.0, 1e7, 1, 20), np.c_[kappa])
+            resid = _mit_residual(x, np.c_[kappa], -1, 1e7, 1)
+            s = np.flatnonzero((resid > QUANT_TOL).any(axis=1))[0]
+            assert kappa[s] < 0 and s == min(kappa.index(-1), kappa.index(-2))
+            r = resid[s][resid[s] > QUANT_TOL][0]
+            with monkeypatch.context() as m:
+                m.setattr(boundary, "_brentq_array",
+                          lambda f, a, b, cols: moved(real(f, a, b, cols), cols[0]))
+                with pytest.raises(SolverError) as got:
+                    _mit_roots(two_j, kappa, -1, 1.0, 1e7, 1, 20)
+            assert str(got.value) == (f"momentum root residual {r:.2e} exceeds 1e-10 "
+                                      f"(two_j={two_j[s]}, kappa={kappa[s]}, esign=-1)")
 
     def test_scalar_norm_matches_reference(self):
         R, M, vs = 1.3, 0.9, -1

@@ -102,12 +102,15 @@ class TestSpectrumCommand:
             assert len(out.read_text().strip().split("\n")) == 1 + 4000
 
     def test_solver_error_exit_code(self, capsys):
-        # at M R = 1e7 the esign = -1 root check fails on the first shell
-        assert main(["spectrum", "--bc", "mit", "--varsigma", "1", "--M", "1e7",
-                     "--Omega", "0.5", "--jmax", "3/2", "--imax", "20"]) == 3
+        # at M R = 1e200, (M R)^2 overflows in the momentum equation
+        args = ["spectrum", "--bc", "mit", "--varsigma", "1", "--Omega", "0.5",
+                "--jmax", "3/2", "--imax", "20"]
+        assert main([*args, "--M", "1e200"]) == 3
         assert capsys.readouterr().err == (
-            "solver error: momentum root residual 2.93e-10 exceeds 1e-10 "
-            "(two_j=1, kappa=-1, esign=-1)\n")
+            "solver error: non-finite values in momentum equation scan\n")
+        # M R = 1e7 solves: its E < 0 roots pass the scaled residual check
+        assert main([*args, "--M", "1e7"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_imax_above_limit(self, capsys):
         for bc in ("spectral", "mit"):

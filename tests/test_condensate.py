@@ -260,6 +260,13 @@ class TestCondensateGrid:
                                np.linspace(0.1, 3.0, 4), 6.5, 10)
         assert np.max(np.abs(grid.values[-1])) <= 1e-9
 
+    def test_mit_past_j_83_half(self):
+        # from j = 83/2 the root scan took underflowed Bessel values at its first
+        # probe for a root p = 1e-6 / R, whose norm check then raised
+        params = PhysicalParams(M=1.23, R=1.0, Omega=0.5, beta=1.0)
+        grid = condensate_grid(mit(1), params, [0.5], [1.0], 99 / 2, 200)
+        assert np.all(np.isfinite(grid.values))
+
     def test_truncation_self_convergence(self):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.4, beta=0.5)
         r = np.array([0.2, 0.6, 0.9])

@@ -50,23 +50,23 @@ GOLDEN = {
         [*_SPECTRUM, "--format", "json"],
         "df9d9738e79f1e6d61d7482a2a1fd0a02ee91e2b915bab784ae6e15a4c89871a"),
     "spectrum-mit+1-csv": (
-        _MIT["1"], "3a439c3ef6c81d9967191482faf1040c36b9d1c4f9d082e04e2f8d60818ee0de"),
+        _MIT["1"], "19b490f54f822e6cfd9a6747e025b0f2ae8f78c670850c7980f6c6359133026f"),
     "spectrum-mit+1-json": (
         [*_MIT["1"], "--format", "json"],
-        "8a6d2a04260b0b6352d37109c77a1122b03944ed9876fb3d6134040e7c642c36"),
+        "26259229ae750c07c7afaed910ad36e08335da9ea0c19e80f523e75cdb57c975"),
     "spectrum-mit-1-csv": (
-        _MIT["-1"], "afcb42426a240377e87e32098c29807fae22edb50c277b069e89b1f9b81f6a22"),
+        _MIT["-1"], "89cdaa2c21129a6b4d225ffe088940650a3abb26399df2840c1633343e6eb189"),
     "spectrum-mit-1-json": (
         [*_MIT["-1"], "--format", "json"],
-        "0d9a7df7f3564bd7967d05c8e247909b8b974dca59614dce8775c778124fd872"),
+        "66d8001c70b9dcde0acc0861fb1faa7ad3a6bb7fcc2be4ae77e5a0c2ab3e8429"),
     "spectrum-mit+1-deep": (
         [*_MIT_DEEP, "--varsigma", "1"],
-        "cef8cc5099c3cf6a6b2332579a9c69c70fff2a27efffe7fbc19ca4efaa592be1"),
+        "dfae3a3cdeb1ac255975d74ce72fbd9fea154c633f6b3ee5541d8c77bdac2da6"),
     "spectrum-mit-1-deep": (
         [*_MIT_DEEP, "--varsigma", "-1"],
-        "57394ab93facbac0eefd0299ee09102ecb64f053ed22e33bc3127aa0a69a795b"),
+        "a29d45801c8a528dd3c879a33915118ac4ed1e4d0a824c8c0f1289e0dd56f337"),
     "spectrum-mit+1-heavy": (
-        _MIT_HEAVY, "666e190d45464731040ede3d21162393ba9468f7c0ee8f9e1eceea7a19fb26aa"),
+        _MIT_HEAVY, "36ba24dbdef5d70843eb38714a2e59c5b30119f88390b78f20907e60684bb6de"),
     "zeros": (
         ["zeros", "--order", "3", "--count", "20"],
         "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
@@ -96,7 +96,7 @@ VERIFY_GOLDEN = {
         "fa349e10eba7c3c3140525a492291b4ef4820dd85664fce78143ff9eea61ad84"),
     "verify-mit-1": (
         ["--bc", "mit", "--varsigma", "-1"],
-        "7bf9af878e6f14dc582ddc172dc6f9c5ba702691b14e1e76d1b174559b0ff778"),
+        "0a83af380a0f90786529f7e414085121d46a9536e8923bc4fbeceee6229340ba"),
 }
 
 
