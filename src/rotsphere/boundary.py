@@ -12,9 +12,9 @@ E_tilde = E - Omega * m_j.  One store holds the solved shells: per (boundary,
 esign, M, R, i_max), j rows grown by whole j prefixes, each row both kappa
 shells of a j.  A Spectrum holds the modes as flat columns read from it, so
 the vacuum check (E * E_tilde > 0 for every mode when Omega*R < 1: the
-rotating and nonrotating vacua coincide), the quantization residual and the
-wall checks are array expressions; the latter assemble the spinors of a
-(j, kappa) block in one call, on 5 x 3 (theta, phi) samples at r = R.
+rotating and nonrotating vacua coincide), the quantization residual (once per
+root) and the wall checks (a (j, kappa) block of spinors per call, on 5 x 3
+(theta, phi) samples at r = R) are array expressions.
 """
 
 from __future__ import annotations
@@ -296,15 +296,18 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
     while len(rows) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
         jx = np.arange(len(rows), min(n, len(rows) + max(1, 1260 // i_max)))
         two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
-        if bc.is_mit:
-            p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-            E = _energy(esign, p, M)
-            C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M, E,
-                           bc.varsigma, p)
-        else:
-            p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
-                             in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
-            E = _energy(esign, p, M)
+        with np.errstate(all="ignore"):  # an overflow is reported below, not warned
+            if bc.is_mit:
+                p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
+                E = _energy(esign, p, M)
+                C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M,
+                               E, bc.varsigma, p)
+            else:
+                p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
+                                 in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
+                E = _energy(esign, p, M)
+            if not np.isfinite([p, E, C * C]).all():  # |C|^2 is what the sums read
+                raise ValueError(f"non-finite momentum, energy or |C|^2 at R={R}, M={M}")
         p, E, C = (v.reshape(jx.size, -1) for v in (p, E, C))
         p.flags.writeable = E.flags.writeable = C.flags.writeable = False
         rows += zip(p, E, C)
@@ -382,15 +385,28 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
     return Spectrum(esign, two_j, two_mj, kappa, i, p, E, E - Omega * two_mj / 2.0, C)
 
 
+def _per_root(x: np.ndarray, label: np.ndarray, i: np.ndarray):
+    """(at, inv) with f(x[at], label[at])[inv] == f(x, label): a mode per (label, i, x)."""
+    key, n = (label - label.min(initial=0)) * (i.max(initial=0) + 1) + i, np.arange(x.size)
+    rep = np.zeros(key.max(initial=0) + 1, np.intp)
+    rep[key] = n  # a mode of each key; one whose x differs from it stands alone
+    rep = np.where(x == x[rep[key]], rep[key], n)
+    at = np.flatnonzero(rep == n)
+    n[at] = np.arange(at.size)  # a representative's place in at
+    return at, n[rep]
+
+
 def quantization_residual(bc: BoundaryKind, spectrum: Spectrum, R: float,
                           M: float) -> np.ndarray:
     """Per-mode residual of the quantization condition at p*R, to hold to QUANT_TOL."""
-    x = spectrum.p * R
-    if not bc.is_mit:
-        # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
-        n = (spectrum.two_j + np.where(spectrum.two_mj * spectrum.kappa > 0, 1, -1)) // 2
-        return np.abs(spherical_jn(n, x))
-    return _mit_residual(x, spectrum.kappa, spectrum.esign, M * R, bc.varsigma)
+    s, x = spectrum, spectrum.p * R
+    if bc.is_mit:
+        at, inv = _per_root(x, 4 * s.kappa + s.esign, s.i)  # a root per (kappa, esign, i)
+        return _mit_residual(x[at], s.kappa[at], s.esign[at], M * R, bc.varsigma)[inv]
+    # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
+    n = (s.two_j + np.where(s.two_mj * s.kappa > 0, 1, -1)) // 2
+    at, inv = _per_root(x, n, s.i)  # a root per (n, i)
+    return np.abs(spherical_jn(n[at], x[at]))[inv]
 
 
 @dataclass

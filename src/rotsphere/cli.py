@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -375,7 +376,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         return run(cfg)
@@ -387,5 +388,6 @@ def main(argv=None) -> int:
         return 3
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # main's, built once (parse_args is stateless)
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,8 +8,8 @@ Its energy is E = esign * hypot(p, M), formed by _energy wherever it is used.
 The scalar density of a mode separates into a radial amplitude pair (f, g)
 acting on the two spinor-harmonic angular densities; only those real
 quantities enter the condensate sums.  An explicit 4-component spinor
-assembler, broadcasting over label columns (a mode axis) and angle arrays,
-serves verification only (wall residuals of a block of modes, oracle tests).
+assembler over label columns (a mode axis) and angle arrays, which evaluates
+each distinct spinor harmonic once, serves verification only.
 """
 
 from __future__ import annotations
@@ -223,16 +223,18 @@ def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     k is a QuantumNumbers, or has esign, two_j, two_mj and kappa columns (a
     Spectrum) that match the momenta p.  The result has shape
     (4, *modes, *angles), where the angle axes are those of theta and phi
-    broadcast.  Verification path only: wall-residual checks and oracle
-    tests build the full spinor; production sums never materialize it.
+    broadcast.  Verification path only (wall residuals, oracle tests); each
+    distinct harmonic label (two_j, two_mj, +-sign kappa) is evaluated once.
     """
     tail = (1,) * np.broadcast(theta, phi).ndim
     col = lambda v: np.reshape(v, np.shape(v) + tail)  # mode axes, then angle axes
     rad = radial_pair(k, p, M, r)
-    two_j, two_mj, sign = col(k.two_j), col(k.two_mj), col(np.sign(k.kappa))
-    chi_up = spinor_harmonic(two_j, two_mj, sign, theta, phi)
-    chi_dn = spinor_harmonic(two_j, two_mj, -sign, theta, phi)
-    return np.concatenate([col(rad.f) * chi_up, 1j * col(rad.g_over_i) * chi_dn])
+    two_j, two_mj, sign = lab = np.stack(  # axes (label, upper/lower block, *modes)
+        [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
+    key = ((two_j + 1) * two_j + two_mj) * 2 + (sign > 0)  # one-to-one: |two_mj| <= two_j
+    _, at, inv = np.unique(key, return_index=True, return_inverse=True)
+    chi = spinor_harmonic(*col(lab.reshape(3, -1)[:, at]), theta, phi)[:, inv.reshape(key.shape)]
+    return np.concatenate([col(rad.f) * chi[:, 0], 1j * col(rad.g_over_i) * chi[:, 1]])
 
 
 def _ubar_u(u: np.ndarray) -> np.ndarray:

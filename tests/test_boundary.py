@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -9,13 +11,13 @@ from scipy.optimize import brentq
 from scipy.special import sph_harm_y
 
 from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
-                       QuantumNumbers, SPECTRAL, Spectrum, VacuumReport,
+                       QuantumNumbers, SPECTRAL, Spectrum, VacuumReport, condensate_grid,
                        density_terms, enumerate_spectrum, mit, mit_momenta, mit_norm,
                        quantization_residual, radial_integral_minus,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
-from rotsphere import boundary
+from rotsphere import boundary, modes
 from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
@@ -637,6 +639,26 @@ class TestShellStore:
         assert again[0][0] is not first[0][0]
         assert self._bits(again) == self._bits(first)
 
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_tiny_radius_raises_before_any_warning(self, bc):
+        # sqrt(R^3) underflows (spectral C = inf), p^2 overflows in the MIT norm
+        # of the E < 0 modes, and |C|^2 overflows for every MIT mode: each gave
+        # a non-finite value with no error before
+        for R in (1e-200, 1e-300):
+            params = PhysicalParams(M=1.0, R=R, Omega=0.0, beta=1.0)
+            for _ in range(2):  # the failed batch leaves no rows behind
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=rf"non-finite momentum, energy or "
+                                                         rf"\|C\|\^2 at R={R}, M=1\.0$"):
+                        enumerate_spectrum(bc, params, 1.5, 2)
+                    with pytest.raises(ValueError, match=rf"R={R}, M=1\.0"):
+                        condensate_grid(bc, params, [0.0], [1.0], 1.5, 2)
+                assert len(boundary._shell_set(bc, -1, 1.0, R, 2)) == 0
+        # a small radius at which every value is finite
+        params = PhysicalParams(M=1.0, R=1e-100, Omega=0.0, beta=1.0)
+        assert len(enumerate_spectrum(bc, params, 1.5, 2)) == 48
+
 
 class TestEnumerate:
     def test_mode_count(self):
@@ -903,6 +925,83 @@ class TestWallArrayPath:
             assert np.array_equal(gam[(slice(None), slice(None)) + idx],
                                   gamma_radial(float(_WALL_THETA[idx]),
                                                float(_WALL_PHI[idx])))
+
+
+class TestDistinctInputs:
+    """The verify path evaluates each distinct input once: a spinor harmonic per
+    (two_j, two_mj, +-sign kappa) and a quantization residual per root."""
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_wall_harmonics_once_per_label(self, bc, monkeypatch):
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 12.5, 20)
+        wall = spec[(spec.two_j <= 9) & (spec.i <= 6)]  # verify's wall subset
+        sizes = []
+
+        def counting(l, m, theta, phi):
+            sizes.append(np.broadcast(l, m, theta, phi).size)
+            return sph_harm_y(l, m, theta, phi)
+
+        monkeypatch.setattr(modes, "sph_harm_y", counting)
+        assert verify_boundary_residuals(bc, wall, params.R, params.M).ok
+        blocks = [wall[wall.kappa == kappa] for kappa in np.unique(wall.kappa)]
+        assert len(sizes) == 2 * len(blocks)  # one spinor_harmonic call per block
+        for block, pair in zip(blocks, zip(sizes[::2], sizes[1::2])):
+            labels = {(tj, tm, s * np.sign(ka)) for tj, tm, ka in
+                      zip(block.two_j.tolist(), block.two_mj.tolist(), block.kappa.tolist())
+                      for s in (1, -1)}
+            assert max(pair) <= len(labels) * _WALL_THETA.size
+            assert len(block) >= 12 * len(labels) / 2  # 2 E signs x 6 radial indices
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_quantization_residual_once_per_root(self, bc, monkeypatch):
+        params = PhysicalParams(M=1.0, R=1.3, Omega=0.5, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 12.5, 20)
+        name = "_mit_equation" if bc.is_mit else "spherical_jn"
+        real, elements = getattr(boundary, name), []
+
+        def counting(*args):
+            elements.append(np.broadcast(*(a for a in args if a is not None)).size)
+            return real(*args)
+
+        # a root is fixed by (kappa, esign, i) (MIT) or (n, i) (spectral), and
+        # the residual reads the labels (kappa, esign) or n besides the root
+        if bc.is_mit:
+            labels = (spec.kappa.tolist(), spec.esign.tolist())
+        else:
+            n = (spec.two_j + np.where(spec.two_mj * spec.kappa > 0, 1, -1)) // 2
+            labels = (n.tolist(),)
+        roots = set(zip(*labels, spec.i.tolist()))
+        assert len(set(zip(*labels, spec.p.tolist()))) == len(roots) < len(spec) / 4
+        want = [_quantization_residual_reference(bc, mo, params.R, params.M)
+                for mo in spec.modes()]
+        with monkeypatch.context() as m:
+            m.setattr(boundary, name, counting)
+            resid = quantization_residual(bc, spec, params.R, params.M)
+        assert elements == [len(roots)]
+        assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
+        # a mode whose momentum differs from that of its root is evaluated on its own
+        p = spec.p.copy()
+        p[[7, len(p) // 2]] *= 1.0 + 1e-6
+        moved = dataclasses.replace(spec, p=p)
+        elements.clear()
+        with monkeypatch.context() as m:
+            m.setattr(boundary, name, counting)
+            resid = quantization_residual(bc, moved, params.R, params.M)
+        assert elements == [len(roots) + 2]
+        want = [_quantization_residual_reference(bc, mo, params.R, params.M)
+                for mo in moved.modes()]
+        assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
+        assert resid[7] > QUANT_TOL and resid[len(p) // 2] > QUANT_TOL
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1)])
+    def test_empty_spectrum(self, bc):
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 1.5, 2)
+        empty = spec[np.zeros(len(spec), bool)]
+        assert quantization_residual(bc, empty, 1.0, 1.0).shape == (0,)
+        assert assemble_spinor(empty, empty.p, 1.0, 1.0, _WALL_THETA, _WALL_PHI).shape == (
+            (4, 0) + _WALL_THETA.shape)
 
 
 class TestExport:

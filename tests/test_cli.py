@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rotsphere import cli
 from rotsphere.cli import (ConfigError, RunConfig, main, parse_config, run,
                            config_from_args, build_parser)
 
@@ -188,6 +189,75 @@ class TestPhysicalInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(s in err for s in named)
+
+
+class TestTinyRadius:
+    """A radius whose momenta, energies or |C|^2 overflow exits 2 naming R and
+    M; these printed nan or inf with exit 0 before."""
+
+    @pytest.mark.parametrize("argv", [
+        ["condensate", "--R", "1e-200", "--r-grid", "0", "--jmax", "3/2", "--imax", "2"],
+        ["condensate", "--bc", "mit", "--R", "1e-120", "--r-grid", "0", "--jmax", "3/2",
+         "--imax", "2"],
+        ["spectrum", "--R", "1e-300", "--jmax", "1/2", "--imax", "1"],
+        ["spectrum", "--bc", "mit", "--varsigma", "-1", "--M", "1", "--R", "1e-200",
+         "--jmax", "1/2", "--imax", "1"],
+        ["verify", "--bc", "mit", "--M", "1", "--R", "1e-200", "--jmax", "1/2", "--imax", "1"],
+    ], ids=["condensate-spectral", "condensate-mit", "spectrum-spectral", "spectrum-mit",
+            "verify-mit"])
+    def test_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        R, M = argv[argv.index("--R") + 1], argv[argv.index("--M") + 1] if "--M" in argv else "0"
+        assert out == "" and err == (f"error: non-finite momentum, energy or |C|^2 at "
+                                     f"R={float(R)!r}, M={float(M)!r}\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no flag of one call may reach
+    the next."""
+
+    ARGVS = [
+        ["verify", "--bc", "mit", "--varsigma", "-1", "--M", "0.5", "--Omega", "0.8",
+         "--jmax", "3/2", "--imax", "2"],
+        ["verify", "--jmax", "3/2", "--imax", "2"],
+        ["zeros", "--order", "2", "--count", "3", "--format", "json"],
+        ["zeros", "--count", "2"],
+        ["spectrum", "--bc", "mit", "--M", "1", "--R", "2", "--jmax", "1/2", "--imax", "1",
+         "--format", "json"],
+        ["spectrum", "--jmax", "1/2", "--imax", "1"],
+        ["condensate", "--M", "1", "--Omega", "0.3", "--beta", "2", "--mu", "0.1",
+         "--jmax", "3/2", "--imax", "2", "--r-grid", "0.5", "--theta-grid", "1.0"],
+        ["condensate", "--jmax", "3/2", "--imax", "2", "--r-grid", "0.25"],
+        ["verify", "--Omega", "2"],
+        ["verify", "--bc", "neither"],
+        ["verify", "--jmax", "1/2", "--imax", "1"],
+    ]
+
+    @staticmethod
+    def _outcomes(argvs, capsys):
+        outcomes = []
+        for argv in argvs:
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag
+                status = f"exit {exc.code}"
+            outcomes.append((status, *capsys.readouterr()))
+        return outcomes
+
+    def test_calls_in_a_row_match_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("bc=mit\nM=2\nOmega=0.1\n")
+        argvs = [*self.ARGVS, ["verify", "--config", str(cfgfile), "--jmax", "1/2",
+                               "--imax", "1"], self.ARGVS[-1]]
+        got = self._outcomes(argvs, capsys)
+        assert cli._parser() is cli._parser() and build_parser() is not build_parser()
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        assert got == self._outcomes(argvs, capsys)
+        statuses = [g[0] for g in got]
+        assert statuses == [0] * 8 + [2, "exit 2", 0, 0, 0]
+        assert "MIT condition" in got[0][1] and "MIT condition" not in got[1][1]
+        assert got[-1] == got[-3] != got[-2]
 
 
 class TestVerifyCommand:
