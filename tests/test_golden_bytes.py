@@ -130,6 +130,54 @@ PRESET_GOLDEN = {
         "p_theta1.1781.csv": "1124c1d5cfacc90d6fbcd6d1f0ad7b2f87823d0f2e13b8175a2385bf4975f43d",
         "p_theta1.5708.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
     },
+    # both whole figures, all six panels: `condensate --preset fig1` and `fig2`
+    "fig1": {
+        "p_a_Omega0.4.csv": "2c793530b108542ca1401dc10c9095f9085da109a3e1975ee2333166233f1e0a",
+        "p_a_Omega0.8.csv": "f84cd5316795059d5344e070478ed5840d19ad559e2f65e622565daa4a30465c",
+        "p_a_Omega0.csv": "3cd9af479132f8afeaf6ef4da04a4d132ba3694d1657bb7ec235b568ac6a8c01",
+        "p_b_Omega0.4.csv": "d877591efcf1f2ac585f7909c2d0c7e9fc2f50d8d4344a3f874cff4cbd4acdf8",
+        "p_b_Omega0.8.csv": "db3255b2bb44b9e8f9f327a4d2ed6d269133205d65eb77a925bca1f865d705d7",
+        "p_b_Omega0.csv": "3984529385860970aa32c247ee15cab13b87e67fb0be9d3710d0f1eb064908b1",
+        "p_c_beta0.5.csv": "dc2da33c2487335fc29753e4238ce456ca5e9b69bc2cbd948b5ddd8e53acdba8",
+        "p_c_beta1.csv": "b51adedef093f5d9f34bb53a3f99de51a63b62822953990f21dfe86da5c4e8a5",
+        "p_c_beta2.csv": "b16c1c93638fa62248fa7dfb9043065004142273619614575b44087829613f99",
+        "p_d_M0.csv": "c1ea1364f7b8e0535960b6f12ec7fef54e9f0ae520263d2d71e42114502f8497",
+        "p_d_M1.csv": "b51adedef093f5d9f34bb53a3f99de51a63b62822953990f21dfe86da5c4e8a5",
+        "p_d_M2.csv": "3b4b376be2dd7497fa5a799c83af8809284ecd212ba0472e054c83e6caf32eea",
+        "p_e_theta0.3927.csv": "8fac64e0085b3abc7d47785baee805b5a76b670c9a90bc21059c0fc247773db1",
+        "p_e_theta0.7854.csv": "c09b31e8d386ce12ba13f43ed0aa31e4195ba496b2d306741ebaa8753414a946",
+        "p_e_theta1.1781.csv": "c26be32e863f9dc08ee2b944914dded3ebc51f7a6252047bd1ba34f01eb43168",
+        "p_e_theta1.5708.csv": "f84cd5316795059d5344e070478ed5840d19ad559e2f65e622565daa4a30465c",
+        "p_f_theta0.3927.csv": "e67108644608fb31ede03dddbfa0b5cd8d465c5b3fbcf616e9fdfc18fde48e39",
+        "p_f_theta0.7854.csv": "b745e9e4232f24c07154d6b68d238e604a97060fec1d9ac243dc82c9e2c04dce",
+        "p_f_theta1.1781.csv": "131c678c9a1d7a54280e02c84c72e40ee17c9b6f6efeaf31e6f1a40e818979fa",
+        "p_f_theta1.5708.csv": "db3255b2bb44b9e8f9f327a4d2ed6d269133205d65eb77a925bca1f865d705d7",
+    },
+    "fig2": {
+        "p_a_Omega0.4.csv": "36971a103026faa7ced8c337ac98cd0ce8fa9b2140fd2131d65751ec203bd00a",
+        "p_a_Omega0.8.csv": "42f706b18f87519d733d56d83d1beb804fd566b8205f1e8f815270f46c24ce1c",
+        "p_a_Omega0.csv": "140f3b15a50c1df94201fdd6e3c9dc62661d672fbb05732adb62f08bab528923",
+        "p_b_Omega0.4.csv": "2dc1fdd80fa46f2e3f5c3314ec2ba675289d4c0efb21c5711e0e75bee44bd8be",
+        "p_b_Omega0.8.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
+        "p_b_Omega0.csv": "36f7cf0c402521f99fbd15ac6df1b9e85f0ada037501b06ea64804216b7391bb",
+        "p_c_beta0.5.csv": "54443a3a33f5c300f5203905476a1ac241f5be8d18dbd3a676d1bdc021d982e0",
+        "p_c_beta1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_c_beta2.csv": "c7dfd235856ce2f0d525cd0f2ebeb0c8ff1715080aaf7b41b97e5325cae09009",
+        "p_d_M0_vs+1.csv": "acb66894defcf32784e78ab44d005f76090981031f3645976252031acc42d792",
+        "p_d_M0_vs-1.csv": "4e4caaebe3345e9c9b999837200a1dcd884a32325e100ae19a9bc0d8e0a64d4b",
+        "p_d_M1_vs+1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_d_M1_vs-1.csv": "e3492f8000d7faf164975f6ebdaff3c3f9624699ec2076b3042b4116150da938",
+        "p_d_M2_vs+1.csv": "70c1e2d8416ddc448256614f1a8f06757a4ecefe6cbf83a1797236dafce356ee",
+        "p_d_M2_vs-1.csv": "62ac2266be4b1806332c277994cc4947c05be0e8f50662eb5b4c2fa5a4e813ea",
+        "p_e_theta0.3927.csv": "bd1ff9a402c75546ef40154f9b5e38a62ccca489157fc2ec79fb07433ebef8c1",
+        "p_e_theta0.7854.csv": "cc0bb59f57b1926c9e7e3d6d23ef67015c8f34f310254f38dcddbcaa568ac31a",
+        "p_e_theta1.1781.csv": "1a03fbd6073a14498bc31a25dc7eff68bf19f6e8de577f76c282f1f6d53dd628",
+        "p_e_theta1.5708.csv": "42f706b18f87519d733d56d83d1beb804fd566b8205f1e8f815270f46c24ce1c",
+        "p_f_theta0.3927.csv": "e56df1f18bee047290025182f0db111d945e64431a74946516f9adee6cd42b4a",
+        "p_f_theta0.7854.csv": "ddec5dc3a5d1a309093f4f3e9b1ba8f39e4bb490eb4da0edd43470e97d873960",
+        "p_f_theta1.1781.csv": "1124c1d5cfacc90d6fbcd6d1f0ad7b2f87823d0f2e13b8175a2385bf4975f43d",
+        "p_f_theta1.5708.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
+    },
 }
 
 
