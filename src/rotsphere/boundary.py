@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .modes import (QuantumNumbers, _energy, _ubar_u, assemble_spinor, bessel_orders,
-                    gamma_radial)
+                    corotating_energy, gamma_radial)
 from .specfun import I_MAX_DEFAULT, SolverError, _brentq_array, bessel_zeros, spherical_jn
 
 if TYPE_CHECKING:
@@ -40,6 +40,12 @@ QUANT_TOL = 1e-10  # the largest quantization residual accepted
 
 class FasterThanLightError(ValueError):
     """Boundary speed Omega*R reaches or exceeds the speed of light."""
+
+
+def _check_light_cylinder(params: "PhysicalParams") -> None:
+    if params.Omega * params.R >= 1.0:
+        raise FasterThanLightError(f"Omega*R = {params.Omega * params.R} >= 1: "
+                                   "boundary at or beyond the speed of light")
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class QuantizedMode:
 
 def two_j_from(j_max: float) -> int:
     """Doubled half-integer from j (e.g. 2.5 -> 5); validates half-integerness."""
-    if not math.isfinite(j_max):
+    if not math.isfinite(2 * j_max):  # round(2 * j_max) needs a finite value
         raise ValueError(f"j must be a positive half-integer, got {j_max}")
     two = int(round(2 * j_max))
     if abs(two - 2 * j_max) > 1e-9 or two < 1 or two % 2 == 0:
@@ -246,9 +252,9 @@ def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
     energies E, elementwise over labels that broadcast against p.
 
     Uses the closed form obtained by eliminating one Bessel order through the
-    momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation);
-    the ratio under the square root is checked positive, since a non-positive
-    value means (p, E) do not solve the same branch."""
+    momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation).
+    The ratio under the square root must be positive: if negative, (p, E) do not
+    solve the same branch; if +0, it underflowed (FloatingPointError)."""
     two_j, kappa, i, E, p = np.broadcast_arrays(two_j, kappa, i, E, p)
     sgn_k = np.where(kappa > 0, 1, -1)
     ratio = (np.where(E > 0, E + M, -(p * p) / (np.abs(E) + M))
@@ -257,6 +263,8 @@ def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
     bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
     if bad.size:
         at = np.unravel_index(bad[0], p.shape)
+        if ratio[at] == 0.0 and not np.signbit(ratio[at]):
+            raise FloatingPointError(f"MIT norm ratio underflows at R={R}, M={M}")
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "
             f"kappa={kappa[at]}, i={i[at]}, esign={int(np.sign(E[at]))}, p={p[at]})")
@@ -297,29 +305,25 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
         jx = np.arange(len(rows), min(n, len(rows) + max(1, 1260 // i_max)))
         two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
         with np.errstate(all="ignore"):  # an overflow is reported below, not warned
-            if bc.is_mit:
-                p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-                E = _energy(esign, p, M)
-                C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1), R, M,
-                               E, bc.varsigma, p)
-            else:
-                p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
-                                 in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
-                E = _energy(esign, p, M)
-            if not np.isfinite([p, E, C * C]).all():  # |C|^2 is what the sums read
-                raise ValueError(f"non-finite momentum, energy or |C|^2 at R={R}, M={M}")
+            try:
+                if bc.is_mit:
+                    p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
+                    E = _energy(esign, p, M)
+                    C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1),
+                                   R, M, E, bc.varsigma, p)
+                else:
+                    p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
+                                     in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
+                    E = _energy(esign, p, M)
+                finite = np.isfinite([p, E, C * C]).all()  # |C|^2 is what the sums read
+            except (OverflowError, FloatingPointError):  # spectral R**3; MIT ratio at +0
+                finite = False
+        if not finite:
+            raise ValueError(f"non-finite momentum, energy or |C|^2 at R={R}, M={M}")
         p, E, C = (v.reshape(jx.size, -1) for v in (p, E, C))
         p.flags.writeable = E.flags.writeable = C.flags.writeable = False
         rows += zip(p, E, C)
     return rows[:n]
-
-
-def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
-                R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign)
-    shell: its half of the j row of shell_rows."""
-    half = slice(i_max, None) if kappa > 0 else slice(i_max)
-    return tuple(v[half] for v in shell_rows(bc, esign, M, R, i_max, two_j)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +364,10 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
                        i_max: int) -> Spectrum:
     """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j.
 
-    Requires Omega*R < 1; a sphere whose surface moves at or above the speed
-    of light is rejected.
+    Raises FasterThanLightError unless Omega*R < 1.
     """
+    _check_light_cylinder(params)
     M, R, Omega = params.M, params.R, params.Omega
-    if Omega * R >= 1.0:
-        raise FasterThanLightError(
-            f"Omega*R = {Omega * R} >= 1: boundary at or beyond the speed of light")
     labels, values = [], []
     i = np.arange(1, i_max + 1)[:, None, None]
     sets = [shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)]
@@ -382,7 +383,8 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
                 np.array([-1, 1]), two_j, two_mj[:, None], kappa, i)).reshape(5, -1))
     esign, two_j, two_mj, kappa, i = np.concatenate(labels, axis=1)
     p, E, C = np.concatenate(values, axis=1)
-    return Spectrum(esign, two_j, two_mj, kappa, i, p, E, E - Omega * two_mj / 2.0, C)
+    return Spectrum(esign, two_j, two_mj, kappa, i, p, E,
+                    corotating_energy(E, two_mj / 2.0, Omega), C)
 
 
 def _per_root(x: np.ndarray, label: np.ndarray, i: np.ndarray):
@@ -431,7 +433,7 @@ def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> Vac
     """
     if not math.isfinite(Omega):
         raise ValueError(f"Omega must be finite, got {Omega}")
-    et = spectrum.E - Omega * spectrum.two_mj / 2.0
+    et = corotating_energy(spectrum.E, spectrum.two_mj / 2.0, Omega)
     return VacuumReport(spectrum.modes(spectrum.E * et <= 0.0),
                         float(np.min(np.abs(et), initial=math.inf)), len(spectrum), Omega * R)
 

@@ -89,19 +89,17 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_jmax(key: str, value: str) -> int:
     value = value.strip()
+    num, slash, den = value.partition("/")
+    malformed = ConfigError(f"malformed half-integer {value!r} for key '{key}'")
+    try:  # a fraction over another denominator fails float()
+        j = int(num) / 2.0 if slash and int(den) == 2 else float(value)
+    except (ValueError, OverflowError):
+        raise malformed from None
     try:
-        if "/" in value:
-            num, den = value.split("/")
-            if int(den) != 2:
-                raise ValueError
-            two_j = int(num)
-        else:
-            two_j = bnd.two_j_from(float(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"malformed half-integer {value!r} for key '{key}'") from None
-    if two_j < 1 or two_j % 2 == 0:
-        raise ConfigError(f"{key} must be a positive half-integer, got {value!r}")
-    return two_j
+        return bnd.two_j_from(j)
+    except ValueError:  # a decimal that is not a half-integer is malformed
+        raise (ConfigError(f"{key} must be a positive half-integer, got {value!r}")
+               if slash else malformed) from None
 
 
 def _parse_text(key: str, value: str) -> str:
@@ -185,12 +183,9 @@ def _parse_grid(spec: str, key: str) -> np.ndarray:
     return pts
 
 
-def _grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    r = (_parse_grid(cfg.r_grid, "r_grid") if cfg.r_grid
-         else np.linspace(0.0, cfg.R, 21))
-    th = (_parse_grid(cfg.theta_grid, "theta_grid") if cfg.theta_grid
-          else np.array([math.pi / 2]))
-    return r, th
+def _r_grid(cfg: RunConfig, R: float, n: int) -> np.ndarray:
+    """The r_grid spec, else n equally spaced points over [0, R]."""
+    return _parse_grid(cfg.r_grid, "r_grid") if cfg.r_grid else np.linspace(0.0, R, n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +276,16 @@ def _run_condensate(cfg: RunConfig) -> int:
             for label, pdict, theta, vs in _panel_curves(panel, mit_case):
                 bc = bnd.mit(vs if vs is not None else 1) if mit_case else bnd.SPECTRAL
                 params = cnd.PhysicalParams(**pdict)
-                r_grid = (_parse_grid(cfg.r_grid, "r_grid") if cfg.r_grid
-                          else np.linspace(0.0, params.R, 41))
-                grid = cnd.condensate_grid(bc, params, r_grid, [theta],
+                grid = cnd.condensate_grid(bc, params, _r_grid(cfg, params.R, 41), [theta],
                                            cfg.two_j_max / 2.0, cfg.i_max)
                 tag = f"{panel}_{label}" if len(panels) > 1 else label
                 path = f"{stem}_{tag}.{cfg.format}"
                 _write(path, to_text(grid))
                 print(path)
         return 0
-    r_grid, th_grid = _grids(cfg)
-    grid = cnd.condensate_grid(cfg.boundary, cfg.params, r_grid, th_grid,
+    th_grid = (_parse_grid(cfg.theta_grid, "theta_grid") if cfg.theta_grid
+               else np.array([math.pi / 2]))
+    grid = cnd.condensate_grid(cfg.boundary, cfg.params, _r_grid(cfg, cfg.R, 21), th_grid,
                                cfg.two_j_max / 2.0, cfg.i_max)
     _write(cfg.out, to_text(grid))
     return 0
@@ -380,7 +374,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return run(cfg)
-    except (ConfigError, bnd.FasterThanLightError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and FasterThanLightError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except bnd.SolverError as exc:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .boundary import BoundaryKind, FasterThanLightError, shell_rows, two_j_from
-from .modes import density_split, spinor_densities
+from .boundary import BoundaryKind, _check_light_cylinder, shell_rows, two_j_from
+from .modes import corotating_energy, density_split, spinor_densities
 from .specfun import legendre_density_table, spherical_jn
 
 
@@ -56,10 +56,7 @@ class PhysicalParams:
             raise ValueError(f"R must be > 0, got {self.R}")
         if self.Omega < 0:
             raise ValueError(f"Omega must be >= 0, got {self.Omega}")
-        if self.Omega * self.R >= 1.0:
-            raise FasterThanLightError(
-                f"Omega*R = {self.Omega * self.R} >= 1: boundary at or beyond "
-                "the speed of light")
+        _check_light_cylinder(self)
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
@@ -175,8 +172,8 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         jm2 = (np.concatenate([last[1], spherical_jn(k0 - 1, x[:, i_max:]) ** 2], axis=1)
                if np.array_equal(last[0], p[:i_max]) else spherical_jn(k0 - 1, x) ** 2)
         last = (p[i_max:], jp2[:, i_max:])
-        w_t, w_b = (weight(E[:, None] - sign * Omega * (two_m / 2.0), 1, beta, mu)
-                    for sign in (1.0, -1.0))
+        w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
+                    for m_j in (two_m / 2.0, -two_m / 2.0))
         kappa, C2 = np.repeat((-k0, k0), i_max)[:, None], (C * C)[:, None]
         for it, tab in enumerate(tabs):
             A, B = density_split(kappa, *spinor_densities(two_j, two_m, tab),
@@ -215,15 +212,7 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     return values, tail
 
 
-def _check_point_args(params: PhysicalParams, r: float, theta: float,
-                      j_max: float) -> int:
-    if params.Omega * params.R >= 1.0:
-        raise FasterThanLightError(
-            f"Omega*R = {params.Omega * params.R} >= 1")
-    if not 0.0 <= r <= params.R:
-        raise ValueError(f"r = {r} outside [0, R]")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta = {theta} outside [0, pi]")
+def _two_j_max(j_max: float) -> int:
     two_j_max = two_j_from(j_max)
     if two_j_max < 3:
         raise ValueError("truncation below j_max = 3/2 is meaningless")
@@ -235,12 +224,10 @@ def condensate_point(bc: BoundaryKind, params: PhysicalParams, r: float,
                      subtracted: bool = True) -> float:
     """Vacuum-subtracted condensate at (r, theta), truncated at (j_max, i_max).
 
-    Pass subtracted=False for the raw (divergent-sum) weight, which is only
-    meaningful for truncation studies.
+    A one-point condensate_grid.  Pass subtracted=False for the raw
+    (divergent-sum) weight, which is only meaningful for truncation studies.
     """
-    two_j_max = _check_point_args(params, r, theta, j_max)
-    values, _ = _grid_values(bc, params, [r], [theta], two_j_max, i_max, subtracted)
-    return float(values[0, 0])
+    return condensate_grid(bc, params, [r], [theta], j_max, i_max, subtracted).values.item()
 
 
 def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
@@ -254,7 +241,9 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
     """
     if params.Omega != 0.0:
         raise ValueError("condensate_nonrotating requires Omega = 0")
-    two_j_max = _check_point_args(params, r, math.pi / 2, j_max)
+    if not 0.0 <= r <= params.R:
+        raise ValueError(f"r = {r} outside [0, R]")
+    two_j_max = _two_j_max(j_max)
     M, R = params.M, params.R
     weight = thermal_weight_subtracted if subtracted else thermal_weight
 
@@ -303,6 +292,7 @@ def condensate_grid(bc: BoundaryKind, params: PhysicalParams, r_grid, theta_grid
     tail_estimate is the largest magnitude over grid points of the highest
     retained j-shell's total contribution, a truncation-error proxy.
     """
+    _check_light_cylinder(params)
     r_vals = np.asarray(r_grid, dtype=float)
     th_vals = np.asarray(theta_grid, dtype=float)
     if r_vals.ndim != 1 or th_vals.ndim != 1 or not len(r_vals) or not len(th_vals):
@@ -312,7 +302,7 @@ def condensate_grid(bc: BoundaryKind, params: PhysicalParams, r_grid, theta_grid
         raise ValueError("r grid entries must lie in [0, R]")
     if not np.all((th_vals >= 0) & (th_vals <= math.pi)):
         raise ValueError("theta grid entries must lie in [0, pi]")
-    two_j_max = _check_point_args(params, float(r_vals[0]), float(th_vals[0]), j_max)
+    two_j_max = _two_j_max(j_max)
 
     values, tail = _grid_values(bc, params, r_vals.tolist(), th_vals.tolist(),
                                 two_j_max, i_max, subtracted)

@@ -52,7 +52,7 @@ def conjugate_index(k: QuantumNumbers) -> QuantumNumbers:
 
 
 def corotating_energy(E: float, m_j: float, Omega: float) -> float:
-    """Energy seen by the corotating observer: E - Omega * m_j."""
+    """Energy seen by the corotating observer, E - Omega * m_j, elementwise."""
     return E - Omega * m_j
 
 

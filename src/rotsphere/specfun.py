@@ -50,20 +50,25 @@ def _check_order(n):
         raise UnsupportedOrderError(f"order n={n} outside supported range [0, {N_MAX_DEFAULT}]")
 
 
+def _checked_call(f, n, x, positive: bool):
+    """f(n, x) for finite x >= 0, or > 0 if positive; a float for a scalar x."""
+    _check_order(n)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    if np.any(arr <= 0 if positive else arr < 0):
+        raise ValueError("x must be " + ("positive" if positive else "non-negative"))
+    out = f(n, arr)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
 def spherical_bessel_j(n: int, x):
     """Spherical Bessel function j_n(x) for integer n >= 0.
 
     Accepts a scalar or ndarray argument; x must be >= 0 and finite.
     j_0(0) = 1 and j_n(0) = 0 for n >= 1.
     """
-    _check_order(n)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    if np.any(arr < 0):
-        raise ValueError("x must be non-negative")
-    out = spherical_jn(n, arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _checked_call(spherical_jn, n, x, positive=False)
 
 
 def spherical_bessel_j_prime(n: int, x):
@@ -72,14 +77,8 @@ def spherical_bessel_j_prime(n: int, x):
     Satisfies the recurrences j'_n + (n+1)/x * j_n = j_{n-1} and
     j'_n - n/x * j_n = -j_{n+1}.
     """
-    _check_order(n)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    if np.any(arr <= 0):
-        raise ValueError("x must be positive")
-    out = _spherical_jn_public(n, arr, derivative=True)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _checked_call(lambda n, x: _spherical_jn_public(n, x, derivative=True), n, x,
+                         positive=True)
 
 
 def _finite(v: np.ndarray) -> np.ndarray:

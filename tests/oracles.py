@@ -4,7 +4,9 @@ Everything here deliberately avoids the production solution paths:
 high-precision Bessel values come from mpmath, roots from dense sign scans
 plus plain bisection, normalization constants from Gauss-Legendre
 quadrature, and the condensate from the unreduced mode sum with an explicit
-m_j loop and no symmetry folding.
+m_j loop and no symmetry folding.  The one exception is shell_table, a slice
+of the production shell store, through which the per-mode references read
+their shells.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import spherical_jn
 
 from rotsphere import angular_density, assemble_spinor, bessel_orders
+from rotsphere.boundary import BoundaryKind, shell_rows
 from rotsphere.modes import GAMMA_T, QuantumNumbers, spinor_harmonic
+
+
+def shell_table(bc: BoundaryKind, two_j: int, kappa: int, esign: int, M: float,
+                R: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays p_i, E_i, C_i (i = 1..i_max) of a (j, kappa, esign)
+    shell: its half of the j row of shell_rows."""
+    half = slice(i_max, None) if kappa > 0 else slice(i_max)
+    return tuple(v[half] for v in shell_rows(bc, esign, M, R, i_max, two_j)[-1])
 
 
 def mp_spherical_j(n: int, x, dps: int = 40) -> float:

@@ -12,7 +12,7 @@ from scipy.special import sph_harm_y
 
 from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        QuantumNumbers, SPECTRAL, Spectrum, VacuumReport, condensate_grid,
-                       density_terms, enumerate_spectrum, mit, mit_momenta, mit_norm,
+                       condensate_point, density_terms, enumerate_spectrum, mit, mit_momenta, mit_norm,
                        quantization_residual, radial_integral_minus,
                        radial_integral_plus, spectral_momentum, spectral_norm,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
@@ -21,12 +21,13 @@ from rotsphere import boundary, modes
 from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
-                                shell_table, two_j_from)
+                                two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
                              gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, mp_mit_norm, mp_mit_sign_change, quadrature_mode_norm,
-                     quadrature_mode_overlap, radial_quadrature, scan_mit_momenta)
+                     quadrature_mode_overlap, radial_quadrature, scan_mit_momenta,
+                     shell_table)
 
 XI_1_1 = 4.493409457909064
 
@@ -655,6 +656,17 @@ class TestShellStore:
                     with pytest.raises(ValueError, match=rf"R={R}, M=1\.0"):
                         condensate_grid(bc, params, [0.0], [1.0], 1.5, 2)
                 assert len(boundary._shell_set(bc, -1, 1.0, R, 2)) == 0
+        # R**3 overflows in a spectral norm (an OverflowError before), and the
+        # norm ratio of the MIT E < 0 modes underflows to 0 (a SolverError
+        # before); the condensate reads only E > 0 modes
+        for R in (1e108, 1e150):
+            params = PhysicalParams(M=1.0, R=R, Omega=0.0, beta=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as exc:
+                    enumerate_spectrum(bc, params, 1.5, 2)
+            assert str(exc.value) == f"non-finite momentum, energy or |C|^2 at R={R}, M=1.0"
+            assert len(boundary._shell_set(bc, -1, 1.0, R, 2)) == 0
         # a small radius at which every value is finite
         params = PhysicalParams(M=1.0, R=1e-100, Omega=0.0, beta=1.0)
         assert len(enumerate_spectrum(bc, params, 1.5, 2)) == 48
@@ -678,6 +690,10 @@ class TestEnumerate:
         object.__setattr__(bad, "mu", 0.0)
         with pytest.raises(FasterThanLightError):
             enumerate_spectrum(SPECTRAL, bad, 0.5, 1)
+        with pytest.raises(FasterThanLightError):
+            condensate_point(SPECTRAL, bad, 0.5, 1.0, 1.5, 1)
+        with pytest.raises(FasterThanLightError):
+            condensate_grid(SPECTRAL, bad, [0.5], [1.0], 1.5, 1)
         enumerate_spectrum(SPECTRAL, good, 0.5, 1)
 
     def test_canonical_ordering_and_determinism(self):
@@ -711,7 +727,7 @@ class TestEnumerate:
         assert two_j_from(10.5) == 21
         with pytest.raises(ValueError):
             two_j_from(1.0)
-        for bad in (math.inf, -math.inf, math.nan):
+        for bad in (math.inf, -math.inf, math.nan, 1e308):
             with pytest.raises(ValueError, match="half-integer"):
                 two_j_from(bad)
 

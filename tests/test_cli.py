@@ -156,8 +156,22 @@ class TestCondensateCommand:
         assert rc == 2
         assert "faster-than-light" in capsys.readouterr().err
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        # an OSError exits 2, never 1, which is verify's FAILED
+        path = tmp_path / "missing.cfg"
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(path) in err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "run.csv"
+        assert main(["condensate", "--jmax", "3/2", "--imax", "2", "--r-grid", "0.5",
+                     "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(path) in err
+
     def test_infinite_jmax(self, capsys):
-        for value in ("inf", "nan"):
+        for value in ("inf", "nan", "1e308", "1" + "0" * 400 + "1/2"):
             assert main(["condensate", "--jmax", value]) == 2
             assert "'jmax'" in capsys.readouterr().err
 
@@ -193,7 +207,8 @@ class TestPhysicalInputErrors:
 
 class TestTinyRadius:
     """A radius whose momenta, energies or |C|^2 overflow exits 2 naming R and
-    M; these printed nan or inf with exit 0 before."""
+    M; the tiny radii printed nan or inf with exit 0 before, the large ones
+    ended in an OverflowError traceback (spectral) or exit 3 (MIT)."""
 
     @pytest.mark.parametrize("argv", [
         ["condensate", "--R", "1e-200", "--r-grid", "0", "--jmax", "3/2", "--imax", "2"],
@@ -203,8 +218,17 @@ class TestTinyRadius:
         ["spectrum", "--bc", "mit", "--varsigma", "-1", "--M", "1", "--R", "1e-200",
          "--jmax", "1/2", "--imax", "1"],
         ["verify", "--bc", "mit", "--M", "1", "--R", "1e-200", "--jmax", "1/2", "--imax", "1"],
+        ["spectrum", "--R", "6e102", "--jmax", "1/2", "--imax", "1"],
+        ["condensate", "--R", "1e110", "--r-grid", "0", "--jmax", "3/2", "--imax", "2"],
+        ["verify", "--R", "1e300", "--jmax", "1/2", "--imax", "1"],
+        ["spectrum", "--bc", "mit", "--M", "1", "--R", "1e108", "--jmax", "1/2", "--imax", "1"],
+        ["spectrum", "--bc", "mit", "--varsigma", "-1", "--M", "1", "--R", "1e150",
+         "--jmax", "1/2", "--imax", "1"],
+        ["verify", "--bc", "mit", "--M", "1", "--R", "1e120", "--jmax", "1/2", "--imax", "1"],
     ], ids=["condensate-spectral", "condensate-mit", "spectrum-spectral", "spectrum-mit",
-            "verify-mit"])
+            "verify-mit", "spectrum-spectral-large", "condensate-spectral-large",
+            "verify-spectral-large", "spectrum-mit-large", "spectrum-mit-vs-1-large",
+            "verify-mit-large"])
     def test_exit_2(self, capsys, argv):
         assert main(argv) == 2
         out, err = capsys.readouterr()

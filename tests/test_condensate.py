@@ -14,9 +14,9 @@ from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
                        grid_to_json, mit, thermal_weight,
                        thermal_weight_subtracted)
 from rotsphere import condensate as cnd
-from rotsphere.boundary import shell_table
 from rotsphere.modes import density_split, spinor_densities
 from rotsphere.specfun import legendre_density_table
+from oracles import shell_table
 
 
 def unreduced_sum(bc, params, r, theta, j_max, i_max, subtracted=True):
