@@ -13,12 +13,14 @@ points at once, with the two kappa shells of a j stacked along the radial
 index: the paired weights, |C|^2, M/(2E) and the Bessel squares are formed
 once per j, and a spectral j reuses the order-k0 squares of the shell before
 it, whose momenta its -k0 shell shares.  The Legendre table is formed once
-per theta.  The terms of a j block, a row per point in the canonical order
-(ascending j, then kappa, i, m_j), are reduced by a TwoSum tree as they are
-formed; the partials are combined and certified once per point to be the
-correctly rounded sum, math.fsum's bits.  Every term is the same IEEE
-expression of the same operands wherever it is computed, so points and
-grids give bit-identical values.
+per theta.  The terms, a row per point in the canonical order (ascending j,
+then kappa, i, m_j), are written j block by j block into a buffer of about
+2^16 terms, which is reduced by one TwoSum tree per theta when full; a j
+block too large for it, and the last j, whose sum is the tail estimate, are
+reduced alone.  The partials are combined and certified once per point to
+be the correctly rounded sum, math.fsum's bits, however the rows were cut.
+Every term is the same IEEE expression of the same operands wherever it is
+computed, so points and grids give bit-identical values.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
+# terms (points x terms) in one kernel buffer, reduced by one TwoSum tree per
+# theta: large enough that a few-point grid pays for arithmetic, not for the
+# numpy calls of a tree per j, and small (512 KB) against the j blocks
+_BUFFER_TERMS = 2**16
+
+
 def _tree_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise TwoSum tree over contiguous halves of each row: (s, e_sum,
     e_abs), where s plus the rounding errors e is the exact sum, e_sum =
@@ -156,13 +164,25 @@ def _exact_row_sums(buf: np.ndarray, tree: tuple | None = None) -> np.ndarray:
 
 def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
               tabs: list[np.ndarray], two_j_max: int, i_max: int, weight):
-    """Yield (two_j, it, terms) per j, then per Legendre table tabs[it]: the
-    terms of both kappa shells of j, a row per r in the order (kappa, i, m_j)."""
+    """Yield (two_j, it, terms) per buffer, then per Legendre table tabs[it]:
+    the terms of the j blocks up to two_j, a row per r in the order (j, kappa,
+    i, m_j).  Consecutive j blocks fill a buffer of at most _BUFFER_TERMS
+    terms over all points, each block written into its slice.  A j that
+    shares no buffer, the last j always, is yielded alone, formed in place."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col = np.array(r_vals)[:, None]
+    points, end_j = len(r_vals) * len(tabs), 0
     last = (None, None)  # the previous +k0 shell's momenta and order-k0 squares
     rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
     for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
+        if two_j > end_j:  # a new buffer: the j that fit, never the last j
+            end_j, width = two_j, i_max * (two_j + 1)
+            while (end_j + 2 < two_j_max
+                   and points * (width + i_max * (end_j + 3)) <= _BUFFER_TERMS):
+                end_j += 2
+                width += i_max * (end_j + 1)
+            buf = np.empty((len(tabs), len(r_vals), width)) if end_j > two_j else None
+            start = 0
         two_m = np.arange(1, two_j + 1, 2)
         k0 = (two_j + 1) // 2
         x = r_col * p
@@ -175,6 +195,7 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
                     for m_j in (two_m / 2.0, -two_m / 2.0))
         kappa, C2 = np.repeat((-k0, k0), i_max)[:, None], (C * C)[:, None]
+        stop = start + i_max * (two_j + 1)
         for it, tab in enumerate(tabs):
             A, B = density_split(kappa, *spinor_densities(two_j, two_m, tab),
                                  jm2[:, :, None], jp2[:, :, None], (M / (2.0 * E))[:, None])
@@ -183,17 +204,23 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                 A *= w_t - w_b
                 B *= w_t + w_b
             A += B
-            A *= C2 * (w_t + w_b) if bc.is_mit else C2
             del B  # free before the caller reduces A
-            yield two_j, it, A.reshape(len(r_vals), -1)
+            out = A if buf is None else buf[it, :, start:stop].reshape(A.shape)
+            np.multiply(A, C2 * (w_t + w_b) if bc.is_mit else C2, out=out)
+            if buf is None:
+                yield two_j, it, A.reshape(len(r_vals), -1)
+        start = stop
+        if buf is not None and two_j == end_j:
+            yield from ((two_j, it, terms) for it, terms in enumerate(buf))
 
 
 def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  th_vals: list[float], two_j_max: int, i_max: int,
                  subtracted: bool) -> tuple[np.ndarray, float]:
     """Condensate over r_vals x th_vals and the largest |last j-shell
-    contribution| over the points.  A point whose sum is not certified has
-    its terms formed again alone, by the same block code, for math.fsum."""
+    contribution| over the points.  Each buffer _j_blocks yields is reduced
+    once per theta.  A point whose sum is not certified has its terms formed
+    again alone, by the same block code, for math.fsum."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
     trees: list[list] = [[] for _ in th_vals]

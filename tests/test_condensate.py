@@ -517,17 +517,18 @@ class TestExactRowSums:
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=0.9, mu=0.3)
         thetas = [0.4, math.pi / 2]
         grid = condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), thetas, 10.5, 30)
-        # j-major: a block per (j, theta), both thetas of a j before the next j
-        assert [(two_j, it) for two_j, it, _ in blocks] == [
-            (two_j, it) for two_j in range(1, 22, 2) for it in range(2)]
+        # 14 points: j = 1/2 .. 19/2 fill one buffer of 14 x 3,300 terms, then
+        # the last j comes alone; per buffer a block per theta, j-major
+        assert [(two_j, it, terms.shape) for two_j, it, terms in blocks] == [
+            (19, 0, (7, 3300)), (19, 1, (7, 3300)), (21, 0, (7, 660)), (21, 1, (7, 660))]
+        assert 14 * 3300 <= cnd._BUFFER_TERMS
         # one TwoSum tree per block, the tail's included; the other trees
-        # reduce the chunk partials: 11 per point for a value, 1 for a tail
-        assert [sum(x is terms for x in tree_args) for terms in yielded] == [1] * 22
+        # reduce the chunk partials: 2 per point for a value, 1 for a tail
+        assert [sum(x is terms for x in tree_args) for terms in yielded] == [1] * 4
         assert sorted(x.shape for x in tree_args if not any(x is t for t in yielded)) == [
-            (7, 1), (7, 1), (7, 11), (7, 11)]
+            (7, 1), (7, 1), (7, 2), (7, 2)]
         assert [len(given) for _, given in exact_calls] == [1, 1]  # the tails reuse a tree
         exact_bufs = [buf for buf, _ in exact_calls]
-        assert all(terms.shape == (7, 30 * (two_j + 1)) for two_j, _, terms in blocks)
         for it in range(2):
             rows = np.concatenate([terms for _, i, terms in blocks if i == it], axis=1)
             assert rows.shape[1] == 30 * 11 * 12
@@ -541,6 +542,39 @@ class TestExactRowSums:
         assert len(exact_bufs) == 3 and exact_bufs[-1].shape == (1, 30 * 11 * 2)
         for buf in exact_bufs + [terms for *_, terms in blocks]:
             assert _outcome(exact, buf) == _outcome(_fsum_rows, buf)
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_buffer_size_moves_no_bit(self, bc, monkeypatch):
+        # 1 term: every j block reduced alone; 2^40: all j but the last in one
+        # buffer; the default: several buffers.  Then the second r made
+        # uncertified under each, so that its math.fsum fallback, at both
+        # thetas, runs from buffers too.
+        params = PhysicalParams(M=0.6, R=1.0, Omega=0.6, beta=0.8, mu=0.1)
+        r_grid = np.linspace(0.1, 1.0, 4)
+        certified_sums, j_blocks, calls = cnd._certified_sums, cnd._j_blocks, []
+
+        def recording(bc, params, r_vals, *rest):
+            blocks = list(j_blocks(bc, params, r_vals, *rest))
+            calls.append((r_vals, [two_j for two_j, it, _ in blocks if it == 0]))
+            return iter(blocks)
+
+        def outcome():
+            calls.clear()
+            grid = condensate_grid(bc, params, r_grid, [0.7, math.pi / 2], 20.5, 60)
+            return [v.hex() for v in grid.values.ravel().tolist()], grid.tail_estimate.hex()
+
+        want = outcome()
+        monkeypatch.setattr(cnd, "_j_blocks", recording)
+        # (buffer size, buffers of the grid, buffers of a fallback point)
+        for size, n_grid, n_point in ((1, 21, 21), (cnd._BUFFER_TERMS, 5, 2), (2**40, 2, 2)):
+            monkeypatch.setattr(cnd, "_BUFFER_TERMS", size)
+            assert outcome() == want, size
+            with monkeypatch.context() as m:
+                m.setattr(cnd, "_certified_sums", lambda trees, n: (
+                    lambda r, ok: (r, ok & (np.arange(ok.size) != 1)))(*certified_sums(trees, n)))
+                assert outcome() == want, size
+            assert [(r_vals, len(ends)) for r_vals, ends in calls] == [
+                (r_grid.tolist(), n_grid), ([r_grid[1]], n_point), ([r_grid[1]], n_point)]
 
     @pytest.mark.parametrize("row", _FALLBACK_ROWS, ids=repr)
     def test_fallback_inputs(self, row, monkeypatch):
