@@ -156,6 +156,34 @@ def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
     return np.abs(_mit_equation(x, None, kappa, esign, rho, varsigma)) / scale
 
 
+def _scan_grids(orders: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-scan points of each shell, concatenated, and the counts per shell.
+
+    A shell's breaks are the first top zeros of both Bessel orders of its
+    column of orders (2, shells), sorted; below the first break come
+    log-spaced probes, then linspace(lo, hi, nseg + 1)[1:] of every gap,
+    bit for bit.  Each distinct order's zero table is read once.
+    """
+    distinct, at = np.unique(orders, return_inverse=True)
+    tables = np.full((distinct.size, top), np.inf)  # inf ends the gaps of a cut table
+    for row, n_fg in zip(tables, distinct.tolist()):
+        z = bessel_zeros(n_fg, top)
+        row[:z.size] = z
+    breaks = np.sort(np.concatenate(tables[at.reshape(orders.shape)], axis=1), axis=1)
+    gaps = np.isfinite(breaks[:, 1:])
+    lo, hi = breaks[:, :-1][gaps], breaks[:, 1:][gaps]  # shell by shell, ascending
+    nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
+    gap = np.repeat(np.arange(nseg.size), nseg)
+    k = np.arange(gap.size) - np.repeat(np.cumsum(nseg) - nseg, nseg) + 1
+    scan = np.where(k < nseg[gap], k * ((hi - lo) / nseg)[gap] + lo[gap], hi[gap])
+    per_shell = np.zeros(gaps.shape, int)
+    per_shell[gaps] = nseg
+    per_shell = per_shell.sum(axis=1)
+    probes = np.geomspace(1e-6, breaks[:, 0], 12, axis=1)
+    grid = np.insert(scan, np.repeat(np.cumsum(per_shell) - per_shell, 12), probes.ravel())
+    return grid, per_shell + 12
+
+
 def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
                count: int) -> np.ndarray:
     """First `count` momenta of each MIT shell of the label columns (two_j,
@@ -163,10 +191,11 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
 
     Each shell's roots in x = p*R are located by a sign scan over intervals
     bounded by the zeros of both Bessel orders, subdivided to at most pi/8;
-    the brackets of all shells are refined by one array Brent call, so a root
-    has the bits of its shell solved alone.  A shell short of roots rescans
-    with 4 more zeros; an exact 0 counts where j_{l_f} is not 0 (both underflow
-    near x = 0 from j = 83/2).  Raises SolverError rather than skipping roots.
+    the scan grids of all shells of a pass are built in one array pass, and
+    their brackets refined by one array Brent call, so a root has the bits of
+    its shell solved alone.  A shell short of roots rescans with 4 more
+    zeros; an exact 0 counts where j_{l_f} is not 0 (both underflow near x = 0
+    from j = 83/2).  Raises SolverError rather than skipping roots.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
@@ -175,19 +204,10 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         raise ValueError("esign and varsigma must be +-1")
     f = lambda x, kappa, esign: _mit_equation(x, None, kappa, esign, M * R, varsigma)
     n = kappa.size
-    roots, k_hi, todo = [None] * n, np.full(n, min(count + 2, I_MAX_DEFAULT)), range(n)
+    roots, todo, top = np.empty((n, count)), np.arange(n), min(count + 2, I_MAX_DEFAULT)
     for _ in range(6):
-        grids = []
-        for top, *orders in np.transpose([k_hi[todo], *bessel_orders(kappa[todo])]).tolist():
-            breaks = np.union1d(*(bessel_zeros(n_fg, top) for n_fg in orders))
-            # near-zero approach: log-spaced probes below the first break; then
-            # linspace(lo, hi, nseg + 1)[1:] of every gap at once, bit for bit
-            lo, hi = breaks[:-1, None], breaks[1:, None]
-            nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
-            k = np.arange(1, nseg.max() + 1)
-            scan = np.where(k < nseg, k * ((hi - lo) / nseg) + lo, hi)[k <= nseg]
-            grids.append(np.concatenate([np.geomspace(1e-6, breaks[0], 12), scan]))
-        shell, grid = np.repeat(todo, [g.size for g in grids]), np.concatenate(grids)
+        grid, sizes = _scan_grids(np.array(bessel_orders(kappa[todo])), top)
+        shell = np.repeat(todo, sizes)
         vals = f(grid, kappa[shell], esign[shell])
         if not np.all(np.isfinite(vals)):
             raise SolverError("non-finite values in momentum equation scan")
@@ -197,26 +217,33 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
         zero = vals == 0.0
         zero[zero] = spherical_jn(bessel_orders(kappa[shell[zero]])[0], grid[zero]) != 0.0
-        for s in todo:
-            roots[s] = np.union1d(found[at == s], grid[zero & (shell == s)])[:count]
-        todo = [s for s in todo if roots[s].size < count]
-        if not todo:
+        first, end = np.searchsorted(at, todo), np.searchsorted(at, todo, "right")
+        short = end - first < count
+        exact = np.unique(shell[zero])
+        for s in exact:  # merge the exact zeros with the roots found
+            merged = np.union1d(found[at == s], grid[zero & (shell == s)])[:count]
+            short[todo == s] = merged.size < count
+            roots[s, :merged.size] = merged
+        fill = ~short & ~np.isin(todo, exact)
+        roots[todo[fill]] = found[first[fill, None] + np.arange(count)]
+        todo = todo[short]
+        if not todo.size:
             break
-        k_hi[todo] = np.minimum(k_hi[todo] + 4, I_MAX_DEFAULT)
+        top = min(top + 4, I_MAX_DEFAULT)
     # the first failing shell raises, as it would with the shells solved in turn
-    stop = todo[0] if todo else n
-    resid = _mit_residual(np.reshape(roots[:stop], (stop, count)), kappa[:stop, None],
-                          esign[:stop, None], M * R, varsigma)
+    stop = todo[0] if todo.size else n
+    resid = _mit_residual(roots[:stop], kappa[:stop, None], esign[:stop, None], M * R,
+                          varsigma)
     fails = np.flatnonzero((resid > QUANT_TOL).any(axis=1))
     if fails.size:
         s, r = fails[0], resid[resid > QUANT_TOL][0]  # the first failing root
         raise SolverError(f"momentum root residual {r:.2e} exceeds {QUANT_TOL:g} "
                           f"(two_j={two_j[s]}, kappa={kappa[s]}, esign={esign[s]})")
-    if todo:
+    if todo.size:
         s = todo[0]
         raise SolverError(f"could not locate {count} momentum roots (two_j={two_j[s]}, "
                           f"kappa={kappa[s]}, esign={esign[s]}, M={M}, varsigma={varsigma})")
-    return np.array(roots) / R
+    return roots / R
 
 
 def mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,

@@ -551,9 +551,43 @@ class TestMitArrayPath:
         calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
         p = _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
         assert sorted(set(calls)) == [(0, 10), (1, 10), (2, 10), (2, 14), (3, 10), (3, 14)]
-        assert calls.count((2, 14)) == calls.count((3, 14)) == 2  # one rescan per shell
+        # one rescan pass, which reads each order's table once for both shells
+        assert calls.count((2, 14)) == calls.count((3, 14)) == 1
         for row, two_j, kappa in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(two_j, kappa, 1, 1.3, 0.7, -1, 8))
+
+    def test_ragged_scans_in_one_batch(self, monkeypatch):
+        # the cut tables give the first pass shells of 20 breaks (j = 1/2),
+        # 12 (j = 5/2) and 18 (j = 9/2); the j = 5/2 shells rescan with 14
+        # zeros, the others do not.  The reference reads the same tables.
+        calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
+        cut = boundary.bessel_zeros
+        monkeypatch.setattr(boundary, "bessel_zeros", lambda n, count: (
+            cut(n, count)[:count - 1] if n in (4, 5) else cut(n, count)))
+        monkeypatch.setitem(globals(), "bessel_zeros", boundary.bessel_zeros)
+        two_j, kappa = [1, 1, 5, 5, 9, 9], [-1, 1, -3, 3, -5, 5]
+        for esign, vs in itertools.product((1, -1), (1, -1)):
+            calls.clear()
+            p = _mit_roots(two_j, kappa, esign, 1.3, 0.7, vs, 8)
+            assert sorted(set(calls)) == sorted([(n, 10) for n in range(6)] + [(2, 14), (3, 14)])
+            for row, tj, ka in zip(p, two_j, kappa):
+                assert _same_bits(row, _mit_momenta_reference(tj, ka, esign, 1.3, 0.7, vs, 8))
+
+    def test_exact_zero_probe_in_a_batch(self, monkeypatch):
+        # no input known to this suite puts an exact 0 of the equation on a
+        # probe where j_{l_f} is not 0, so one is made: the equation of shell
+        # (5, 3) reads 0 at a scan point between two of its roots.  That probe
+        # is merged with the shell's roots; the other shells keep theirs.
+        real = boundary._mit_equation
+        x0 = float(np.linspace(bessel_zeros(2, 2)[1], bessel_zeros(3, 2)[1], 3)[1])
+        zero_at = lambda x, two_j, kappa, esign, rho, vs: np.where(
+            (x == x0) & (kappa == 3), 0.0, real(x, two_j, kappa, esign, rho, vs))[()]
+        monkeypatch.setattr(boundary, "_mit_equation", zero_at)
+        monkeypatch.setitem(globals(), "_mit_equation", zero_at)
+        p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
+        assert x0 in p[3].tolist() and x0 not in p[2].tolist()
+        for row, tj, ka in zip(p, *self._BATCH):
+            assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
 
     def test_roots_not_located_names_first_failing_shell(self, monkeypatch):
         self._cut_tables(monkeypatch, lambda count: 6)  # never enough for 8 roots
