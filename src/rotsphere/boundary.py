@@ -503,7 +503,9 @@ def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) ->
 
 @dataclass
 class BoundaryReport:
-    """Worst-case boundary residuals over a set of modes."""
+    """Worst-case boundary residuals over a set of modes, in units of the
+    field's size: components and the MIT condition times R^(3/2), |A+B|
+    times R^3, since C ~ R^(-3/2).  At R = 1 they are the residuals."""
 
     max_component: float
     max_condition: float
@@ -522,10 +524,13 @@ class BoundaryReport:
 
 def verify_boundary_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float,
                               M: float) -> BoundaryReport:
-    """Worst wall residuals of the modes of a Spectrum under its boundary condition."""
-    worst = _wall_residuals(bc, spectrum, R, M).max(axis=1, initial=0.0).tolist()
+    """Worst wall residuals of the modes of a Spectrum under its boundary
+    condition, scaled to the field's size (see BoundaryReport)."""
+    comp, cond, dens = _wall_residuals(bc, spectrum, R, M).max(axis=1, initial=0.0).tolist()
+    root = math.sqrt(R)  # the residuals scaled factor by factor overflow at no R
     tols = (math.inf, 1e-9, 1e-9) if bc.is_mit else (1e-10, math.inf, math.inf)
-    return BoundaryReport(*worst, len(spectrum), *tols)
+    return BoundaryReport(comp * root * R, cond * root * R, dens * R * R * R, len(spectrum),
+                          *tols)
 
 
 # ---------------------------------------------------------------------------

@@ -879,6 +879,26 @@ class TestBoundaryResiduals:
                                                          float(np.max(dens)))
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_small_sphere_scaled_to_field(self, bc):
+        # C ~ R^(-3/2): at R = 1e-5 the raw wall residuals of right roots reach
+        # 1e-8 (a spectral component) and 1.4 (|A+B|).  Scaled to the field
+        # they pass, and roots moved by 1e-9 relative still fail.
+        R = 1e-5
+        spec = enumerate_spectrum(bc, PhysicalParams(M=1.0, R=R, Omega=0.0, beta=1.0), 1.5, 3)
+        raw = _wall_residuals(bc, spec, R, 1.0).max(axis=1)
+        rep = verify_boundary_residuals(bc, spec, R, 1.0)
+        assert rep.ok and raw.max() > 1e-9
+        assert [rep.max_component, rep.max_condition, rep.max_density] == [
+            raw[0] * math.sqrt(R) * R, raw[1] * math.sqrt(R) * R, raw[2] * R * R * R]
+        moved = verify_boundary_residuals(bc, dataclasses.replace(spec, p=spec.p * (1 + 1e-9)),
+                                          R, 1.0)
+        if bc.is_mit:
+            assert moved.max_condition > 1e-9 and moved.max_density > 1e-9
+        else:
+            assert moved.max_component > 1e-10
+        assert not moved.ok
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_empty_mode_list(self, bc):
         spec = enumerate_spectrum(bc, PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.0),
                                   1.5, 2)
