@@ -10,11 +10,13 @@ the quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
 E_tilde = E - Omega * m_j.  One store holds the solved shells: per (boundary,
 esign, M, R, i_max), j rows grown by whole j prefixes, each row both kappa
-shells of a j.  A Spectrum holds the modes as flat columns read from it, so
-the vacuum check (E * E_tilde > 0 for every mode when Omega*R < 1: the
-rotating and nonrotating vacua coincide), the quantization residual (once per
-root) and the wall checks (a (j, kappa) block of spinors per call, on 5 x 3
-(theta, phi) samples at r = R) are array expressions.
+shells of a j; spectral momenta and norms, which depend on neither esign
+nor M, are solved once per (R, i_max).  A Spectrum holds the modes as flat
+columns read from it, so the vacuum check (E * E_tilde > 0 for every mode
+when Omega*R < 1: the rotating and nonrotating vacua coincide), the
+quantization residual (once per root) and the wall checks (a (j, kappa) block
+of spinors per call, on 5 x 3 (theta, phi) samples at r = R) are array
+expressions.
 """
 
 from __future__ import annotations
@@ -309,9 +311,10 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 # ---------------------------------------------------------------------------
 
 
-# The bound counts sets: 24 hold the working sets (fig-sweep 9, verify-spectrum
-# 18, `--preset fig1` plus `fig2` 9) and, at 42 shells (~60 KB) per set at
-# j_max = 41/2 and i_max = 60, about the 1,024 shells of a per-shell cache.
+# The bound counts sets: 24 hold the working sets (fig-sweep 10, verify-spectrum
+# 19, `--preset fig1` plus `fig2` 10, each with its one spectral (p, C) set)
+# and, at 42 shells (~60 KB) per set at j_max = 41/2 and i_max = 60, about the
+# 1,024 shells of a per-shell cache.
 # typed: a float i_max must miss the entry of the equal int and be rejected.
 @lru_cache(maxsize=24, typed=True)
 def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> list:
@@ -326,10 +329,14 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
     the kappa = -k0 shell (i = 1..i_max), then kappa = +k0.  Only the j past
     the end of the set are solved, MIT shells in batches.  A spectral shell
     of kappa holds the modes with m_j > 0, as p and C depend only on
-    sign(m_j kappa): a mode with m_j < 0 reads the shell of -kappa."""
+    sign(m_j kappa): a mode with m_j < 0 reads the shell of -kappa.  Nor do
+    they depend on esign or M, so they are solved once per (R, i_max), into
+    the set keyed esign = 0 and M = 0.0 as (p, C) rows, and a spectral
+    (esign, M) set forms only E from them."""
     rows, n = _shell_set(bc, esign, M, R, i_max), (two_j_max + 1) // 2
-    while len(rows) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
-        jx = np.arange(len(rows), min(n, len(rows) + max(1, 1260 // i_max)))
+    solved = rows if bc.is_mit else _shell_set(bc, 0, 0.0, R, i_max)
+    while len(solved) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
+        jx = np.arange(len(solved), min(n, len(solved) + max(1, 1260 // i_max)))
         two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
         with np.errstate(all="ignore"):  # an overflow is reported below, not warned
             try:
@@ -338,18 +345,25 @@ def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
                     E = _energy(esign, p, M)
                     C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1),
                                    R, M, E, bc.varsigma, p)
+                    new = (p, E, C)
                 else:
-                    p, C = np.array([_spectral_shell(tj, np.sign(ka), i_max, R) for tj, ka
-                                     in zip(two_j.tolist(), kappa.tolist())]).transpose(1, 0, 2)
-                    E = _energy(esign, p, M)
-                finite = np.isfinite([p, E, C * C]).all()  # |C|^2 is what the sums read
+                    shells = [_spectral_shell(tj, np.sign(ka), i_max, R)
+                              for tj, ka in zip(two_j.tolist(), kappa.tolist())]
+                    new = p, C = np.array(shells).transpose(1, 0, 2)
+                finite = np.isfinite([*new[:-1], C * C]).all()  # |C|^2 is what the sums read
             except (OverflowError, FloatingPointError):  # spectral R**3; MIT ratio at +0
                 finite = False
         if not finite:
             raise ValueError(f"non-finite momentum, energy or |C|^2 at R={R}, M={M}")
-        p, E, C = (v.reshape(jx.size, -1) for v in (p, E, C))
-        p.flags.writeable = E.flags.writeable = C.flags.writeable = False
-        rows += zip(p, E, C)
+        new = [v.reshape(jx.size, -1) for v in new]
+        for v in new:
+            v.flags.writeable = False
+        solved += zip(*new)
+    if len(rows) < n:  # a spectral set; E is finite where C^2 is, as then p < 1e106
+        start = len(rows)
+        E = _energy(esign, np.array([p for p, _ in solved[start:n]]), M)
+        E.flags.writeable = False
+        rows += ((p, e, C) for (p, C), e in zip(solved[start:n], E))
     return rows[:n]
 
 

@@ -674,6 +674,34 @@ class TestShellStore:
         assert again[0][0] is not first[0][0]
         assert self._bits(again) == self._bits(first)
 
+    def test_spectral_sets_share_momenta_and_norms(self, monkeypatch):
+        # spectral p and C depend on neither esign nor M: every (esign, M) set
+        # reads them from the one set of (R, i_max) and forms only its E
+        calls, spectral_shell = [], boundary._spectral_shell
+        monkeypatch.setattr(boundary, "_spectral_shell",
+                            lambda *args: calls.append(args) or spectral_shell(*args))
+        R, i_max = 1.9, 7  # a set no other test uses
+        sets = {(es, M): shell_rows(SPECTRAL, es, M, R, i_max, 9)
+                for es in (-1, 1) for M in (0.0, 0.6, 2.5)}
+        assert len(calls) == 10  # 5 j of 2 kappa shells, solved once
+        first = sets[-1, 0.0]
+        for (es, M), rows in sets.items():
+            for two_j, (p, E, C), (p0, _, C0) in zip(range(1, 10, 2), rows, first):
+                assert p is p0 and C is C0 and not E.flags.writeable
+                assert E.tobytes() == (es * np.hypot(p, M)).tobytes()
+                for half, sign in ((slice(i_max), -1), (slice(i_max, None), 1)):
+                    want = spectral_shell(two_j, sign, i_max, R)
+                    assert self._bits([(p[half], C[half])]) == self._bits([want])
+        assert shell_rows(SPECTRAL, 1, 0.6, R, i_max, 9) is not sets[1, 0.6]
+        assert all(a is b for a, b in zip(shell_rows(SPECTRAL, 1, 0.6, R, i_max, 9),
+                                          sets[1, 0.6]))
+        # a failed batch leaves no (p, C) rows behind, and names the caller's M
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at R=1e-200, M=0\.6$"):
+                shell_rows(SPECTRAL, 1, 0.6, 1e-200, 2, 3)
+        assert len(boundary._shell_set(SPECTRAL, 0, 0.0, 1e-200, 2)) == 0
+
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_tiny_radius_raises_before_any_warning(self, bc):
         # sqrt(R^3) underflows (spectral C = inf), p^2 overflows in the MIT norm
