@@ -10,17 +10,23 @@ temperature-independent divergent part; w' is the default.
 
 One kernel evaluates points and grids.  It runs over j, outermost, for all
 points at once, with the two kappa shells of a j stacked along the radial
-index: the paired weights, |C|^2, M/(2E) and the Bessel squares are formed
-once per j, and a spectral j reuses the order-k0 squares of the shell before
-it, whose momenta its -k0 shell shares.  The Legendre table is formed once
-per theta.  The terms, a row per point in the canonical order (ascending j,
-then kappa, i, m_j), are written j block by j block into a buffer of about
-2^16 terms, which is reduced by one TwoSum tree per theta when full; a j
-block too large for it, and the last j, whose sum is the tail estimate, are
-reduced alone.  The partials are combined and certified once per point to
-be the correctly rounded sum, math.fsum's bits, however the rows were cut.
-Every term is the same IEEE expression of the same operands wherever it is
-computed, so points and grids give bit-identical values.
+index.  The paired weights, |C|^2 and M/(2E) of every mode are formed first,
+once, and give each mode a bound on |term| at any r: |A| <= (d+ + d-)/2 and
+|B| <= M/(2E) (d+ + d-), as 0 <= j_n^2 <= 1.  The weights fall like
+exp(-beta (E_tilde - |mu|)), so each j but the last keeps only the i-prefix
+whose dropped suffix bounds below 2^-120 of the j block's bound.  The Bessel
+squares of the kept modes are formed once per j, and a spectral j reuses the
+order-k0 squares of the shell before it, whose momenta its -k0 shell shares.
+The Legendre table is formed once per theta.  The terms, a row per point in
+the canonical order (ascending j, then kappa, i, m_j), are written j block by
+j block into a buffer of about 2^16 terms, which is reduced by one TwoSum
+tree per theta when full; a j block too large for it, and the last j, whose
+sum is the tail estimate, are reduced alone.  The partials are combined and
+certified once per point, with the dropped terms' bound as slack, to be the
+correctly rounded sum of the whole (j_max, i_max) rectangle, math.fsum's
+bits, however the rows were cut; a point that fails gets math.fsum of all
+its terms.  Every term is the same IEEE expression of the same operands
+wherever it is computed, so points and grids give bit-identical values.
 """
 
 from __future__ import annotations
@@ -95,6 +101,11 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
 # theta: large enough that a few-point grid pays for arithmetic, not for the
 # numpy calls of a tree per j, and small (512 KB) against the j blocks
 _BUFFER_TERMS = 2**16
+# a j block drops the i-suffix whose summed term bound is below this share of
+# the block's, so a point stays certified unless its sum cancels to about
+# 2^-66 of its terms' bound (about 1e-20 on the figure curves, where 2^-110
+# made 0.7% of the points fall back)
+_PRUNE_REL = 2.0**-120
 
 
 def _tree_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,20 +135,24 @@ def _tree_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[:, 0], e_sum, e_abs
 
 
-def _certified_sums(trees: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _certified_sums(trees: list, n: int,
+                    slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Sums r of rows of n terms cut into contiguous chunks, from each chunk's
     _tree_sums in order, and whether r is provably the correctly rounded sum,
-    which is what math.fsum returns (Shewchuk 1997).
+    which is what math.fsum returns (Shewchuk 1997), of the n terms plus
+    terms never formed whose magnitudes sum to at most slack.
 
     The partials are reduced by the same tree and all errors added: at most
     n - 1 errors e however the rows are cut.  Any summation order computes
     E = fl(sum e) to within gamma_{n-2} sum|e|, which 2(n+2) 2^-53 fl(sum|e|)
     bounds, rounding included (Ogita, Rump and Oishi, SIAM J. Sci. Comput.
-    26, 2005).  With t the TwoSum residual of r = fl(s + E), the exact sum is
-    within |t| + bound of r, which is certified if that is below half the
-    smaller gap from r to its neighbouring doubles.  Doubles are multiples of
-    2^-1074, so an underflowing bound cannot pass wrongly.  A zero, subnormal,
-    inf or nan r always fails: its half gap rounds to 0 or is nan.
+    26, 2005).  With t the TwoSum residual of r = fl(s + E), the exact sum
+    of the whole row is within |t| + bound + slack of r, which is certified
+    if that is below half the smaller gap from r to its neighbouring doubles.
+    Doubles are multiples of 2^-1074, so an underflowing bound cannot pass
+    wrongly.  A zero, subnormal, inf or nan r always fails: its half gap
+    rounds to 0 or is nan.  So does a slack of 2^970 or more, which keeps
+    math.fsum of the whole row from overflowing where r is certified.
     """
     s, e_sum, e_abs = _tree_sums(np.stack([tree[0] for tree in trees], axis=1))
     for _, es, ea in trees:
@@ -147,7 +162,7 @@ def _certified_sums(trees: list, n: int) -> tuple[np.ndarray, np.ndarray]:
         r = s + e_sum
         bv = r - s
         t = (s - (r - bv)) + (e_sum - bv)
-        bound = np.abs(t) + (2.0 * (n + 2) * 2.0**-53) * e_abs
+        bound = np.abs(t) + (2.0 * (n + 2) * 2.0**-53) * e_abs + slack
         gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
         return r, bound < 0.5 * gap
 
@@ -162,55 +177,99 @@ def _exact_row_sums(buf: np.ndarray, tree: tuple | None = None) -> np.ndarray:
     return r
 
 
-def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
-              tabs: list[np.ndarray], two_j_max: int, i_max: int, weight):
-    """Yield (two_j, it, terms) per buffer, then per Legendre table tabs[it]:
-    the terms of the j blocks up to two_j, a row per r in the order (j, kappa,
-    i, m_j).  Consecutive j blocks fill a buffer of at most _BUFFER_TERMS
-    terms over all points, each block written into its slice.  A j that
-    shares no buffer, the last j always, is yielded alone, formed in place."""
+def _j_plan(bc: BoundaryKind, params: PhysicalParams, tabs: list[np.ndarray],
+            two_j_max: int, i_max: int, weight, prune: bool = True) -> tuple[list, float]:
+    """What the kernel forms per j, (two_j, p, C2, M/(2E), w_t - w_b, w_t + w_b,
+    [(d+, d-) per tabs[it]]) over the kept modes, and the bound D on the sum of
+    the magnitudes of the terms it never forms.
+
+    Each term is C2 ((w_t - w_b) A + (w_t + w_b) B), or C2 (w_t + w_b)(A + B)
+    for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
+    (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
+    at every r, with d+ + d- at its largest over the thetas.  Each j but the
+    last, whose sum is the tail estimate, keeps the shortest i-prefix, shared
+    by both kappa shells, whose dropped suffix bounds below _PRUNE_REL times
+    the whole block's; a nan or inf b is never dropped.  Each b carries
+    (C2 + 1) 2^-1060, over 2^8 times what underflow can take from a formed
+    term or from b, and D is twice their rounded sum: that covers the
+    relative rounding of the terms, of the b and of their sum, below 2^-35
+    at 2^17 terms, and a computed |j_n| up to 1.4."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
-    r_col = np.array(r_vals)[:, None]
-    points, end_j = len(r_vals) * len(tabs), 0
-    last = (None, None)  # the previous +k0 shell's momenta and order-k0 squares
+    plan, dropped = [], 0.0
     rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
     for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
-        if two_j > end_j:  # a new buffer: the j that fit, never the last j
-            end_j, width = two_j, i_max * (two_j + 1)
-            while (end_j + 2 < two_j_max
-                   and points * (width + i_max * (end_j + 3)) <= _BUFFER_TERMS):
-                end_j += 2
-                width += i_max * (end_j + 1)
-            buf = np.empty((len(tabs), len(r_vals), width)) if end_j > two_j else None
-            start = 0
         two_m = np.arange(1, two_j + 1, 2)
-        k0 = (two_j + 1) // 2
+        w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
+                    for m_j in (two_m / 2.0, -two_m / 2.0))
+        C2, ratio, dens = (C * C)[:, None], (M / (2.0 * E))[:, None], [
+            spinor_densities(two_j, two_m, tab) for tab in tabs]
+        w_d, w_s = w_t - w_b, w_t + w_b
+        keep = i_max
+        if prune and two_j < two_j_max:
+            d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
+            amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
+                   else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
+            with np.errstate(over="ignore"):  # an inf b keeps its mode
+                b = (amp * d) * C2 + (C2 + 1.0) * 2.0**-1060
+            tail = np.cumsum(b.reshape(2, i_max, -1).sum(axis=(0, 2))[::-1])[::-1]
+            keep = int(np.count_nonzero(~(tail < _PRUNE_REL * tail[0])))
+            dropped += float(tail[keep]) if keep < i_max else 0.0
+        rows_kept = np.r_[:keep, i_max:i_max + keep]
+        plan.append((two_j, p[rows_kept], C2[rows_kept], ratio[rows_kept],
+                     w_d[rows_kept], w_s[rows_kept], dens))
+    return plan, 2.0 * dropped
+
+
+def _j_blocks(bc: BoundaryKind, plan: list, r_vals: list[float]):
+    """Yield (two_j, it, terms) per buffer, then per theta it of the _j_plan:
+    the terms of the j blocks up to two_j, a row per r in the order (j, kappa,
+    i, m_j) over the kept modes.  Consecutive j blocks fill a buffer of at
+    most _BUFFER_TERMS terms over all points, each block written into its
+    slice.  A j that shares no buffer, the last j always, is yielded alone,
+    formed in place."""
+    r_col = np.array(r_vals)[:, None]
+    n_tabs = len(plan[0][-1])
+    points, end = len(r_vals) * n_tabs, 0
+    # the previous +k0 shell's kept momenta and order-k0 squares
+    last = (np.empty(0), None)
+    for at, (two_j, p, C2, ratio, w_d, w_s, dens) in enumerate(plan):
+        if at == end:  # a new buffer: the j that fit, never the last j
+            end, width = at + 1, w_d.size
+            while end + 1 < len(plan) and points * (width + plan[end][4].size) <= _BUFFER_TERMS:
+                width += plan[end][4].size
+                end += 1
+            buf = np.empty((n_tabs, len(r_vals), width)) if end > at + 1 else None
+            start = 0
+        k0, keep = (two_j + 1) // 2, p.size // 2
         x = r_col * p
         jp2 = spherical_jn(k0, x) ** 2
         # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
         # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
-        jm2 = (np.concatenate([last[1], spherical_jn(k0 - 1, x[:, i_max:]) ** 2], axis=1)
-               if np.array_equal(last[0], p[:i_max]) else spherical_jn(k0 - 1, x) ** 2)
-        last = (p[i_max:], jp2[:, i_max:])
-        w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
-                    for m_j in (two_m / 2.0, -two_m / 2.0))
-        kappa, C2 = np.repeat((-k0, k0), i_max)[:, None], (C * C)[:, None]
-        stop = start + i_max * (two_j + 1)
-        for it, tab in enumerate(tabs):
-            A, B = density_split(kappa, *spinor_densities(two_j, two_m, tab),
-                                 jm2[:, :, None], jp2[:, :, None], (M / (2.0 * E))[:, None])
+        # of the modes both kept
+        shared = min(last[0].size, keep)
+        if not np.array_equal(last[0][:shared], p[:shared]):
+            shared = 0
+        jm2 = spherical_jn(k0 - 1, x[:, shared:]) ** 2
+        if shared:
+            jm2 = np.concatenate([last[1][:, :shared], jm2], axis=1)
+        last = (p[keep:], jp2[:, keep:])
+        kappa = np.repeat((-k0, k0), keep)[:, None]
+        stop = start + w_d.size
+        for it, (d_plus, d_minus) in enumerate(dens):
+            A, B = density_split(kappa, d_plus, d_minus, jm2[:, :, None], jp2[:, :, None],
+                                 ratio)
             # MIT: (C2 (w_t + w_b)) (A + B); spectral: C2 ((w_t - w_b) A + (w_t + w_b) B)
             if not bc.is_mit:
-                A *= w_t - w_b
-                B *= w_t + w_b
+                A *= w_d
+                B *= w_s
             A += B
             del B  # free before the caller reduces A
             out = A if buf is None else buf[it, :, start:stop].reshape(A.shape)
-            np.multiply(A, C2 * (w_t + w_b) if bc.is_mit else C2, out=out)
+            np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
             if buf is None:
                 yield two_j, it, A.reshape(len(r_vals), -1)
         start = stop
-        if buf is not None and two_j == end_j:
+        if buf is not None and at + 1 == end:
             yield from ((two_j, it, terms) for it, terms in enumerate(buf))
 
 
@@ -219,21 +278,27 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  subtracted: bool) -> tuple[np.ndarray, float]:
     """Condensate over r_vals x th_vals and the largest |last j-shell
     contribution| over the points.  Each buffer _j_blocks yields is reduced
-    once per theta.  A point whose sum is not certified has its terms formed
-    again alone, by the same block code, for math.fsum."""
+    once per theta, and certified with the bound D of the terms _j_plan
+    drops as slack: so each value is math.fsum of the whole (j_max, i_max)
+    rectangle of its point.  A point whose sum is not certified has all its
+    terms formed, by the same block code, for math.fsum."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
+    plan, dropped = _j_plan(bc, params, tabs, two_j_max, i_max, weight)
     trees: list[list] = [[] for _ in th_vals]
     n, tail = 0, 0.0
-    for two_j, it, terms in _j_blocks(bc, params, r_vals, tabs, two_j_max, i_max, weight):
+    for two_j, it, terms in _j_blocks(bc, plan, r_vals):
         trees[it].append(_tree_sums(terms))
         n += terms.shape[1] * (it == 0)  # terms per point
         if two_j == two_j_max:
             tail = max(tail, float(np.abs(_exact_row_sums(terms, trees[it][-1])).max()))
     values = np.empty((len(r_vals), len(th_vals)))
-    for it, (total, certified) in enumerate(_certified_sums(tree, n) for tree in trees):
+    for it, (total, certified) in enumerate(_certified_sums(tree, n, dropped)
+                                            for tree in trees):
+        if not certified.all():
+            full = _j_plan(bc, params, [tabs[it]], two_j_max, i_max, weight, prune=False)[0]
         for ir in np.flatnonzero(~certified):
-            point = _j_blocks(bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight)
+            point = _j_blocks(bc, full, [r_vals[ir]])
             total[ir] = math.fsum(np.concatenate([t[0] for *_, t in point]))
         values[:, it] = -total
     return values, tail

@@ -498,9 +498,10 @@ class TestExactRowSums:
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_kernel_buffers(self, bc, monkeypatch):
         # every reduction the kernel makes agrees with math.fsum on the same
-        # terms: each point's value with math.fsum of its j blocks joined in
-        # order, each tail and the nonrotating row with math.fsum of that
-        # buffer, and each j block's own exact sum with math.fsum of it
+        # terms: each point's value with math.fsum of its whole (j_max, i_max)
+        # rectangle, of which the kernel forms the kept modes, each tail and the
+        # nonrotating row with math.fsum of that buffer, and each j block's own
+        # exact sum with math.fsum of it
         blocks, yielded, exact_calls, tree_args = [], [], [], []
         j_blocks, exact, tree = cnd._j_blocks, cnd._exact_row_sums, cnd._tree_sums
 
@@ -514,14 +515,16 @@ class TestExactRowSums:
         monkeypatch.setattr(cnd, "_exact_row_sums", lambda buf, *given: (
             exact_calls.append((buf.copy(), given)) or exact(buf, *given)))
         monkeypatch.setattr(cnd, "_tree_sums", lambda x: tree_args.append(x) or tree(x))
-        params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=0.9, mu=0.3)
-        thetas = [0.4, math.pi / 2]
-        grid = condensate_grid(bc, params, np.linspace(0.0, 1.0, 7), thetas, 10.5, 30)
-        # 14 points: j = 1/2 .. 19/2 fill one buffer of 14 x 3,300 terms, then
-        # the last j comes alone; per buffer a block per theta, j-major
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=2.0, mu=0.3)
+        thetas, r_grid = [0.4, math.pi / 2], np.linspace(0.0, 1.0, 7)
+        grid = condensate_grid(bc, params, r_grid, thetas, 10.5, 30)
+        # 14 points: the kept modes of j = 1/2 .. 19/2, 13 to 15 of the 30 i
+        # of each j, fill one buffer, then the last j, never pruned, comes
+        # alone; per buffer a block per theta, j-major
+        kept = blocks[0][2].shape[1]
         assert [(two_j, it, terms.shape) for two_j, it, terms in blocks] == [
-            (19, 0, (7, 3300)), (19, 1, (7, 3300)), (21, 0, (7, 660)), (21, 1, (7, 660))]
-        assert 14 * 3300 <= cnd._BUFFER_TERMS
+            (19, 0, (7, kept)), (19, 1, (7, kept)), (21, 0, (7, 660)), (21, 1, (7, 660))]
+        assert 13 * 110 <= kept <= 15 * 110 and 14 * 3300 <= cnd._BUFFER_TERMS
         # one TwoSum tree per block, the tail's included; the other trees
         # reduce the chunk partials: 2 per point for a value, 1 for a tail
         assert [sum(x is terms for x in tree_args) for terms in yielded] == [1] * 4
@@ -529,8 +532,11 @@ class TestExactRowSums:
             (7, 1), (7, 1), (7, 2), (7, 2)]
         assert [len(given) for _, given in exact_calls] == [1, 1]  # the tails reuse a tree
         exact_bufs = [buf for buf, _ in exact_calls]
+        tabs = [legendre_density_table(11, math.cos(th)) for th in thetas]
+        full = cnd._j_plan(bc, params, tabs, 21, 30, thermal_weight_subtracted, prune=False)[0]
+        full_blocks = list(j_blocks(bc, full, r_grid.tolist()))
         for it in range(2):
-            rows = np.concatenate([terms for _, i, terms in blocks if i == it], axis=1)
+            rows = np.concatenate([terms for _, i, terms in full_blocks if i == it], axis=1)
             assert rows.shape[1] == 30 * 11 * 12
             assert [float(-v).hex() for v in grid.values[:, it]] == _outcome(_fsum_rows, rows)
         assert len(exact_bufs) == 2  # the last j block of each theta, for the tail
@@ -565,13 +571,16 @@ class TestExactRowSums:
 
         want = outcome()
         monkeypatch.setattr(cnd, "_j_blocks", recording)
-        # (buffer size, buffers of the grid, buffers of a fallback point)
-        for size, n_grid, n_point in ((1, 21, 21), (cnd._BUFFER_TERMS, 5, 2), (2**40, 2, 2)):
+        # (buffer size, buffers of the grid, buffers of a fallback point): the
+        # grid forms 33 to 36 of the 60 i of each j but the last, which fill 3
+        # buffers where the whole rectangle filled 5; a fallback point forms it all
+        for size, n_grid, n_point in ((1, 21, 21), (cnd._BUFFER_TERMS, 3, 2), (2**40, 2, 2)):
             monkeypatch.setattr(cnd, "_BUFFER_TERMS", size)
             assert outcome() == want, size
             with monkeypatch.context() as m:
-                m.setattr(cnd, "_certified_sums", lambda trees, n: (
-                    lambda r, ok: (r, ok & (np.arange(ok.size) != 1)))(*certified_sums(trees, n)))
+                m.setattr(cnd, "_certified_sums", lambda trees, n, *slack: (
+                    lambda r, ok: (r, ok & (np.arange(ok.size) != 1)))(
+                        *certified_sums(trees, n, *slack)))
                 assert outcome() == want, size
             assert [(r_vals, len(ends)) for r_vals, ends in calls] == [
                 (r_grid.tolist(), n_grid), ([r_grid[1]], n_point), ([r_grid[1]], n_point)]
@@ -599,6 +608,131 @@ class TestExactRowSums:
         got = cnd._exact_row_sums(buf)
         assert [v.hex() for v in got.tolist()] == [fsum(r).hex() for r in buf.tolist()]
         assert len(calls) == 1
+
+
+def _full_rows(bc, params, r_vals, th_vals, two_j_max, i_max, subtracted=True):
+    """The terms of the whole (j_max, i_max) rectangle, formed with pruning
+    off, a row per r in the canonical order, per theta; and the unpruned
+    _j_plan, whose entries give the j blocks' widths."""
+    weight = thermal_weight_subtracted if subtracted else thermal_weight
+    tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
+    full = cnd._j_plan(bc, params, tabs, two_j_max, i_max, weight, prune=False)[0]
+    rows = [[] for _ in th_vals]
+    for _, it, terms in cnd._j_blocks(bc, full, list(r_vals)):
+        rows[it].append(terms.copy())
+    return [np.concatenate(r, axis=1) for r in rows], full, tabs
+
+
+def _mode_bounds(bc, entry):
+    """The bound of each mode of a _j_plan entry, shape (kappa, i, m_j):
+    C2 (|w_t - w_b|/2 + |w_t + w_b| M/(2E)) (d+ + d-), for MIT
+    C2 |w_t + w_b| (1/2 + M/(2E)) (d+ + d-), with d+ + d- at its largest
+    over the thetas, plus the (C2 + 1) 2^-1060 held for underflow."""
+    _, p, C2, ratio, w_d, w_s, dens = entry
+    d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
+    amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
+           else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
+    return (C2 * amp * d + (C2 + 1.0) * 2.0**-1060).reshape(2, p.size // 2, -1)
+
+
+# (M R, R, Omega R, beta / R, mu R): figure-like, hot (nothing is dropped),
+# mu above the lowest energies, near the light cylinder, massless, and spheres
+# far from R = 1
+_PRUNE_CASES = [(1.0, 1.0, 0.5, 2.0, 0.3), (1.0, 1.0, 0.5, 0.05, 0.3),
+                (1.0, 1.0, 0.5, 2.0, 9.0), (1.0, 1.0, 0.999, 1.0, 0.3),
+                (0.0, 1.0, 0.7, 3.0, 0.0), (0.5, 1e-3, 0.9, 1.5, 0.2),
+                (2.0, 40.0, 0.3, 1.0, 4.0), (0.0, 1e-3, 0.999, 3.0, 5.0)]
+
+
+class TestThermalPruning:
+    """The kernel forms only the modes whose summed bound is not negligible,
+    and certifies each value as math.fsum of the whole rectangle."""
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_dropped_terms_within_bound(self, bc):
+        # every term of the whole rectangle within its mode's bound, and the
+        # dropped ones, formed here with pruning off, within the certificate's
+        # slack at every point
+        n_dropped = 0
+        for MR, R, omega_r, beta_r, mu_r in _PRUNE_CASES:
+            params = PhysicalParams(M=MR / R, R=R, Omega=omega_r / R, beta=beta_r * R,
+                                    mu=mu_r / R)
+            r_vals = np.linspace(0.0, R, 6)
+            rows, full, tabs = _full_rows(bc, params, r_vals, [0.3, math.pi / 2], 21, 30)
+            plan, slack = cnd._j_plan(bc, params, tabs, 21, 30, thermal_weight_subtracted)
+            assert plan[-1][1].size == 60  # the last j, the tail estimate's, is whole
+            widths = [entry[4].size for entry in full]
+            for row in rows:
+                dropped = []
+                for entry, kept, block in zip(full, plan, np.split(row, np.cumsum(widths)[:-1],
+                                                                   axis=1)):
+                    bound = _mode_bounds(bc, entry)
+                    block = np.abs(block).reshape(len(r_vals), *bound.shape)
+                    assert np.all(block <= bound), (params, entry[0])
+                    dropped.append(block[:, :, kept[1].size // 2:].reshape(len(r_vals), -1))
+                dropped = np.concatenate(dropped, axis=1)
+                assert all(math.fsum(terms) <= slack for terms in dropped.tolist()), params
+                assert (slack > 0.0) == (dropped.shape[1] > 0)
+                n_dropped += dropped.shape[1]
+        assert n_dropped > 0
+
+    @given(bc=st.sampled_from([SPECTRAL, mit(1), mit(-1)]), log_r=st.floats(-3.0, 1.7),
+           MR=st.sampled_from([0.0, 0.3, 1.0, 2.5]), omega_r=st.floats(0.0, 0.999),
+           log_beta_r=st.floats(math.log10(0.05), math.log10(30.0)),
+           mu_r=st.floats(0.0, 6.0), subtracted=st.booleans(),
+           r_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=2),
+           two_j_max=st.sampled_from([5, 11, 21]), i_max=st.sampled_from([4, 15, 30, 45]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_unpruned_kernel(self, bc, log_r, MR, omega_r, log_beta_r, mu_r,
+                                     subtracted, r_frac, thetas, two_j_max, i_max):
+        R = 10.0**log_r
+        params = PhysicalParams(M=MR / R, R=R, Omega=omega_r / R,
+                                beta=10.0**log_beta_r * R, mu=mu_r / R)
+        r_vals = [min(f * R, R) for f in r_frac]
+        grid = condensate_grid(bc, params, r_vals, thetas, two_j_max / 2, i_max,
+                               subtracted=subtracted)
+        rows, _, _ = _full_rows(bc, params, r_vals, thetas, two_j_max, i_max, subtracted)
+        last = i_max * (two_j_max + 1)
+        assert [[v.hex() for v in point] for point in grid.values.T.tolist()] == [
+            [(-math.fsum(terms)).hex() for terms in row.tolist()] for row in rows]
+        tail = 0.0  # reduced as the kernel does, which drops a nan tail
+        for row in rows:
+            tail = max(tail, float(np.abs([math.fsum(t) for t in row[:, -last:]]).max()))
+        assert grid.tail_estimate.hex() == tail.hex()
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_unsubtracted_massive_keeps_every_mode(self, bc, monkeypatch):
+        # the raw weight tends to 1, not 0, at high energy, so with M > 0 the
+        # B terms fall only like M/(2E), and no mode is negligible; the
+        # subtracted weight at the same parameters drops most of them
+        widths, j_blocks = [], cnd._j_blocks
+        monkeypatch.setattr(cnd, "_j_blocks", lambda bc, plan, r_vals: (
+            widths.append([entry[1].size for entry in plan]) or j_blocks(bc, plan, r_vals)))
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=2.0, mu=0.3)
+        for subtracted in (False, True):
+            condensate_grid(bc, params, np.linspace(0.0, 1.0, 5), [1.0], 20.5, 60,
+                            subtracted=subtracted)
+        assert widths[0] == [120] * 21
+        assert sum(widths[1]) < 21 * 120 // 2 and widths[1][-1] == 120
+
+    def test_uncertified_point_forms_whole_rectangle(self, monkeypatch):
+        # a point whose value the certificate refuses gets math.fsum of all
+        # 27,720 terms of its rectangle at j_max = 41/2, i_max = 60, which the
+        # grid did not form, and the same bits
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.8, beta=0.5, mu=0.0)
+        args = (SPECTRAL, params, np.linspace(0.0, 1.0, 41), [math.pi / 2], 20.5, 60)
+        want = condensate_grid(*args)
+        certified_sums, fsum, calls = cnd._certified_sums, math.fsum, []
+        monkeypatch.setattr(cnd, "_certified_sums", lambda trees, n, *slack: (
+            lambda r, ok: (r, ok & (np.arange(ok.size) != 7) if slack else ok))(
+                *certified_sums(trees, n, *slack)))
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        got = condensate_grid(*args)
+        assert 60 * sum(two_j + 1 for two_j in range(1, 42, 2)) == 27720
+        assert calls.count(27720) == 1 and max(calls) == 27720
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tail_estimate == want.tail_estimate
 
 
 class TestExport:
