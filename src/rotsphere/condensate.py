@@ -201,8 +201,8 @@ def _j_plan(bc: BoundaryKind, params: PhysicalParams, tabs: list[np.ndarray],
         two_m = np.arange(1, two_j + 1, 2)
         w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
                     for m_j in (two_m / 2.0, -two_m / 2.0))
-        C2, ratio, dens = (C * C)[:, None], (M / (2.0 * E))[:, None], [
-            spinor_densities(two_j, two_m, tab) for tab in tabs]
+        C2, ratio = (C * C)[:, None], (M / (2.0 * E))[:, None]
+        dens = [spinor_densities(two_j, two_m, tab) for tab in tabs]
         w_d, w_s = w_t - w_b, w_t + w_b
         keep = i_max
         if prune and two_j < two_j_max:

@@ -718,18 +718,25 @@ class TestThermalPruning:
 
     def test_uncertified_point_forms_whole_rectangle(self, monkeypatch):
         # a point whose value the certificate refuses gets math.fsum of all
-        # 27,720 terms of its rectangle at j_max = 41/2, i_max = 60, which the
-        # grid did not form, and the same bits
-        params = PhysicalParams(M=1.0, R=1.0, Omega=0.8, beta=0.5, mu=0.0)
+        # 27,720 terms of its rectangle at j_max = 41/2, i_max = 60, of which
+        # the grid formed under a third, and the same bits
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.8, beta=2.0, mu=0.0)  # fig1e
         args = (SPECTRAL, params, np.linspace(0.0, 1.0, 41), [math.pi / 2], 20.5, 60)
         want = condensate_grid(*args)
-        certified_sums, fsum, calls = cnd._certified_sums, math.fsum, []
-        monkeypatch.setattr(cnd, "_certified_sums", lambda trees, n, *slack: (
-            lambda r, ok: (r, ok & (np.arange(ok.size) != 7) if slack else ok))(
-                *certified_sums(trees, n, *slack)))
+        certified_sums, fsum, calls, formed = cnd._certified_sums, math.fsum, [], []
+
+        def refusing(trees, n, *slack):
+            r, ok = certified_sums(trees, n, *slack)
+            if slack:  # the values, not a tail
+                formed.append(n)
+                ok &= np.arange(ok.size) != 7
+            return r, ok
+
+        monkeypatch.setattr(cnd, "_certified_sums", refusing)
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
         got = condensate_grid(*args)
         assert 60 * sum(two_j + 1 for two_j in range(1, 42, 2)) == 27720
+        assert len(formed) == 1 and formed[0] < 27720 // 3
         assert calls.count(27720) == 1 and max(calls) == 27720
         assert got.values.tobytes() == want.values.tobytes()
         assert got.tail_estimate == want.tail_estimate
