@@ -31,7 +31,8 @@ import numpy as np
 
 from .modes import (QuantumNumbers, _energy, _ubar_u, assemble_spinor, bessel_orders,
                     corotating_energy, gamma_radial)
-from .specfun import I_MAX_DEFAULT, SolverError, _brentq_array, bessel_zeros, spherical_jn
+from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, bessel_zeros,
+                      spherical_jn)
 
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
@@ -169,7 +170,7 @@ def _scan_grids(orders: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     distinct, at = np.unique(orders, return_inverse=True)
     tables = np.full((distinct.size, top), np.inf)  # inf ends the gaps of a cut table
     for row, n_fg in zip(tables, distinct.tolist()):
-        z = bessel_zeros(n_fg, top)
+        z = _zero_table(n_fg, top)
         row[:z.size] = z
     breaks = np.sort(np.concatenate(tables[at.reshape(orders.shape)], axis=1), axis=1)
     gaps = np.isfinite(breaks[:, 1:])
@@ -206,7 +207,7 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         raise ValueError("esign and varsigma must be +-1")
     f = lambda x, kappa, esign: _mit_equation(x, None, kappa, esign, M * R, varsigma)
     n = kappa.size
-    roots, todo, top = np.empty((n, count)), np.arange(n), min(count + 2, I_MAX_DEFAULT)
+    roots, todo, top = np.empty((n, count)), np.arange(n), count + 2
     for _ in range(6):
         grid, sizes = _scan_grids(np.array(bessel_orders(kappa[todo])), top)
         shell = np.repeat(todo, sizes)
@@ -231,7 +232,7 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         todo = todo[short]
         if not todo.size:
             break
-        top = min(top + 4, I_MAX_DEFAULT)
+        top += 4
     # the first failing shell raises, as it would with the shells solved in turn
     stop = todo[0] if todo.size else n
     resid = _mit_residual(roots[:stop], kappa[:stop, None], esign[:stop, None], M * R,

@@ -8,25 +8,24 @@ m_j >= 1/2 with paired weights w(E_tilde) -+ w(E_bar), E_bar = E + Omega m_j.
 Vacuum subtraction replaces w by w' = w - theta(E), removing the
 temperature-independent divergent part; w' is the default.
 
-One kernel evaluates points and grids.  It runs over j, outermost, for all
+One kernel evaluates points and grids.  It walks j once, outermost, for all
 points at once, with the two kappa shells of a j stacked along the radial
-index.  The paired weights, |C|^2 and M/(2E) of every mode are formed first,
-once, and give each mode a bound on |term| at any r: |A| <= (d+ + d-)/2 and
-|B| <= M/(2E) (d+ + d-), as 0 <= j_n^2 <= 1.  The weights fall like
-exp(-beta (E_tilde - |mu|)), so each j but the last keeps only the i-prefix
-whose dropped suffix bounds below 2^-120 of the j block's bound.  The Bessel
-squares of the kept modes are formed once per j, and a spectral j reuses the
-order-k0 squares of the shell before it, whose momenta its -k0 shell shares.
-The Legendre table is formed once per theta.  The terms, a row per point in
-the canonical order (ascending j, then kappa, i, m_j), are written j block by
-j block into a buffer of about 2^16 terms, which is reduced by one TwoSum
-tree per theta when full; a j block too large for it, and the last j, whose
-sum is the tail estimate, are reduced alone.  The partials are combined and
-certified once per point, with the dropped terms' bound as slack, to be the
-correctly rounded sum of the whole (j_max, i_max) rectangle, math.fsum's
-bits, however the rows were cut; a point that fails gets math.fsum of all
-its terms.  Every term is the same IEEE expression of the same operands
-wherever it is computed, so points and grids give bit-identical values.
+index.  Per j it forms the paired weights, |C|^2 and M/(2E), which bound each
+mode's |term| at any r: |A| <= (d+ + d-)/2 and |B| <= M/(2E) (d+ + d-), as
+0 <= j_n^2 <= 1.  The weights fall like exp(-beta (E_tilde - |mu|)), so each
+j but the last keeps only the i-prefix whose dropped suffix bounds below
+2^-120 of the j block's bound; a spectral j reuses the order-k0 Bessel
+squares of the shell before it, whose momenta its -k0 shell shares.  The
+Legendre table is formed once per theta.  The terms, a row per point in the
+canonical order (ascending j, then kappa, i, m_j), fill a buffer of about
+2^16 terms j block by j block, reduced by one TwoSum tree per theta; a j
+block too large for it, and the last j, whose sum is the tail estimate, are
+reduced alone.  The partials are certified once per point, with the dropped
+terms' bound as slack, to be the correctly rounded sum of the whole (j_max,
+i_max) rectangle, math.fsum's bits, however the rows were cut; a point that
+fails gets math.fsum of all its terms.  Every term is the same IEEE
+expression of the same operands wherever it is formed, so points and grids
+give bit-identical values.
 """
 
 from __future__ import annotations
@@ -177,32 +176,39 @@ def _exact_row_sums(buf: np.ndarray, tree: tuple | None = None) -> np.ndarray:
     return r
 
 
-def _j_plan(bc: BoundaryKind, params: PhysicalParams, tabs: list[np.ndarray],
-            two_j_max: int, i_max: int, weight, prune: bool = True) -> tuple[list, float]:
-    """What the kernel forms per j, (two_j, p, C2, M/(2E), w_t - w_b, w_t + w_b,
-    [(d+, d-) per tabs[it]]) over the kept modes, and the bound D on the sum of
-    the magnitudes of the terms it never forms.
+def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
+              tabs: list[np.ndarray], two_j_max: int, i_max: int, weight,
+              prune: bool = True):
+    """Yield (two_j, it, terms, D) per buffer, then per theta tabs[it]: the
+    terms of the j blocks up to two_j, a row per r in the order (j, kappa, i,
+    m_j) over the kept modes, and D, which bounds the summed magnitudes of the
+    terms dropped so far.  Consecutive j blocks fill a buffer while their
+    terms over all points fit in _BUFFER_TERMS; a larger block, and the last
+    j, come alone, formed in place.
 
     Each term is C2 ((w_t - w_b) A + (w_t + w_b) B), or C2 (w_t + w_b)(A + B)
     for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
     (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
-    at every r, with d+ + d- at its largest over the thetas.  Each j but the
-    last, whose sum is the tail estimate, keeps the shortest i-prefix, shared
-    by both kappa shells, whose dropped suffix bounds below _PRUNE_REL times
-    the whole block's; a nan or inf b is never dropped.  Each b carries
-    (C2 + 1) 2^-1060, over 2^8 times what underflow can take from a formed
-    term or from b, and D is twice their rounded sum: that covers the
+    at every r, with d+ + d- at its largest over the thetas.  With prune,
+    each j but the last, whose sum is the tail estimate, keeps the shortest
+    i-prefix, shared by both kappa shells, whose dropped suffix bounds below
+    _PRUNE_REL times the block's; a nan or inf b is never dropped.  Each b
+    carries (C2 + 1) 2^-1060, over 2^8 times what underflow can take from a
+    formed term or from b, and D is twice their rounded sum: that covers the
     relative rounding of the terms, of the b and of their sum, below 2^-35
     at 2^17 terms, and a computed |j_n| up to 1.4."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
-    plan, dropped = [], 0.0
+    r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
+    cap = min(_BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last
+    buf, width, dropped = None, 0, 0.0  # the open buffer, filled up to width
+    last = (np.empty(0), None)  # the previous +k0 shell's kept momenta and order-k0 squares
     rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
     for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
         two_m = np.arange(1, two_j + 1, 2)
-        w_t, w_b = (weight(corotating_energy(E[:, None], m_j, Omega), 1, beta, mu)
+        E, C2 = E.reshape(2, i_max, 1), (C * C).reshape(2, i_max, 1)  # (kappa, i, m_j)
+        w_t, w_b = (weight(corotating_energy(E, m_j, Omega), 1, beta, mu)
                     for m_j in (two_m / 2.0, -two_m / 2.0))
-        C2, ratio = (C * C)[:, None], (M / (2.0 * E))[:, None]
-        dens = [spinor_densities(two_j, two_m, tab) for tab in tabs]
+        ratio, dens = M / (2.0 * E), [spinor_densities(two_j, two_m, tab) for tab in tabs]
         w_d, w_s = w_t - w_b, w_t + w_b
         keep = i_max
         if prune and two_j < two_j_max:
@@ -211,37 +217,21 @@ def _j_plan(bc: BoundaryKind, params: PhysicalParams, tabs: list[np.ndarray],
                    else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
             with np.errstate(over="ignore"):  # an inf b keeps its mode
                 b = (amp * d) * C2 + (C2 + 1.0) * 2.0**-1060
-            tail = np.cumsum(b.reshape(2, i_max, -1).sum(axis=(0, 2))[::-1])[::-1]
+            tail = np.cumsum(b.sum(axis=(0, 2))[::-1])[::-1]
             keep = int(np.count_nonzero(~(tail < _PRUNE_REL * tail[0])))
             dropped += float(tail[keep]) if keep < i_max else 0.0
-        rows_kept = np.r_[:keep, i_max:i_max + keep]
-        plan.append((two_j, p[rows_kept], C2[rows_kept], ratio[rows_kept],
-                     w_d[rows_kept], w_s[rows_kept], dens))
-    return plan, 2.0 * dropped
-
-
-def _j_blocks(bc: BoundaryKind, plan: list, r_vals: list[float]):
-    """Yield (two_j, it, terms) per buffer, then per theta it of the _j_plan:
-    the terms of the j blocks up to two_j, a row per r in the order (j, kappa,
-    i, m_j) over the kept modes.  Consecutive j blocks fill a buffer of at
-    most _BUFFER_TERMS terms over all points, each block written into its
-    slice.  A j that shares no buffer, the last j always, is yielded alone,
-    formed in place."""
-    r_col = np.array(r_vals)[:, None]
-    n_tabs = len(plan[0][-1])
-    points, end = len(r_vals) * n_tabs, 0
-    # the previous +k0 shell's kept momenta and order-k0 squares
-    last = (np.empty(0), None)
-    for at, (two_j, p, C2, ratio, w_d, w_s, dens) in enumerate(plan):
-        if at == end:  # a new buffer: the j that fit, never the last j
-            end, width = at + 1, w_d.size
-            while end + 1 < len(plan) and points * (width + plan[end][4].size) <= _BUFFER_TERMS:
-                width += plan[end][4].size
-                end += 1
-            buf = np.empty((n_tabs, len(r_vals), width)) if end > at + 1 else None
-            start = 0
-        k0, keep = (two_j + 1) // 2, p.size // 2
+        p = p.reshape(2, i_max)[:, :keep].ravel()
+        C2, ratio, w_d, w_s = (v[:, :keep] for v in (C2, ratio, w_d, w_s))
+        size = w_d.size  # terms per point
+        if buf is not None and (two_j == two_j_max or points * (width + size) > _BUFFER_TERMS):
+            yield from ((two_j - 2, it, terms, 2.0 * dropped)
+                        for it, terms in enumerate(buf[:, :, :width]))
+            buf = None
+        if buf is None and two_j < two_j_max and points * size <= _BUFFER_TERMS:
+            buf, width = np.empty((len(tabs), len(r_vals), cap)), 0
+        k0 = (two_j + 1) // 2
         x = r_col * p
+        x[x < 2.0**-1022] = 0.0  # subnormal x: scipy's j_n is nan there for n >= 1
         jp2 = spherical_jn(k0, x) ** 2
         # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
         # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
@@ -253,41 +243,36 @@ def _j_blocks(bc: BoundaryKind, plan: list, r_vals: list[float]):
         if shared:
             jm2 = np.concatenate([last[1][:, :shared], jm2], axis=1)
         last = (p[keep:], jp2[:, keep:])
-        kappa = np.repeat((-k0, k0), keep)[:, None]
-        stop = start + w_d.size
+        jm2, jp2 = (v.reshape(len(r_vals), 2, keep, 1) for v in (jm2, jp2))
+        kappa = np.array([-k0, k0])[:, None, None]
         for it, (d_plus, d_minus) in enumerate(dens):
-            A, B = density_split(kappa, d_plus, d_minus, jm2[:, :, None], jp2[:, :, None],
-                                 ratio)
+            A, B = density_split(kappa, d_plus, d_minus, jm2, jp2, ratio)
             # MIT: (C2 (w_t + w_b)) (A + B); spectral: C2 ((w_t - w_b) A + (w_t + w_b) B)
             if not bc.is_mit:
                 A *= w_d
                 B *= w_s
             A += B
             del B  # free before the caller reduces A
-            out = A if buf is None else buf[it, :, start:stop].reshape(A.shape)
+            out = A if buf is None else buf[it, :, width:width + size].reshape(A.shape)
             np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
             if buf is None:
-                yield two_j, it, A.reshape(len(r_vals), -1)
-        start = stop
-        if buf is not None and at + 1 == end:
-            yield from ((two_j, it, terms) for it, terms in enumerate(buf))
+                yield two_j, it, A.reshape(len(r_vals), -1), 2.0 * dropped
+        width += size
 
 
 def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  th_vals: list[float], two_j_max: int, i_max: int,
                  subtracted: bool) -> tuple[np.ndarray, float]:
     """Condensate over r_vals x th_vals and the largest |last j-shell
-    contribution| over the points.  Each buffer _j_blocks yields is reduced
-    once per theta, and certified with the bound D of the terms _j_plan
-    drops as slack: so each value is math.fsum of the whole (j_max, i_max)
-    rectangle of its point.  A point whose sum is not certified has all its
-    terms formed, by the same block code, for math.fsum."""
+    contribution| over the points.  Each buffer _j_blocks yields is reduced,
+    and certified with its final D as slack: so each value is math.fsum of
+    the whole (j_max, i_max) rectangle of its point.  A point that fails gets
+    all its terms formed, by _j_blocks with pruning off, for math.fsum."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
-    plan, dropped = _j_plan(bc, params, tabs, two_j_max, i_max, weight)
-    trees: list[list] = [[] for _ in th_vals]
-    n, tail = 0, 0.0
-    for two_j, it, terms in _j_blocks(bc, plan, r_vals):
+    trees, n, tail = [[] for _ in th_vals], 0, 0.0
+    for two_j, it, terms, dropped in _j_blocks(bc, params, r_vals, tabs, two_j_max, i_max,
+                                               weight):
         trees[it].append(_tree_sums(terms))
         n += terms.shape[1] * (it == 0)  # terms per point
         if two_j == two_j_max:
@@ -295,11 +280,10 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     values = np.empty((len(r_vals), len(th_vals)))
     for it, (total, certified) in enumerate(_certified_sums(tree, n, dropped)
                                             for tree in trees):
-        if not certified.all():
-            full = _j_plan(bc, params, [tabs[it]], two_j_max, i_max, weight, prune=False)[0]
         for ir in np.flatnonzero(~certified):
-            point = _j_blocks(bc, full, [r_vals[ir]])
-            total[ir] = math.fsum(np.concatenate([t[0] for *_, t in point]))
+            point = _j_blocks(bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight,
+                              prune=False)
+            total[ir] = math.fsum(np.concatenate([t[0] for _, _, t, _ in point]))
         values[:, it] = -total
     return values, tail
 
@@ -344,7 +328,8 @@ def condensate_nonrotating(bc: BoundaryKind, params: PhysicalParams, r: float,
     for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
         shell_coeff = (two_j + 1) / (4.0 * math.pi)
         k0 = (two_j + 1) // 2
-        jm2, jp2 = (spherical_jn(n, p * r) ** 2 for n in (k0 - 1, k0))
+        x = np.where(p * r < 2.0**-1022, 0.0, p * r)  # as in _j_blocks
+        jm2, jp2 = (spherical_jn(n, x) ** 2 for n in (k0 - 1, k0))
         frak = (M / (2.0 * E)) * shell_coeff * (jm2 + jp2)
         if bc.is_mit:  # the spectral sum keeps only the mass term; sgn(kappa) per shell
             frak = np.repeat((-1.0, 1.0), i_max) * shell_coeff * 0.5 * (jm2 - jp2) + frak

@@ -164,15 +164,20 @@ def _extend_zeros(n: int, count: int) -> None:
         raise RuntimeError(f"zero table inconsistent at order {n}: xi_1 = {have[0]}")
 
 
+def _zero_table(n: int, count: int) -> np.ndarray:
+    """bessel_zeros for any count >= 1: the MIT root scan reads past I_MAX_DEFAULT."""
+    # round order 0's count + n zeros up to blocks of 32, so that orders asked
+    # for in turn at one count do not each extend every lower table by one
+    _extend_zeros(n, -(-(count + n) // 32) * 32 - n)
+    return np.array(_zero_cache[n][:count])
+
+
 def bessel_zeros(n: int, count: int) -> np.ndarray:
     """First `count` positive zeros xi_{n,1} < ... < xi_{n,count} of j_n."""
     _check_order(n)
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= I_MAX_DEFAULT:
         raise ValueError(f"count must be an integer in [1, {I_MAX_DEFAULT}], got {count!r}")
-    # round order 0's count + n zeros up to blocks of 32, so that orders asked
-    # for in turn at one count do not each extend every lower table by one
-    _extend_zeros(n, -(-(count + n) // 32) * 32 - n)
-    return np.array(_zero_cache[n][:count])
+    return _zero_table(n, count)
 
 
 def spherical_bessel_zero(n: int, i: int) -> float:

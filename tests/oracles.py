@@ -4,7 +4,8 @@ Everything here deliberately avoids the production solution paths:
 high-precision Bessel values come from mpmath, roots from dense sign scans
 plus plain bisection, normalization constants from Gauss-Legendre
 quadrature, and the condensate from the unreduced mode sum with an explicit
-m_j loop and no symmetry folding.  The one exception is shell_table, a slice
+m_j loop and no symmetry folding, or, on the axis of a large sphere, from the
+unbounded-space limit, which knows no mode set.  The one exception is shell_table, a slice
 of the production shell store, through which the per-mode references read
 their shells.
 """
@@ -17,6 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from rotsphere import angular_density, assemble_spinor, bessel_orders
@@ -274,13 +276,16 @@ def quadrature_mode_overlap(mode_a, mode_b, M: float, R: float,
 # ---------------------------------------------------------------------------
 
 
+def fermi(x: float) -> float:
+    """Stable 1/(1 + e^x)."""
+    if x >= 0:
+        z = math.exp(-x)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(x))
+
+
 def oracle_weight_subtracted(E_tilde: float, beta: float, mu: float) -> float:
     """Stable -[1/(1+e^(b(Et-mu))) + 1/(1+e^(b(Et+mu)))] for E > 0 modes."""
-    def fermi(x):
-        if x >= 0:
-            z = math.exp(-x)
-            return z / (1.0 + z)
-        return 1.0 / (1.0 + math.exp(x))
     return -(fermi(beta * (E_tilde - mu)) + fermi(beta * (E_tilde + mu)))
 
 
@@ -331,3 +336,21 @@ def brute_force_condensate(bc, params, r: float, theta: float, j_max: float,
         ubar_u = float((u.conj() @ GAMMA_T @ u).real)
         total += C * C * w * ubar_u
     return -total
+
+
+# ---------------------------------------------------------------------------
+# Unbounded-space limit
+# ---------------------------------------------------------------------------
+
+
+def unbounded_axis_condensate(M: float, Omega: float, beta: float, mu: float) -> float:
+    """Thermal condensate on the rotation axis of unbounded space, one
+    quadrature (Ambrus and Winstanley, Phys. Lett. B 734 (2014) 296):
+    (M / pi^2) int_0^inf p^2/E 1/2 sum_{s=+-1} [f(E - s Omega/2 - mu)
+    + f(E - s Omega/2 + mu)] dp, with f(x) = 1/(1 + e^(beta x)).  Only j = 1/2,
+    m_j = s/2 reaches the axis."""
+    def integrand(p):
+        E = math.hypot(p, M)
+        return p * p / E * 0.5 * sum(fermi(beta * (E - s * Omega / 2 - mu))
+                                     + fermi(beta * (E - s * Omega / 2 + mu)) for s in (1, -1))
+    return M / math.pi**2 * quad(integrand, 0.0, math.inf)[0]

@@ -534,15 +534,15 @@ class TestMitArrayPath:
     _BATCH = ([1, 1, 5, 5], [-1, 1, -3, 3])
 
     def _cut_tables(self, monkeypatch, keep):
-        """Zero tables of orders 2 and 3 cut to their first keep(count) zeros;
-        returns the (order, count) calls."""
-        calls, real = [], boundary.bessel_zeros
+        """Zero tables of orders 2 and 3, as the root scan reads them, cut to
+        their first keep(count) zeros; returns the (order, count) calls."""
+        calls, real = [], boundary._zero_table
 
         def cut(n, count):
             calls.append((n, count))
             return real(n, count)[:keep(count)] if n in (2, 3) else real(n, count)
 
-        monkeypatch.setattr(boundary, "bessel_zeros", cut)
+        monkeypatch.setattr(boundary, "_zero_table", cut)
         return calls
 
     def test_short_scan_retries_that_shell_only(self, monkeypatch):
@@ -561,10 +561,10 @@ class TestMitArrayPath:
         # 12 (j = 5/2) and 18 (j = 9/2); the j = 5/2 shells rescan with 14
         # zeros, the others do not.  The reference reads the same tables.
         calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
-        cut = boundary.bessel_zeros
-        monkeypatch.setattr(boundary, "bessel_zeros", lambda n, count: (
+        cut = boundary._zero_table
+        monkeypatch.setattr(boundary, "_zero_table", lambda n, count: (
             cut(n, count)[:count - 1] if n in (4, 5) else cut(n, count)))
-        monkeypatch.setitem(globals(), "bessel_zeros", boundary.bessel_zeros)
+        monkeypatch.setitem(globals(), "bessel_zeros", boundary._zero_table)
         two_j, kappa = [1, 1, 5, 5, 9, 9], [-1, 1, -3, 3, -5, 5]
         for esign, vs in itertools.product((1, -1), (1, -1)):
             calls.clear()
@@ -596,7 +596,7 @@ class TestMitArrayPath:
         assert str(got.value) == ("could not locate 8 momentum roots (two_j=5, kappa=-3, "
                                   "esign=1, M=0.7, varsigma=-1)")
         # the same shell solved alone by the reference, on the same cut tables
-        monkeypatch.setitem(globals(), "bessel_zeros", boundary.bessel_zeros)
+        monkeypatch.setitem(globals(), "bessel_zeros", boundary._zero_table)
         with pytest.raises(SolverError) as want:
             _mit_momenta_reference(5, -3, 1, 1.3, 0.7, -1, 8)
         assert str(got.value) == str(want.value)

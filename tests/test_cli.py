@@ -102,6 +102,21 @@ class TestSpectrumCommand:
             # 2 m_j x 2 kappa x 500 i x 2 esign = 4000 modes
             assert len(out.read_text().strip().split("\n")) == 1 + 4000
 
+    def test_mit_minus_at_largest_imax_heavier(self, tmp_path):
+        # at M R = 2 the 500th root of varsigma = -1 lies past the 500th zero
+        # of its Bessel orders, so the root scan reads further zeros
+        out = tmp_path / "m.csv"
+        assert main(["spectrum", "--bc", "mit", "--varsigma", "-1", "--M", "2",
+                     "--jmax", "1/2", "--imax", "500", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 4000
+
+    def test_subnormal_r_grid(self, capsys):
+        # r whose p r is subnormal get the r = 0 value, not nan
+        assert main(["condensate", "--M", "1", "--Omega", "0.5", "--r-grid",
+                     "0,1e-300,1e-310,5e-324", "--jmax", "3/2", "--imax", "2"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[-4:]
+        assert len({row.split(",")[-1] for row in rows}) == 1 and "nan" not in rows[0]
+
     def test_solver_error_exit_code(self, capsys):
         # at M R = 1e200, (M R)^2 overflows in the momentum equation
         args = ["spectrum", "--bc", "mit", "--varsigma", "1", "--Omega", "0.5",

@@ -14,9 +14,10 @@ from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
                        grid_to_json, mit, thermal_weight,
                        thermal_weight_subtracted)
 from rotsphere import condensate as cnd
+from rotsphere.boundary import shell_rows
 from rotsphere.modes import density_split, spinor_densities
 from rotsphere.specfun import legendre_density_table
-from oracles import shell_table
+from oracles import fermi, shell_table, unbounded_axis_condensate
 
 
 def unreduced_sum(bc, params, r, theta, j_max, i_max, subtracted=True):
@@ -506,10 +507,10 @@ class TestExactRowSums:
         j_blocks, exact, tree = cnd._j_blocks, cnd._exact_row_sums, cnd._tree_sums
 
         def capture_blocks(*args):
-            for two_j, it, terms in j_blocks(*args):
+            for two_j, it, terms, dropped in j_blocks(*args):
                 blocks.append((two_j, it, terms.copy()))
                 yielded.append(terms)
-                yield two_j, it, terms
+                yield two_j, it, terms, dropped
 
         monkeypatch.setattr(cnd, "_j_blocks", capture_blocks)
         monkeypatch.setattr(cnd, "_exact_row_sums", lambda buf, *given: (
@@ -533,10 +534,10 @@ class TestExactRowSums:
         assert [len(given) for _, given in exact_calls] == [1, 1]  # the tails reuse a tree
         exact_bufs = [buf for buf, _ in exact_calls]
         tabs = [legendre_density_table(11, math.cos(th)) for th in thetas]
-        full = cnd._j_plan(bc, params, tabs, 21, 30, thermal_weight_subtracted, prune=False)[0]
-        full_blocks = list(j_blocks(bc, full, r_grid.tolist()))
+        full_blocks = list(j_blocks(bc, params, r_grid.tolist(), tabs, 21, 30,
+                                    thermal_weight_subtracted, prune=False))
         for it in range(2):
-            rows = np.concatenate([terms for _, i, terms in full_blocks if i == it], axis=1)
+            rows = np.concatenate([terms for _, i, terms, _ in full_blocks if i == it], axis=1)
             assert rows.shape[1] == 30 * 11 * 12
             assert [float(-v).hex() for v in grid.values[:, it]] == _outcome(_fsum_rows, rows)
         assert len(exact_bufs) == 2  # the last j block of each theta, for the tail
@@ -559,9 +560,9 @@ class TestExactRowSums:
         r_grid = np.linspace(0.1, 1.0, 4)
         certified_sums, j_blocks, calls = cnd._certified_sums, cnd._j_blocks, []
 
-        def recording(bc, params, r_vals, *rest):
-            blocks = list(j_blocks(bc, params, r_vals, *rest))
-            calls.append((r_vals, [two_j for two_j, it, _ in blocks if it == 0]))
+        def recording(bc, params, r_vals, *rest, **prune):
+            blocks = list(j_blocks(bc, params, r_vals, *rest, **prune))
+            calls.append((r_vals, [two_j for two_j, it, *_ in blocks if it == 0]))
             return iter(blocks)
 
         def outcome():
@@ -612,27 +613,32 @@ class TestExactRowSums:
 
 def _full_rows(bc, params, r_vals, th_vals, two_j_max, i_max, subtracted=True):
     """The terms of the whole (j_max, i_max) rectangle, formed with pruning
-    off, a row per r in the canonical order, per theta; and the unpruned
-    _j_plan, whose entries give the j blocks' widths."""
+    off, a row per r in the canonical order, per theta; and the Legendre
+    tables of th_vals."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
-    full = cnd._j_plan(bc, params, tabs, two_j_max, i_max, weight, prune=False)[0]
     rows = [[] for _ in th_vals]
-    for _, it, terms in cnd._j_blocks(bc, full, list(r_vals)):
+    for _, it, terms, _ in cnd._j_blocks(bc, params, list(r_vals), tabs, two_j_max, i_max,
+                                         weight, prune=False):
         rows[it].append(terms.copy())
-    return [np.concatenate(r, axis=1) for r in rows], full, tabs
+    return [np.concatenate(r, axis=1) for r in rows], tabs
 
 
-def _mode_bounds(bc, entry):
-    """The bound of each mode of a _j_plan entry, shape (kappa, i, m_j):
+def _mode_bounds(bc, params, tabs, two_j, E, C):
+    """The bound of each mode of the shells (p, E, C) of j, shape (kappa, i,
+    m_j), with the subtracted weights w_t and w_b of its m_j and -m_j:
     C2 (|w_t - w_b|/2 + |w_t + w_b| M/(2E)) (d+ + d-), for MIT
     C2 |w_t + w_b| (1/2 + M/(2E)) (d+ + d-), with d+ + d- at its largest
     over the thetas, plus the (C2 + 1) 2^-1060 held for underflow."""
-    _, p, C2, ratio, w_d, w_s, dens = entry
-    d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
+    two_m = np.arange(1, two_j + 1, 2)
+    w_t, w_b = (thermal_weight_subtracted(E[:, None] - params.Omega * m_j, 1, params.beta,
+                                          params.mu) for m_j in (two_m / 2.0, -two_m / 2.0))
+    C2, ratio, w_d, w_s = (C * C)[:, None], (params.M / (2.0 * E))[:, None], w_t - w_b, w_t + w_b
+    d = np.max([d_plus + d_minus for d_plus, d_minus in
+                (spinor_densities(two_j, two_m, tab) for tab in tabs)], axis=0)
     amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
            else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
-    return (C2 * amp * d + (C2 + 1.0) * 2.0**-1060).reshape(2, p.size // 2, -1)
+    return (C2 * amp * d + (C2 + 1.0) * 2.0**-1060).reshape(2, E.size // 2, -1)
 
 
 # (M R, R, Omega R, beta / R, mu R): figure-like, hot (nothing is dropped),
@@ -649,27 +655,35 @@ class TestThermalPruning:
     and certifies each value as math.fsum of the whole rectangle."""
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
-    def test_dropped_terms_within_bound(self, bc):
+    def test_dropped_terms_within_bound(self, bc, monkeypatch):
         # every term of the whole rectangle within its mode's bound, and the
         # dropped ones, formed here with pruning off, within the certificate's
-        # slack at every point
+        # slack at every point.  With a buffer of 1 term every j block comes
+        # alone, and its width gives the kept i-prefix of that j.
+        monkeypatch.setattr(cnd, "_BUFFER_TERMS", 1)
         n_dropped = 0
         for MR, R, omega_r, beta_r, mu_r in _PRUNE_CASES:
             params = PhysicalParams(M=MR / R, R=R, Omega=omega_r / R, beta=beta_r * R,
                                     mu=mu_r / R)
             r_vals = np.linspace(0.0, R, 6)
-            rows, full, tabs = _full_rows(bc, params, r_vals, [0.3, math.pi / 2], 21, 30)
-            plan, slack = cnd._j_plan(bc, params, tabs, 21, 30, thermal_weight_subtracted)
-            assert plan[-1][1].size == 60  # the last j, the tail estimate's, is whole
-            widths = [entry[4].size for entry in full]
+            rows, tabs = _full_rows(bc, params, r_vals, [0.3, math.pi / 2], 21, 30)
+            blocks = [(two_j, terms.shape[1], dropped) for two_j, it, terms, dropped in
+                      cnd._j_blocks(bc, params, list(r_vals), tabs, 21, 30,
+                                    thermal_weight_subtracted) if it == 0]
+            slack = blocks[-1][2]
+            assert [two_j for two_j, *_ in blocks] == list(range(1, 22, 2))
+            assert blocks[-1][1] == 60 * 11  # the last j, the tail estimate's, is whole
+            shells = shell_rows(bc, 1, params.M, R, 30, 21)
+            widths = [30 * (two_j + 1) for two_j in range(1, 22, 2)]
             for row in rows:
                 dropped = []
-                for entry, kept, block in zip(full, plan, np.split(row, np.cumsum(widths)[:-1],
-                                                                   axis=1)):
-                    bound = _mode_bounds(bc, entry)
+                for (two_j, kept, _), (_, E, C), block in zip(
+                        blocks, shells, np.split(row, np.cumsum(widths)[:-1], axis=1)):
+                    bound = _mode_bounds(bc, params, tabs, two_j, E, C)
                     block = np.abs(block).reshape(len(r_vals), *bound.shape)
-                    assert np.all(block <= bound), (params, entry[0])
-                    dropped.append(block[:, :, kept[1].size // 2:].reshape(len(r_vals), -1))
+                    assert np.all(block <= bound), (params, two_j)
+                    keep = kept // (two_j + 1)  # kept i of each kappa shell
+                    dropped.append(block[:, :, keep:].reshape(len(r_vals), -1))
                 dropped = np.concatenate(dropped, axis=1)
                 assert all(math.fsum(terms) <= slack for terms in dropped.tolist()), params
                 assert (slack > 0.0) == (dropped.shape[1] > 0)
@@ -692,7 +706,7 @@ class TestThermalPruning:
         r_vals = [min(f * R, R) for f in r_frac]
         grid = condensate_grid(bc, params, r_vals, thetas, two_j_max / 2, i_max,
                                subtracted=subtracted)
-        rows, _, _ = _full_rows(bc, params, r_vals, thetas, two_j_max, i_max, subtracted)
+        rows, _ = _full_rows(bc, params, r_vals, thetas, two_j_max, i_max, subtracted)
         last = i_max * (two_j_max + 1)
         assert [[v.hex() for v in point] for point in grid.values.T.tolist()] == [
             [(-math.fsum(terms)).hex() for terms in row.tolist()] for row in rows]
@@ -705,10 +719,19 @@ class TestThermalPruning:
     def test_unsubtracted_massive_keeps_every_mode(self, bc, monkeypatch):
         # the raw weight tends to 1, not 0, at high energy, so with M > 0 the
         # B terms fall only like M/(2E), and no mode is negligible; the
-        # subtracted weight at the same parameters drops most of them
+        # subtracted weight at the same parameters drops most of them.  With
+        # a buffer of 1 term every j block comes alone: its width over its
+        # m_j count is the j's kept momenta.
         widths, j_blocks = [], cnd._j_blocks
-        monkeypatch.setattr(cnd, "_j_blocks", lambda bc, plan, r_vals: (
-            widths.append([entry[1].size for entry in plan]) or j_blocks(bc, plan, r_vals)))
+
+        def recording(*args):
+            blocks = list(j_blocks(*args))
+            widths.append([terms.shape[1] // ((two_j + 1) // 2)
+                           for two_j, it, terms, _ in blocks if it == 0])
+            return iter(blocks)
+
+        monkeypatch.setattr(cnd, "_BUFFER_TERMS", 1)
+        monkeypatch.setattr(cnd, "_j_blocks", recording)
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=2.0, mu=0.3)
         for subtracted in (False, True):
             condensate_grid(bc, params, np.linspace(0.0, 1.0, 5), [1.0], 20.5, 60,
@@ -740,6 +763,78 @@ class TestThermalPruning:
         assert calls.count(27720) == 1 and max(calls) == 27720
         assert got.values.tobytes() == want.values.tobytes()
         assert got.tail_estimate == want.tail_estimate
+
+
+class TestEdgeInputs:
+    """Inputs at the edges of the accepted domain give the finite answer."""
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    @pytest.mark.parametrize("subtracted", [True, False])
+    def test_subnormal_r_gives_axis_bits(self, bc, subtracted):
+        # scipy's j_n(x) is nan for n >= 1 at a subnormal x, and its square
+        # there rounds to that at x = 0: every r whose p r is subnormal gets
+        # the bits of r = 0, value and tail estimate
+        cases = [(PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=1.0), math.pi / 2, 2),
+                 (PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.0), 0.0, 1)]
+        for params, theta, i_max in cases:
+            axis = condensate_grid(bc, params, [0.0], [theta], 1.5, i_max, subtracted)
+            grid = condensate_grid(bc, params, [0.0, 1e-300, 1e-310, 5e-324], [theta], 1.5,
+                                   i_max, subtracted)
+            assert [v.hex() for v in grid.values.ravel().tolist()] == [
+                axis.values.item().hex()] * 4
+            assert grid.tail_estimate.hex() == axis.tail_estimate.hex()
+            if params.Omega == 0.0:  # the closed form's own r = 0 bits
+                assert len({condensate_nonrotating(bc, params, r, 1.5, i_max, subtracted).hex()
+                            for r in (0.0, 1e-310, 5e-324)}) == 1
+
+    def test_mit_at_largest_imax(self):
+        # MIT varsigma = -1 locates all 500 roots of each shell at M R = 5,
+        # whose last root lies past the 500th zero of the Bessel orders
+        bc, params = mit(-1), PhysicalParams(M=1.0, R=5.0, Omega=0.1, beta=1.0)
+        grid = condensate_grid(bc, params, [0.0, 2.5, 5.0], [1.0], 1.5, 500)
+        for r, value in zip(grid.r_values, grid.values.ravel()):
+            want, _ = _point_value_reference(bc, params, r, 1.0, 3, 500, True)
+            assert value.hex() == want.hex()
+        assert math.isfinite(grid.tail_estimate)
+
+
+# (M, Omega, beta, mu, R) with M R >= 15 and beta >= 1, where the wall moves
+# the axis value by less than 1e-12 relative
+_UNBOUNDED_CASES = [(1.0, 0.02, 1.0, 0.1, 20.0), (1.0, 0.03, 2.0, 0.0, 30.0),
+                    (0.5, 0.03, 1.0, 0.5, 30.0), (2.0, 0.045, 1.0, 0.5, 20.0)]
+
+
+class TestUnboundedLimit:
+    """On the axis of a large sphere the condensate approaches that of
+    unbounded space, a quadrature that knows no mode set."""
+
+    @staticmethod
+    def _gap(bc, M, Omega, beta, mu, R, zero_mode=True):
+        value = condensate_point(bc, PhysicalParams(M, R, Omega, beta, mu), 0.0, 0.0, 1.5, 400)
+        if not bc.is_mit and zero_mode:
+            # the constant p = 0 spinor, E = M, m_j = 1/2, density 3/(4 pi R^3),
+            # which the spectral spectrum leaves out
+            value += 3.0 / (4.0 * math.pi * R**3) * (fermi(beta * (M - Omega / 2 - mu))
+                                                    + fermi(beta * (M - Omega / 2 + mu)))
+        want = unbounded_axis_condensate(M, Omega, beta, mu)
+        return abs(value - want) / want
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    @pytest.mark.parametrize("case", _UNBOUNDED_CASES)
+    def test_axis_matches_unbounded_space(self, bc, case):
+        assert self._gap(bc, *case) < 1e-12
+
+    def test_spectral_misses_the_zero_mode(self):
+        # today's spectral spectrum has no p = 0 mode, and the quadrature sees it
+        for case in _UNBOUNDED_CASES:
+            assert self._gap(SPECTRAL, *case, zero_mode=False) > 1e-9
+
+    @pytest.mark.parametrize("bc", [mit(1), mit(-1)])
+    def test_wall_shows_in_a_smaller_sphere(self, bc):
+        # at M R = 10 the wall leaves more than the tolerance, and more than
+        # at every M R >= 15 above
+        near = self._gap(bc, 1.0, 0.02, 1.0, 0.1, 10.0)
+        assert near > 1e-12 and near > max(self._gap(bc, *case) for case in _UNBOUNDED_CASES)
 
 
 class TestExport:
