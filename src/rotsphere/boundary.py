@@ -8,10 +8,10 @@ array Brent refinement over the brackets of a batch of shells.  The solver and
 the quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
 
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
-E_tilde = E - Omega * m_j.  One store holds the solved shells: per (boundary,
-esign, M, R, i_max), j rows grown by whole j prefixes, each row both kappa
-shells of a j; spectral momenta and norms, which depend on neither esign
-nor M, are solved once per (R, i_max).  A Spectrum holds the modes as flat
+E_tilde = E - Omega * m_j.  One store holds the solved (p, C) shells, in j
+rows grown by whole j prefixes, each row both kappa shells of a j: MIT sets
+per (esign, M, R, i_max), spectral sets, which depend on neither esign nor M,
+per (R, i_max); E is formed on each read.  A Spectrum holds the modes as flat
 columns read from it, so the vacuum check (E * E_tilde > 0 for every mode
 when Omega*R < 1: the rotating and nonrotating vacua coincide), the
 quantization residual (once per root) and the wall checks (a (j, kappa) block
@@ -140,7 +140,7 @@ def spectral_norm(two_j: int, sign_mk: int, i: int, R: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mit_equation(x, two_j, kappa, esign, rho: float, varsigma: int):
+def _mit_equation(x, kappa, esign, rho: float, varsigma: int):
     """Residual of j_{l_f}(x) - sgn(kappa) varsigma p/(E+M) j_{l_g}(x) at x = p R,
     elementwise over x and label columns kappa and esign (kappa fixes j).
     rho = M*R; the coefficient is x / (esign s + rho), s = sqrt(x^2 + rho^2),
@@ -156,7 +156,7 @@ def _mit_equation(x, two_j, kappa, esign, rho: float, varsigma: int):
 def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
     """|_mit_equation| / max(1, |p/(E+M)|): divided by (|E| + M) / p where E < 0."""
     scale = np.where(esign < 0, (np.sqrt(x * x + rho * rho) + rho) / x, 1.0)
-    return np.abs(_mit_equation(x, None, kappa, esign, rho, varsigma)) / scale
+    return np.abs(_mit_equation(x, kappa, esign, rho, varsigma)) / scale
 
 
 def _scan_grids(orders: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +197,15 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     the scan grids of all shells of a pass are built in one array pass, and
     their brackets refined by one array Brent call, so a root has the bits of
     its shell solved alone.  A shell short of roots rescans with 4 more
-    zeros; an exact 0 counts where j_{l_f} is not 0 (both underflow near x = 0
-    from j = 83/2).  Raises SolverError rather than skipping roots.
+    zeros; an exact 0 where j_{l_f} is not 0 (both underflow near x = 0 from
+    j = 83/2) opens a bracket.  Raises SolverError rather than skipping roots.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
     two_j, kappa, esign = (v.ravel() for v in np.broadcast_arrays(two_j, kappa, esign))
     if not (np.isin(esign, (-1, 1)).all() and varsigma in (-1, 1)):
         raise ValueError("esign and varsigma must be +-1")
-    f = lambda x, kappa, esign: _mit_equation(x, None, kappa, esign, M * R, varsigma)
+    f = lambda x, kappa, esign: _mit_equation(x, kappa, esign, M * R, varsigma)
     n = kappa.size
     roots, todo, top = np.empty((n, count)), np.arange(n), count + 2
     for _ in range(6):
@@ -214,21 +214,17 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         vals = f(grid, kappa[shell], esign[shell])
         if not np.all(np.isfinite(vals)):
             raise SolverError("non-finite values in momentum equation scan")
-        cross = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-                               & (shell[:-1] == shell[1:]))  # inside one shell's scan
-        at = shell[cross]
-        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
         zero = vals == 0.0
         zero[zero] = spherical_jn(bessel_orders(kappa[shell[zero]])[0], grid[zero]) != 0.0
-        first, end = np.searchsorted(at, todo), np.searchsorted(at, todo, "right")
-        short = end - first < count
-        exact = np.unique(shell[zero])
-        for s in exact:  # merge the exact zeros with the roots found
-            merged = np.union1d(found[at == s], grid[zero & (shell == s)])[:count]
-            short[todo == s] = merged.size < count
-            roots[s, :merged.size] = merged
-        fill = ~short & ~np.isin(todo, exact)
-        roots[todo[fill]] = found[first[fill, None] + np.arange(count)]
+        # a bracket, inside one shell's scan, is a sign change or starts at an
+        # exact zero, which _brentq_array returns as the root
+        cross = np.flatnonzero(((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) | zero[:-1])
+                               & (shell[:-1] == shell[1:]))
+        at = shell[cross]
+        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
+        first = np.searchsorted(at, todo)
+        short = np.searchsorted(at, todo, "right") - first < count
+        roots[todo[~short]] = found[first[~short, None] + np.arange(count)]
         todo = todo[short]
         if not todo.size:
             break
@@ -312,10 +308,10 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 # ---------------------------------------------------------------------------
 
 
-# The bound counts sets: 24 hold the working sets (fig-sweep 10, verify-spectrum
-# 19, `--preset fig1` plus `fig2` 10, each with its one spectral (p, C) set)
-# and, at 42 shells (~60 KB) per set at j_max = 41/2 and i_max = 60, about the
-# 1,024 shells of a per-shell cache.
+# The bound counts sets: 24 hold the working sets (fig-sweep 7, new-params 21,
+# verify-spectrum 18, after warm-up and 40 requests each) and, at 42 shells
+# (~40 KB) per set at j_max = 41/2 and i_max = 60, about the 1,024 shells of a
+# per-shell cache.
 # typed: a float i_max must miss the entry of the equal int and be rejected.
 @lru_cache(maxsize=24, typed=True)
 def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> list:
@@ -326,46 +322,39 @@ def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> 
 
 def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
                two_j_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Read-only (p, E, C) rows of j = 1/2 .. two_j_max/2 from the store, each
-    the kappa = -k0 shell (i = 1..i_max), then kappa = +k0.  Only the j past
-    the end of the set are solved, MIT shells in batches.  A spectral shell
-    of kappa holds the modes with m_j > 0, as p and C depend only on
-    sign(m_j kappa): a mode with m_j < 0 reads the shell of -kappa.  Nor do
-    they depend on esign or M, so they are solved once per (R, i_max), into
-    the set keyed esign = 0 and M = 0.0 as (p, C) rows, and a spectral
-    (esign, M) set forms only E from them."""
-    rows, n = _shell_set(bc, esign, M, R, i_max), (two_j_max + 1) // 2
-    solved = rows if bc.is_mit else _shell_set(bc, 0, 0.0, R, i_max)
-    while len(solved) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
-        jx = np.arange(len(solved), min(n, len(solved) + max(1, 1260 // i_max)))
+    """Read-only (p, E, C) rows of j = 1/2 .. two_j_max/2, each the kappa = -k0
+    shell (i = 1..i_max), then kappa = +k0.  The store holds (p, C) rows and
+    solves only the j past the end of a set, MIT shells in batches; E = esign
+    hypot(p, M) is formed on each read.  A spectral shell of kappa holds the
+    modes with m_j > 0, as p and C depend only on sign(m_j kappa): a mode with
+    m_j < 0 reads the shell of -kappa.  Nor do they depend on esign or M, so
+    a spectral set is keyed by (R, i_max) alone, as esign = 0 and M = 0.0."""
+    key = (esign, M) if bc.is_mit else (0, 0.0)
+    rows, n = _shell_set(bc, *key, R, i_max), (two_j_max + 1) // 2
+    while len(rows) < n:  # ~2,500 modes a batch: few array passes, arrays near 2 MB
+        jx = np.arange(len(rows), min(n, len(rows) + max(1, 1260 // i_max)))
         two_j, kappa = np.repeat(2 * jx + 1, 2), np.outer(jx + 1, [-1, 1]).ravel()
         with np.errstate(all="ignore"):  # an overflow is reported below, not warned
             try:
                 if bc.is_mit:
                     p = _mit_roots(two_j, kappa, esign, R, M, bc.varsigma, i_max)
-                    E = _energy(esign, p, M)
                     C = _mit_norms(two_j[:, None], kappa[:, None], np.arange(1, i_max + 1),
-                                   R, M, E, bc.varsigma, p)
-                    new = (p, E, C)
+                                   R, M, _energy(esign, p, M), bc.varsigma, p)
                 else:
                     shells = [_spectral_shell(tj, np.sign(ka), i_max, R)
                               for tj, ka in zip(two_j.tolist(), kappa.tolist())]
-                    new = p, C = np.array(shells).transpose(1, 0, 2)
-                finite = np.isfinite([*new[:-1], C * C]).all()  # |C|^2 is what the sums read
+                    p, C = np.array(shells).transpose(1, 0, 2)
+                finite = np.isfinite([p, _energy(esign, p, M), C * C]).all()  # sums read C^2
             except (OverflowError, FloatingPointError):  # spectral R**3; MIT ratio at +0
                 finite = False
         if not finite:
             raise ValueError(f"non-finite momentum, energy or |C|^2 at R={R}, M={M}")
-        new = [v.reshape(jx.size, -1) for v in new]
-        for v in new:
-            v.flags.writeable = False
-        solved += zip(*new)
-    if len(rows) < n:  # a spectral set; E is finite where C^2 is, as then p < 1e106
-        start = len(rows)
-        E = _energy(esign, np.array([p for p, _ in solved[start:n]]), M)
-        E.flags.writeable = False
-        rows += ((p, e, C) for (p, C), e in zip(solved[start:n], E))
-    return rows[:n]
+        p, C = (v.reshape(jx.size, -1) for v in (p, C))
+        p.flags.writeable = C.flags.writeable = False
+        rows += zip(p, C)
+    E = _energy(esign, np.array([p for p, _ in rows[:n]]), M)
+    E.flags.writeable = False
+    return [(p, e, C) for (p, C), e in zip(rows[:n], E)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -194,39 +195,31 @@ def _r_grid(cfg: RunConfig, R: float, n: int) -> np.ndarray:
 # qualitative properties.
 # ---------------------------------------------------------------------------
 
-_OMEGAS = (0.0, 0.4, 0.8)
-_BETAS = (2.0, 1.0, 0.5)
-_MASSES = (0.0, 1.0, 2.0)
 _THETAS = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
+# panel -> (fixed parameters, varied key, values); the others as in _PANEL_BASE
+_PANEL_BASE = {"M": 1.0, "R": 1.0, "Omega": 0.0, "beta": 1.0, "mu": 0.0, "theta": math.pi / 2}
+_PANELS = {"a": ({"beta": 2.0}, "Omega", (0.0, 0.4, 0.8)),
+           "b": ({"beta": 0.5}, "Omega", (0.0, 0.4, 0.8)),
+           "c": ({"Omega": 0.5}, "beta", (2.0, 1.0, 0.5)),
+           "d": ({"Omega": 0.5}, "M", (0.0, 1.0, 2.0)),
+           "e": ({"beta": 2.0, "Omega": 0.8}, "theta", _THETAS),
+           "f": ({"beta": 0.5, "Omega": 0.8}, "theta", _THETAS)}
 
 
 def _panel_curves(panel: str, mit_case: bool):
-    base = {"M": 1.0, "R": 1.0, "Omega": 0.0, "beta": 1.0, "mu": 0.0}
-    theta = math.pi / 2
-    curves = []
-    if panel in ("a", "b"):
-        base["beta"] = 2.0 if panel == "a" else 0.5
-        for om in _OMEGAS:
-            curves.append((f"Omega{om:g}", {**base, "Omega": om}, theta, None))
-    elif panel == "c":
-        base["Omega"] = 0.5
-        for be in _BETAS:
-            curves.append((f"beta{be:g}", {**base, "beta": be}, theta, None))
-    elif panel == "d":
-        base["Omega"] = 0.5
-        for mass in _MASSES:
-            if mit_case:
-                for vs in (1, -1):
-                    curves.append((f"M{mass:g}_vs{vs:+d}",
-                                   {**base, "M": mass}, theta, vs))
-            else:
-                curves.append((f"M{mass:g}", {**base, "M": mass}, theta, None))
-    elif panel in ("e", "f"):
-        base["beta"] = 2.0 if panel == "e" else 0.5
-        base["Omega"] = 0.8
-        for th in _THETAS:
-            curves.append((f"theta{th:.4f}", dict(base), th, None))
-    return curves
+    """(label, boundary, params, theta) of each curve of a panel; an MIT mass
+    panel has a curve per varsigma, the other MIT panels varsigma = +1."""
+    fixed, key, values = _PANELS[panel]
+    for v in values:
+        pdict = {**_PANEL_BASE, **fixed, key: v}
+        theta, label = pdict.pop("theta"), f"theta{v:.4f}" if key == "theta" else f"{key}{v:g}"
+        params = cnd.PhysicalParams(**pdict)
+        if not mit_case:
+            yield label, bnd.SPECTRAL, params, theta
+        elif key == "M":
+            yield from ((f"{label}_vs{vs:+d}", bnd.mit(vs), params, theta) for vs in (1, -1))
+        else:
+            yield label, bnd.mit(1), params, theta
 
 
 # fig1* presets are spectral, fig2* MIT; bare fig1/fig2 emit all six panels
@@ -273,9 +266,7 @@ def _run_condensate(cfg: RunConfig) -> int:
         mit_case, panels = PRESETS[cfg.preset]
         stem = cfg.out or cfg.preset
         for panel in panels:
-            for label, pdict, theta, vs in _panel_curves(panel, mit_case):
-                bc = bnd.mit(vs if vs is not None else 1) if mit_case else bnd.SPECTRAL
-                params = cnd.PhysicalParams(**pdict)
+            for label, bc, params, theta in _panel_curves(panel, mit_case):
                 grid = cnd.condensate_grid(bc, params, _r_grid(cfg, params.R, 41), [theta],
                                            cfg.two_j_max / 2.0, cfg.i_max)
                 tag = f"{panel}_{label}" if len(panels) > 1 else label
@@ -369,8 +360,21 @@ def run(cfg: RunConfig) -> int:
     return dispatch[cfg.mode](cfg)
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """'--mu -2.5e-3' as '--mu=-2.5e-3': argparse before Python 3.13.1 takes a
+    value that starts with '-' and is not a plain negative number, such as
+    one in exponent form, for an option."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         cfg = config_from_args(args)
         return run(cfg)

@@ -192,11 +192,12 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     at every r, with d+ + d- at its largest over the thetas.  With prune,
     each j but the last, whose sum is the tail estimate, keeps the shortest
     i-prefix, shared by both kappa shells, whose dropped suffix bounds below
-    _PRUNE_REL times the block's; a nan or inf b is never dropped.  Each b
-    carries (C2 + 1) 2^-1060, over 2^8 times what underflow can take from a
-    formed term or from b, and D is twice their rounded sum: that covers the
-    relative rounding of the terms, of the b and of their sum, below 2^-35
-    at 2^17 terms, and a computed |j_n| up to 1.4."""
+    _PRUNE_REL times the block's; a nan or inf b is never dropped, nor is
+    any mode of a j whose b sum to inf.  Each b carries (C2 + 1) 2^-1060,
+    over 2^8 times what underflow can take from a formed term or from b, and
+    D is twice their rounded sum: that covers the relative rounding of the
+    terms, of the b and of their sum, below 2^-35 at 2^17 terms, and a
+    computed |j_n| up to 1.4."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
     cap = min(_BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last
@@ -217,8 +218,9 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                    else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
             with np.errstate(over="ignore"):  # an inf b keeps its mode
                 b = (amp * d) * C2 + (C2 + 1.0) * 2.0**-1060
-            tail = np.cumsum(b.sum(axis=(0, 2))[::-1])[::-1]
-            keep = int(np.count_nonzero(~(tail < _PRUNE_REL * tail[0])))
+                tail = np.cumsum(b.sum(axis=(0, 2))[::-1])[::-1]
+            total = tail[0] if np.isfinite(tail[0]) else np.nan  # nan: every mode is kept
+            keep = int(np.count_nonzero(~(tail < _PRUNE_REL * total)))
             dropped += float(tail[keep]) if keep < i_max else 0.0
         p = p.reshape(2, i_max)[:, :keep].ravel()
         C2, ratio, w_d, w_s = (v[:, :keep] for v in (C2, ratio, w_d, w_s))

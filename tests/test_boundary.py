@@ -164,7 +164,7 @@ def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: floa
         raise ValueError("esign and varsigma must be +-1")
     rho = M * R
     n_f, n_g = bessel_orders(kappa)
-    f = lambda x: _mit_equation(x, two_j, kappa, esign, rho, varsigma)
+    f = lambda x: _mit_equation(x, kappa, esign, rho, varsigma)
 
     need = count
     for _ in range(6):
@@ -282,7 +282,7 @@ def _quantization_residual_reference(bc, mode: QuantizedMode, R: float,
         rho = M * R
         s = math.sqrt(x * x + rho * rho)
         coeff = -(s + rho) / x if qn.esign < 0 else x / (s + rho)
-        return abs(float(_mit_equation(x, qn.two_j, qn.kappa, qn.esign, rho,
+        return abs(float(_mit_equation(x, qn.kappa, qn.esign, rho,
                                        bc.varsigma))) / max(1.0, abs(coeff))
     sign_mk = 1 if qn.two_mj * qn.kappa > 0 else -1
     n = (qn.two_j + 1) // 2 if sign_mk > 0 else (qn.two_j - 1) // 2
@@ -580,12 +580,25 @@ class TestMitArrayPath:
         # is merged with the shell's roots; the other shells keep theirs.
         real = boundary._mit_equation
         x0 = float(np.linspace(bessel_zeros(2, 2)[1], bessel_zeros(3, 2)[1], 3)[1])
-        zero_at = lambda x, two_j, kappa, esign, rho, vs: np.where(
-            (x == x0) & (kappa == 3), 0.0, real(x, two_j, kappa, esign, rho, vs))[()]
+        zero_at = lambda x, kappa, esign, rho, vs: np.where(
+            (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
         monkeypatch.setattr(boundary, "_mit_equation", zero_at)
         monkeypatch.setitem(globals(), "_mit_equation", zero_at)
         p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
         assert x0 in p[3].tolist() and x0 not in p[2].tolist()
+        for row, tj, ka in zip(p, *self._BATCH):
+            assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
+
+    def test_exact_zero_at_first_probe(self, monkeypatch):
+        # a zero on a shell's first probe, x = 1e-6, has no scan point to its
+        # left: it opens the bracket that starts there and is the first root
+        real = boundary._mit_equation
+        zero_at = lambda x, kappa, esign, rho, vs: np.where(
+            (x == 1e-6) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
+        monkeypatch.setattr(boundary, "_mit_equation", zero_at)
+        monkeypatch.setitem(globals(), "_mit_equation", zero_at)
+        p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
+        assert p[3][0] == 1e-6 and 1e-6 not in p[2].tolist()
         for row, tj, ka in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
 
@@ -647,7 +660,9 @@ class TestShellStore:
         small = shell_rows(*key, 3)
         grown = shell_rows(*key, 73)  # 35 more j, in batches of 31 and 4
         assert len(small) == 2 and len(grown) == 37
-        assert all(a is b for a, b in zip(small, grown))  # the prefix is kept, not re-solved
+        # the prefix is kept, not re-solved
+        assert all(a[0] is b[0] and a[2] is b[2] for a, b in zip(small, grown))
+        assert self._bits(small) == self._bits(grown[:2])
         boundary._shell_set.cache_clear()
         cold = shell_rows(*key, 73)  # batches of 31 and 6
         assert cold[0][0] is not grown[0][0]
@@ -675,8 +690,8 @@ class TestShellStore:
         assert self._bits(again) == self._bits(first)
 
     def test_spectral_sets_share_momenta_and_norms(self, monkeypatch):
-        # spectral p and C depend on neither esign nor M: every (esign, M) set
-        # reads them from the one set of (R, i_max) and forms only its E
+        # spectral p and C depend on neither esign nor M: every (esign, M) read
+        # takes them from the one set of (R, i_max) and forms only its E
         calls, spectral_shell = [], boundary._spectral_shell
         monkeypatch.setattr(boundary, "_spectral_shell",
                             lambda *args: calls.append(args) or spectral_shell(*args))
@@ -692,9 +707,10 @@ class TestShellStore:
                 for half, sign in ((slice(i_max), -1), (slice(i_max, None), 1)):
                     want = spectral_shell(two_j, sign, i_max, R)
                     assert self._bits([(p[half], C[half])]) == self._bits([want])
-        assert shell_rows(SPECTRAL, 1, 0.6, R, i_max, 9) is not sets[1, 0.6]
-        assert all(a is b for a, b in zip(shell_rows(SPECTRAL, 1, 0.6, R, i_max, 9),
-                                          sets[1, 0.6]))
+        again = shell_rows(SPECTRAL, 1, 0.6, R, i_max, 9)
+        assert again is not sets[1, 0.6] and len(calls) == 10
+        assert all(a[0] is b[0] and a[2] is b[2] for a, b in zip(again, sets[1, 0.6]))
+        assert self._bits(again) == self._bits(sets[1, 0.6])
         # a failed batch leaves no (p, C) rows behind, and names the caller's M
         with warnings.catch_warnings():
             warnings.simplefilter("error")

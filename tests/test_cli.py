@@ -220,6 +220,24 @@ class TestPhysicalInputErrors:
         assert err.startswith("error: ") and all(s in err for s in named)
 
 
+class TestNegativeValues:
+    """A negative value in exponent form passes as '--key value' too, which
+    argparse before Python 3.13.1 took for an option."""
+
+    def test_spaced_value_matches_equals_form(self, capsys):
+        argv = ["condensate", "--jmax", "3/2", "--imax", "2", "--r-grid", "0.5"]
+        for value in ("-2.5e-3", "-1e-5", "-3e2"):
+            assert main([*argv, "--mu", value]) == 0
+            spaced = capsys.readouterr().out
+            assert main([*argv, f"--mu={value}"]) == 0
+            assert spaced == capsys.readouterr().out and spaced
+
+    def test_negative_omega_names_the_key(self, capsys):
+        assert main(["condensate", "--Omega", "-1e-3", "--jmax", "3/2", "--imax", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Omega must be >= 0") and "'Omega'" in err
+
+
 class TestTinyRadius:
     """A radius whose momenta, energies or |C|^2 overflow exits 2 naming R and
     M; the tiny radii printed nan or inf with exit 0 before, the large ones

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -797,6 +798,28 @@ class TestEdgeInputs:
             assert value.hex() == want.hex()
         assert math.isfinite(grid.tail_estimate)
 
+    def test_overflowing_bound_keeps_every_mode(self, monkeypatch):
+        # at R = 1e-101 the mode bounds of a j sum to inf: that j keeps every
+        # mode, with no warning, and D stays 0.  The sums, near 2^1007, still
+        # go to math.fsum, for which a pass without pruning forms the terms.
+        formed, real = [], cnd._j_blocks
+
+        def recording(*args, **kwargs):
+            for block in real(*args, **kwargs):
+                formed.append((kwargs.get("prune", True), block[2].shape[1], block[3]))
+                yield block
+
+        monkeypatch.setattr(cnd, "_j_blocks", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = condensate_grid(mit(1), PhysicalParams(0.0, 1e-101, 0.0, 1e-104), [5e-102],
+                                   [1.0], 5.5, 60)
+        assert grid.values.item().hex() == "0x1.2f9a42ec70797p+1007"
+        assert grid.tail_estimate.hex() == "0x1.b5ccfc998ad22p+1007"
+        pruned = [(n, D) for prune, n, D in formed if prune]
+        assert sum(n for n, _ in pruned) == 60 * sum(range(2, 13, 2))  # the whole rectangle
+        assert all(D == 0.0 for _, D in pruned)
+
 
 # (M, Omega, beta, mu, R) with M R >= 15 and beta >= 1, where the wall moves
 # the axis value by less than 1e-12 relative
@@ -828,6 +851,17 @@ class TestUnboundedLimit:
         # today's spectral spectrum has no p = 0 mode, and the quadrature sees it
         for case in _UNBOUNDED_CASES:
             assert self._gap(SPECTRAL, *case, zero_mode=False) > 1e-9
+
+    @pytest.mark.parametrize("bc", [mit(1), mit(-1)])
+    def test_off_axis_without_rotation(self, bc):
+        # at Omega = 0 the unbounded value holds at every r, so the closed-form
+        # angular sum checks the mode set off the axis: at r = 2 to 1e-12, while
+        # at r = 5 the wall of the R = 20 sphere shows
+        params = PhysicalParams(M=1.0, R=20.0, Omega=0.0, beta=1.0)
+        want = unbounded_axis_condensate(1.0, 0.0, 1.0, 0.0)
+        near, far = (abs(condensate_nonrotating(bc, params, r, 99.5, 300) - want) / want
+                     for r in (2.0, 5.0))
+        assert near < 1e-12 < far
 
     @pytest.mark.parametrize("bc", [mit(1), mit(-1)])
     def test_wall_shows_in_a_smaller_sphere(self, bc):
