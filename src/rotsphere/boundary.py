@@ -12,11 +12,11 @@ E_tilde = E - Omega * m_j.  One store holds the solved (p, C) shells, in j
 rows grown by whole j prefixes, each row both kappa shells of a j: MIT sets
 per (esign, M, R, i_max), spectral sets, which depend on neither esign nor M,
 per (R, i_max); E is formed on each read.  A Spectrum holds the modes as flat
-columns read from it, so the vacuum check (E * E_tilde > 0 for every mode
-when Omega*R < 1: the rotating and nonrotating vacua coincide), the
-quantization residual (once per root) and the wall checks (a (j, kappa) block
-of spinors per call, on 5 x 3 (theta, phi) samples at r = R) are array
-expressions.
+columns gathered from it in one pass, so the vacuum check (E * E_tilde > 0
+for every mode when Omega*R < 1: the rotating and nonrotating vacua
+coincide), the quantization residual (once per root) and the wall checks
+(the spinors of up to _WALL_MODES consecutive modes per call, on 5 x 3
+(theta, phi) samples at r = R) are array expressions.
 """
 
 from __future__ import annotations
@@ -393,28 +393,24 @@ class Spectrum:
 
 def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
                        i_max: int) -> Spectrum:
-    """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j.
-
-    Raises FasterThanLightError unless Omega*R < 1.
-    """
+    """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j, as
+    flat columns: the labels repeat over (j, kappa) blocks with axes (i, m_j,
+    esign), and p, E and C are one gather from the E < 0 and E > 0 shell sets.
+    Raises FasterThanLightError unless Omega*R < 1."""
     _check_light_cylinder(params)
     M, R, Omega = params.M, params.R, params.Omega
-    labels, values = [], []
-    i = np.arange(1, i_max + 1)[:, None, None]
-    sets = [shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)]
-    for two_j, *rows in zip(range(1, 2 * len(sets[0]), 2), *sets):
-        k0 = (two_j + 1) // 2
-        two_mj = np.arange(-two_j, two_j + 1, 2)
-        tab = np.reshape(rows, (2, 3, 2, i_max))  # [esign, (p, E, C), kappa shell, i - 1]
-        for h, kappa in enumerate((-k0, k0)):
-            # the shell each m_j reads; a block's axes are (i, m_j, esign)
-            shell = np.where((two_mj > 0) | bc.is_mit, h, 1 - h)
-            values.append(tab[:, :, shell].transpose(1, 3, 2, 0).reshape(3, -1))
-            labels.append(np.stack(np.broadcast_arrays(
-                np.array([-1, 1]), two_j, two_mj[:, None], kappa, i)).reshape(5, -1))
-    esign, two_j, two_mj, kappa, i = np.concatenate(labels, axis=1)
-    p, E, C = np.concatenate(values, axis=1)
-    return Spectrum(esign, two_j, two_mj, kappa, i, p, E,
+    sets = np.array([shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)])
+    n_j = sets.shape[1]  # sets' axes: [esign, j, (p, E, C), kappa shell and i - 1]
+    k0, h = np.divmod(np.arange(2, 2 * n_j + 2), 2)  # (j, kappa) blocks, kappa = (2h - 1) k0
+    k0, h, i = np.repeat(k0, i_max), np.repeat(h, i_max), np.tile(np.arange(i_max), 2 * n_j)
+    width = 4 * k0  # a (block, i) row holds 2j + 1 m_j by 2 esign modes
+    q = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)  # place in row
+    k0, h, i = (np.repeat(v, width) for v in (k0, h, i))
+    two_j, esign, two_mj = 2 * k0 - 1, (q & 1) * 2 - 1, (q & -2) - 2 * k0 + 1
+    shell = np.where((two_mj > 0) | bc.is_mit, h, 1 - h)  # the shell each m_j reads
+    at = (((q & 1) * n_j + k0 - 1) * 2 + shell) * i_max + i
+    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1), at, axis=1)
+    return Spectrum(esign, two_j, two_mj, (2 * h - 1) * k0, i + 1, p, E,
                     corotating_energy(E, two_mj / 2.0, Omega), C)
 
 
@@ -477,6 +473,7 @@ def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> Vac
 _WALL_THETA, _WALL_PHI = np.meshgrid((0.17, 0.9, math.pi / 2, 2.3, 2.95), (0.0, 1.3, 4.0),
                                      indexing="ij")
 _WALL_GAMMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)
+_WALL_MODES = 1040  # modes per assembly, the j = 25/2 block at i_max = 20: bounds the memory
 
 
 def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
@@ -485,20 +482,23 @@ def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) ->
 
     Spectral modes fill the first row: their lower pair must vanish for
     m_j > 0, their upper pair for m_j < 0.  MIT modes fill the other two
-    from one assembly.  The rows a condition does not check hold 0.  Each
-    (j, kappa) block is assembled in one call, which bounds the memory.
+    from one assembly.  The rows a condition does not check hold 0.  Runs of
+    at most _WALL_MODES consecutive modes are assembled in one call each, so
+    verify's wall subset (j <= 9/2, i <= 6: 720 modes) takes one call.
     """
     out = np.zeros((3, len(spectrum)))
-    for kappa in np.unique(spectrum.kappa):  # kappa fixes j
-        sel = spectrum.kappa == kappa
-        block = spectrum[sel]
+    for lo in range(0, len(spectrum), _WALL_MODES):
+        block, sel = spectrum[lo:lo + _WALL_MODES], slice(lo, lo + _WALL_MODES)
         C = block.C[:, None, None]
         u = assemble_spinor(block, block.p, M, R, _WALL_THETA, _WALL_PHI)  # (4, modes, 5, 3)
-        Cu = C * u
         if bc.is_mit:
-            resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu) - bc.varsigma * Cu
-            out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
             out[2, sel] = (C**2 * np.abs(_ubar_u(u))).max(axis=(1, 2))
+        Cu = np.multiply(C, u, out=u)  # C * u, in place: u is read no more
+        if bc.is_mit:  # -1j gamma^r C u - varsigma C u, each product formed in place
+            resid = np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu)
+            np.subtract(np.multiply(-1j, resid, out=resid),
+                        np.multiply(bc.varsigma, Cu, out=Cu), out=resid)
+            out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
         else:
             pairs = np.abs(Cu).reshape(2, 2, len(block), -1).max(axis=(1, 3))  # upper, lower
             out[0, sel] = np.where(block.two_mj > 0, pairs[1], pairs[0])

@@ -166,11 +166,11 @@ def _certified_sums(trees: list, n: int,
         return r, bound < 0.5 * gap
 
 
-def _exact_row_sums(buf: np.ndarray, tree: tuple | None = None) -> np.ndarray:
-    """math.fsum of each row of a 2-d float array, bit for bit, from its
-    _tree_sums if given: rows that fail the certificate go to math.fsum
-    itself, which keeps its signed zeros, inf/nan results and OverflowError."""
-    r, certified = _certified_sums([tree or _tree_sums(buf)], buf.shape[1])
+def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-d float array, bit for bit: rows that
+    fail the certificate go to math.fsum itself, which keeps its signed
+    zeros, inf/nan results and OverflowError."""
+    r, certified = _certified_sums([_tree_sums(buf)], buf.shape[1])
     for i in np.flatnonzero(~certified):
         r[i] = math.fsum(buf[i])
     return r
@@ -277,8 +277,11 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                                                weight):
         trees[it].append(_tree_sums(terms))
         n += terms.shape[1] * (it == 0)  # terms per point
-        if two_j == two_j_max:
-            tail = max(tail, float(np.abs(_exact_row_sums(terms, trees[it][-1])).max()))
+        if two_j == two_j_max:  # |sum| only: a zero row (r = 0), never certified, is 0
+            r, certified = _certified_sums([trees[it][-1]], terms.shape[1])
+            for ir in np.flatnonzero(~certified):
+                r[ir] = math.fsum(terms[ir]) if terms[ir].any() else 0.0
+            tail = max(tail, float(np.abs(r).max()))
     values = np.empty((len(r_vals), len(th_vals)))
     for it, (total, certified) in enumerate(_certified_sums(tree, n, dropped)
                                             for tree in trees):

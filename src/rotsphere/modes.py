@@ -233,8 +233,11 @@ def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
         [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
     key = ((two_j + 1) * two_j + two_mj) * 2 + (sign > 0)  # one-to-one: |two_mj| <= two_j
     _, at, inv = np.unique(key, return_index=True, return_inverse=True)
-    chi = spinor_harmonic(*col(lab.reshape(3, -1)[:, at]), theta, phi)[:, inv.reshape(key.shape)]
-    return np.concatenate([col(rad.f) * chi[:, 0], 1j * col(rad.g_over_i) * chi[:, 1]])
+    chi, inv = spinor_harmonic(*col(lab.reshape(3, -1)[:, at]), theta, phi), inv.reshape(key.shape)
+    u = np.empty((2, 2) + key.shape[1:] + chi.shape[2:], complex)  # (block, component, ...)
+    for block, amp in enumerate((col(rad.f), 1j * col(rad.g_over_i))):  # upper, lower pair
+        np.multiply(amp, chi[:, inv[block]], out=u[block])  # one block's gather at a time
+    return u.reshape(4, *u.shape[2:])
 
 
 def _ubar_u(u: np.ndarray) -> np.ndarray:

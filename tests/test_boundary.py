@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from typing import Iterable
 
@@ -18,11 +19,11 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
-from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_PHI,
+from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_MODES, _WALL_PHI,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
-from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
+from rotsphere.modes import (GAMMA_T, RadialPair, _ubar_u, assemble_spinor, bessel_orders,
                              gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, mp_mit_norm, mp_mit_sign_change, quadrature_mode_norm,
@@ -110,6 +111,26 @@ def _mit_condition_residual_reference(mode: QuantizedMode, R: float, M: float,
 def _mit_density_residual_reference(mode: QuantizedMode, R: float, M: float) -> float:
     dens = _scalar_density_reference(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
     return float(np.max(mode.C**2 * np.abs(dens)))
+
+
+def _wall_residuals_by_block(bc, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
+    """The wall residuals with one assembly per (j, kappa) block, the loop that
+    the mode-budget runs replaced, kept verbatim as a bit-exact reference."""
+    out = np.zeros((3, len(spectrum)))
+    for kappa in np.unique(spectrum.kappa):  # kappa fixes j
+        sel = spectrum.kappa == kappa
+        block = spectrum[sel]
+        C = block.C[:, None, None]
+        u = assemble_spinor(block, block.p, M, R, _WALL_THETA, _WALL_PHI)  # (4, modes, 5, 3)
+        Cu = C * u
+        if bc.is_mit:
+            resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu) - bc.varsigma * Cu
+            out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
+            out[2, sel] = (C**2 * np.abs(_ubar_u(u))).max(axis=(1, 2))
+        else:
+            pairs = np.abs(Cu).reshape(2, 2, len(block), -1).max(axis=(1, 3))  # upper, lower
+            out[0, sel] = np.where(block.two_mj > 0, pairs[1], pairs[0])
+    return out
 
 
 # The per-sample wall checks that the array path replaced, kept verbatim as
@@ -722,7 +743,10 @@ class TestShellStore:
     def test_tiny_radius_raises_before_any_warning(self, bc):
         # sqrt(R^3) underflows (spectral C = inf), p^2 overflows in the MIT norm
         # of the E < 0 modes, and |C|^2 overflows for every MIT mode: each gave
-        # a non-finite value with no error before
+        # a non-finite value with no error before.  The failed batch leaves no
+        # rows in the set the store solves first: the spectral one, keyed
+        # esign = 0, M = 0.0, or the MIT E < 0 one; the condensate reads E > 0
+        keys = [(0, 0.0)] if not bc.is_mit else [(-1, 1.0), (1, 1.0)]
         for R in (1e-200, 1e-300):
             params = PhysicalParams(M=1.0, R=R, Omega=0.0, beta=1.0)
             for _ in range(2):  # the failed batch leaves no rows behind
@@ -733,7 +757,8 @@ class TestShellStore:
                         enumerate_spectrum(bc, params, 1.5, 2)
                     with pytest.raises(ValueError, match=rf"R={R}, M=1\.0"):
                         condensate_grid(bc, params, [0.0], [1.0], 1.5, 2)
-                assert len(boundary._shell_set(bc, -1, 1.0, R, 2)) == 0
+                assert [len(boundary._shell_set(bc, *key, R, 2)) for key in keys] == [0] * len(
+                    keys)
         # R**3 overflows in a spectral norm (an OverflowError before), and the
         # norm ratio of the MIT E < 0 modes underflows to 0 (a SolverError
         # before); the condensate reads only E > 0 modes
@@ -744,7 +769,7 @@ class TestShellStore:
                 with pytest.raises(ValueError) as exc:
                     enumerate_spectrum(bc, params, 1.5, 2)
             assert str(exc.value) == f"non-finite momentum, energy or |C|^2 at R={R}, M=1.0"
-            assert len(boundary._shell_set(bc, -1, 1.0, R, 2)) == 0
+            assert len(boundary._shell_set(bc, *keys[0], R, 2)) == 0
         # a small radius at which every value is finite
         params = PhysicalParams(M=1.0, R=1e-100, Omega=0.0, beta=1.0)
         assert len(enumerate_spectrum(bc, params, 1.5, 2)) == 48
@@ -837,6 +862,25 @@ class TestSpectrumColumns:
         assert all(type(v) is float for v in (first.p, first.E, first.E_tilde, first.C))
         assert spectrum_to_csv(spec, R) == _csv_reference(ref, R)
         assert spectrum_to_json(spec, R) == _json_reference(ref, R)
+
+    @pytest.mark.parametrize("i_max", [1, 2, 20])
+    @pytest.mark.parametrize("j_max", [0.5, 1.5, 12.5])
+    def test_flat_columns_match_mode_loop(self, j_max, i_max):
+        # every column, bits and dtype, against the per-mode loop: the labels
+        # as numpy makes Python ints into an array, the values as floats
+        for bc, (M, R, Omega) in itertools.product((SPECTRAL, mit(1), mit(-1)),
+                                                   ((1.0, 1.0, 0.99), (0.0, 1.3, 0.5))):
+            params = PhysicalParams(M=M, R=R, Omega=Omega, beta=1.0)
+            spec = enumerate_spectrum(bc, params, j_max, i_max)
+            ref = _enumerate_spectrum_reference(bc, params, j_max, i_max)
+            assert len(spec) == len(ref) == 8 * i_max * sum(
+                k0 for k0 in range(1, int(j_max + 1.5)))
+            for f in dataclasses.fields(Spectrum):
+                source = ((mo.qn for mo in ref) if f.name in ("esign", "two_j", "two_mj",
+                                                              "kappa", "i") else ref)
+                want, got = np.array([getattr(v, f.name) for v in source]), getattr(spec, f.name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+                assert got.tobytes() == want.tobytes(), f.name
 
     @pytest.mark.parametrize("bc, M, R, Omega", _COLUMN_CASES)
     def test_vacuum_and_residual_match_reference(self, bc, M, R, Omega):
@@ -962,8 +1006,8 @@ class TestBoundaryResiduals:
 
 
 class TestWallArrayPath:
-    """The wall checks assemble a (j, kappa) block of modes in one call; they
-    must reproduce the per-mode and per-sample references."""
+    """The wall checks assemble up to _WALL_MODES consecutive modes in one
+    call; they must reproduce the per-mode, per-sample and per-block references."""
 
     @pytest.mark.parametrize("M", [0.0, 0.7, 1.0, 2.0])
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
@@ -995,6 +1039,38 @@ class TestWallArrayPath:
                         assert abs(dens[n] - _mit_density_reference(mo, R, M)) <= 1e-14
                     else:
                         assert comp[n] == _spectral_component_reference(mo, R, M)
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_runs_match_block_reference(self, bc):
+        # runs of _WALL_MODES consecutive modes give the bits of one assembly
+        # per (j, kappa) block: on verify's subset (one run), on whole spectra
+        # (at i_max = 20 a run is the j = 25/2 block; at 13 and 7 runs cut
+        # blocks), and on a subset that is not a union of blocks
+        cases = [((1.0, 1.0, 0.99), 12.5, 20), ((0.0, 1.3, 0.5), 12.5, 20),
+                 ((2.0, 0.7, 1.2), 9.5, 13), ((0.6, 1.0, 0.3), 4.5, 7)]
+        for (M, R, Omega), j_max, i_max in cases:
+            spec = enumerate_spectrum(bc, PhysicalParams(M=M, R=R, Omega=Omega, beta=1.0),
+                                      j_max, i_max)
+            for sub in (spec[(spec.two_j <= 9) & (spec.i <= 6)], spec,
+                        spec[(spec.i + spec.two_mj) % 3 != 0]):
+                got = _wall_residuals(bc, sub, R, M)
+                assert got.shape == (3, len(sub))
+                assert _same_bits(got, _wall_residuals_by_block(bc, sub, R, M))
+
+    def test_memory_bounded_by_mode_budget(self):
+        # the whole j <= 25/2, i <= 20 MIT spectrum, 14,560 modes: one
+        # assembly of all of them peaks at about 35 MiB, runs of _WALL_MODES
+        # at about 4.4 MiB (a (j, kappa) block per call took 6.0 MiB)
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
+        spec = enumerate_spectrum(mit(1), params, 12.5, 20)
+        assert len(spec) == 14_560
+        tracemalloc.start()
+        try:
+            assert verify_boundary_residuals(mit(1), spec, params.R, params.M).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_broadcast_equals_scalar_calls(self):
         params = PhysicalParams(M=0.7, R=1.3, Omega=0.5, beta=1.0)
@@ -1049,7 +1125,6 @@ class TestDistinctInputs:
     def test_wall_harmonics_once_per_label(self, bc, monkeypatch):
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
         spec = enumerate_spectrum(bc, params, 12.5, 20)
-        wall = spec[(spec.two_j <= 9) & (spec.i <= 6)]  # verify's wall subset
         sizes = []
 
         def counting(l, m, theta, phi):
@@ -1057,15 +1132,21 @@ class TestDistinctInputs:
             return sph_harm_y(l, m, theta, phi)
 
         monkeypatch.setattr(modes, "sph_harm_y", counting)
-        assert verify_boundary_residuals(bc, wall, params.R, params.M).ok
-        blocks = [wall[wall.kappa == kappa] for kappa in np.unique(wall.kappa)]
-        assert len(sizes) == 2 * len(blocks)  # one spinor_harmonic call per block
-        for block, pair in zip(blocks, zip(sizes[::2], sizes[1::2])):
-            labels = {(tj, tm, s * np.sign(ka)) for tj, tm, ka in
-                      zip(block.two_j.tolist(), block.two_mj.tolist(), block.kappa.tolist())
-                      for s in (1, -1)}
-            assert max(pair) <= len(labels) * _WALL_THETA.size
-            assert len(block) >= 12 * len(labels) / 2  # 2 E signs x 6 radial indices
+        # verify's wall subset takes one run of consecutive modes, the whole
+        # spectrum 14 (a run per 1,040 modes, the j = 25/2 block); n_i radial
+        # indices of each label are in the run, at least 1 where runs cut blocks
+        for wall, n_i, n_runs in ((spec[(spec.two_j <= 9) & (spec.i <= 6)], 6, 1),
+                                  (spec, 1, 14)):
+            sizes.clear()
+            assert verify_boundary_residuals(bc, wall, params.R, params.M).ok
+            runs = [wall[lo:lo + _WALL_MODES] for lo in range(0, len(wall), _WALL_MODES)]
+            assert len(runs) == n_runs and len(sizes) == 2 * n_runs  # a spinor_harmonic per run
+            for run, pair in zip(runs, zip(sizes[::2], sizes[1::2])):
+                labels = {(tj, tm, s * np.sign(ka)) for tj, tm, ka in
+                          zip(run.two_j.tolist(), run.two_mj.tolist(), run.kappa.tolist())
+                          for s in (1, -1)}
+                assert max(pair) <= len(labels) * _WALL_THETA.size
+                assert len(run) >= 2 * n_i * len(labels) / 2  # 2 E signs x n_i radial indices
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_quantization_residual_once_per_root(self, bc, monkeypatch):

@@ -504,7 +504,7 @@ class TestExactRowSums:
         # rectangle, of which the kernel forms the kept modes, each tail and the
         # nonrotating row with math.fsum of that buffer, and each j block's own
         # exact sum with math.fsum of it
-        blocks, yielded, exact_calls, tree_args = [], [], [], []
+        blocks, yielded, exact_bufs, tree_args = [], [], [], []
         j_blocks, exact, tree = cnd._j_blocks, cnd._exact_row_sums, cnd._tree_sums
 
         def capture_blocks(*args):
@@ -514,8 +514,8 @@ class TestExactRowSums:
                 yield two_j, it, terms, dropped
 
         monkeypatch.setattr(cnd, "_j_blocks", capture_blocks)
-        monkeypatch.setattr(cnd, "_exact_row_sums", lambda buf, *given: (
-            exact_calls.append((buf.copy(), given)) or exact(buf, *given)))
+        monkeypatch.setattr(cnd, "_exact_row_sums",
+                            lambda buf: exact_bufs.append(buf.copy()) or exact(buf))
         monkeypatch.setattr(cnd, "_tree_sums", lambda x: tree_args.append(x) or tree(x))
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.7, beta=2.0, mu=0.3)
         thetas, r_grid = [0.4, math.pi / 2], np.linspace(0.0, 1.0, 7)
@@ -532,8 +532,9 @@ class TestExactRowSums:
         assert [sum(x is terms for x in tree_args) for terms in yielded] == [1] * 4
         assert sorted(x.shape for x in tree_args if not any(x is t for t in yielded)) == [
             (7, 1), (7, 1), (7, 2), (7, 2)]
-        assert [len(given) for _, given in exact_calls] == [1, 1]  # the tails reuse a tree
-        exact_bufs = [buf for buf, _ in exact_calls]
+        # the tails are certified from their blocks' trees, not by _exact_row_sums
+        tails = [terms for two_j, _, terms in blocks if two_j == 21]
+        assert exact_bufs == [] and len(tails) == 2
         tabs = [legendre_density_table(11, math.cos(th)) for th in thetas]
         full_blocks = list(j_blocks(bc, params, r_grid.tolist(), tabs, 21, 30,
                                     thermal_weight_subtracted, prune=False))
@@ -541,15 +542,30 @@ class TestExactRowSums:
             rows = np.concatenate([terms for _, i, terms, _ in full_blocks if i == it], axis=1)
             assert rows.shape[1] == 30 * 11 * 12
             assert [float(-v).hex() for v in grid.values[:, it]] == _outcome(_fsum_rows, rows)
-        assert len(exact_bufs) == 2  # the last j block of each theta, for the tail
-        assert grid.tail_estimate == max(abs(v) for buf in exact_bufs for v in _fsum_rows(buf))
-        monkeypatch.setattr(cnd, "_exact_row_sums",
-                            lambda buf: exact_bufs.append(buf.copy()) or exact(buf))
+        assert grid.tail_estimate == max(abs(v) for buf in tails for v in _fsum_rows(buf))
         condensate_nonrotating(bc, PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=0.9),
                                0.6, 10.5, 30)
-        assert len(exact_bufs) == 3 and exact_bufs[-1].shape == (1, 30 * 11 * 2)
+        assert len(exact_bufs) == 1 and exact_bufs[-1].shape == (1, 30 * 11 * 2)
         for buf in exact_bufs + [terms for *_, terms in blocks]:
             assert _outcome(exact, buf) == _outcome(_fsum_rows, buf)
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_zero_tail_row_needs_no_fsum(self, bc, monkeypatch):
+        # at r = 0 every term of the last j is 0 (j_n(0) = 0 for n >= 1): a
+        # sum that never certifies.  Only |sum| enters tail_estimate, so that
+        # row takes no math.fsum, and the tail is still that of math.fsum
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.6, beta=1.5, mu=0.2)
+        r_vals, thetas, fsum, calls = [0.0, 0.5, 1.0], [0.3, math.pi / 2], math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        grid = condensate_grid(bc, params, r_vals, thetas, 10.5, 30)
+        assert calls == []
+        tabs = [legendre_density_table(11, math.cos(th)) for th in thetas]
+        tails = [terms for two_j, _, terms, _ in cnd._j_blocks(
+            bc, params, r_vals, tabs, 21, 30, thermal_weight_subtracted) if two_j == 21]
+        assert len(tails) == 2 and not any(terms[0].any() for terms in tails)
+        assert all(terms[1:].any(axis=1).all() for terms in tails)
+        assert grid.tail_estimate.hex() == max(abs(fsum(row)) for t in tails for row in t).hex()
+        assert grid.tail_estimate > 0.0
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_buffer_size_moves_no_bit(self, bc, monkeypatch):
