@@ -3,9 +3,10 @@
 The spectral condition zeroes one pair of spinor components on the wall and
 puts the momenta at spherical Bessel zeros.  The MIT bag condition
 -i gamma^r psi = varsigma psi gives a transcendental momentum equation, solved
-by a guarded sign scan per shell, which cannot skip roots silently, and one
-array Brent refinement over the brackets of a batch of shells.  The solver and
-the quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
+by a guarded sign scan per shell, over the gaps where the signs of its two
+Bessel terms admit a root, which cannot skip roots silently, and one array
+Brent refinement over the brackets of a batch of shells.  The solver and the
+quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
 
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
 E_tilde = E - Omega * m_j.  One store holds the solved (p, C) shells, in j
@@ -39,6 +40,7 @@ if TYPE_CHECKING:
 
 _SCAN_STEP = math.pi / 8.0
 QUANT_TOL = 1e-10  # the largest quantization residual accepted
+_MR_MAX = math.sqrt(np.finfo(float).max)  # x * x + (M R)**2 overflows above it
 
 
 class FasterThanLightError(ValueError):
@@ -159,32 +161,47 @@ def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
     return np.abs(_mit_equation(x, kappa, esign, rho, varsigma)) / scale
 
 
-def _scan_grids(orders: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-scan points of each shell, concatenated, and the counts per shell.
+def _scan_grids(orders: tuple[np.ndarray, np.ndarray], top: int,
+                sign_fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign-scan points of each shell, concatenated, the counts per shell, and
+    the sign f must have at each point (0: unchecked).
 
-    A shell's breaks are the first top zeros of both Bessel orders of its
-    column of orders (2, shells), sorted; below the first break come
-    log-spaced probes, then linspace(lo, hi, nseg + 1)[1:] of every gap,
-    bit for bit.  Each distinct order's zero table is read once.
+    A shell's breaks are the first top zeros of both its Bessel orders, of
+    the columns (l_f, l_g), sorted, each order's table read once; below the
+    first break come log-spaced probes, then linspace(lo, hi, nseg + 1)[1:]
+    of every gap, bit for bit.  sign(j_lf j_lg) is +1 below the first break
+    and flips at each: a region where it is not the shell's sign_fg (0: none)
+    holds no root and keeps its upper break alone, where, as at its lower
+    break, f has j_lf's sign in it.
     """
     distinct, at = np.unique(orders, return_inverse=True)
     tables = np.full((distinct.size, top), np.inf)  # inf ends the gaps of a cut table
     for row, n_fg in zip(tables, distinct.tolist()):
         z = _zero_table(n_fg, top)
         row[:z.size] = z
-    breaks = np.sort(np.concatenate(tables[at.reshape(orders.shape)], axis=1), axis=1)
-    gaps = np.isfinite(breaks[:, 1:])
-    lo, hi = breaks[:, :-1][gaps], breaks[:, 1:][gaps]  # shell by shell, ascending
-    nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
+    breaks = np.sort(np.concatenate(tables[at.reshape(np.shape(orders))], axis=1), axis=1)
+    # region r: below the first break if r = -1, else above break r; the zeros of l_f
+    # and l_g interlace, the lower's first, so (r + 1 + [l_f < l_g]) // 2 of j_lf's precede it
+    r = np.arange(-1, breaks.shape[1])
+    skip = sign_fg[:, None] == (-1.0) ** r
+    sign_f = np.where(skip, (-1.0) ** ((r + 1 + (orders[0] < orders[1])[:, None]) // 2), 0.0)
+    edges = np.c_[np.zeros(sign_fg.size), breaks]
+    gaps = np.isfinite(edges[:, 1:])  # region -1 is its upper break, after the probes
+    lo, hi = edges[:, :-1][gaps], edges[:, 1:][gaps]  # shell by shell, ascending
+    nseg = np.where((skip | (r < 0))[:, :-1][gaps], 1,
+                    np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP))).astype(int)
     gap = np.repeat(np.arange(nseg.size), nseg)
     k = np.arange(gap.size) - np.repeat(np.cumsum(nseg) - nseg, nseg) + 1
-    scan = np.where(k < nseg[gap], k * ((hi - lo) / nseg)[gap] + lo[gap], hi[gap])
+    inner = k < nseg[gap]
+    scan = np.where(inner, k * ((hi - lo) / nseg)[gap] + lo[gap], hi[gap])
     per_shell = np.zeros(gaps.shape, int)
     per_shell[gaps] = nseg
     per_shell = per_shell.sum(axis=1)
-    probes = np.geomspace(1e-6, breaks[:, 0], 12, axis=1)
-    grid = np.insert(scan, np.repeat(np.cumsum(per_shell) - per_shell, 12), probes.ravel())
-    return grid, per_shell + 12
+    n_probe = ~skip[:, 0] * 11
+    at = np.repeat(np.cumsum(per_shell) - per_shell, n_probe)
+    want = np.where(inner, 0.0, (sign_f[:, :-1] + sign_f[:, 1:])[gaps][gap])  # one is 0
+    probes = np.geomspace(1e-6, breaks[:, 0], 12, axis=1)[:, :11][n_probe > 0]
+    return np.insert(scan, at, probes.ravel()), per_shell + n_probe, np.insert(want, at, 0.0)
 
 
 def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
@@ -192,28 +209,38 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     """First `count` momenta of each MIT shell of the label columns (two_j,
     kappa, esign), ascending, a row per shell.
 
-    Each shell's roots in x = p*R are located by a sign scan over intervals
-    bounded by the zeros of both Bessel orders, subdivided to at most pi/8;
-    the scan grids of all shells of a pass are built in one array pass, and
-    their brackets refined by one array Brent call, so a root has the bits of
-    its shell solved alone.  A shell short of roots rescans with 4 more
-    zeros; an exact 0 where j_{l_f} is not 0 (both underflow near x = 0 from
-    j = 83/2) opens a bracket.  Raises SolverError rather than skipping roots.
+    Each shell's roots in x = p*R are located by a sign scan over the
+    intervals between the zeros of both Bessel orders where sign(j_lf j_lg)
+    admits a root (over every interval, for a shell whose equation fails the
+    sign guard at a zero), subdivided to at most pi/8; the scan grids of all
+    shells of a pass are built in one array pass, and their brackets refined
+    from the scan's values by one array Brent call, so a root has the bits of
+    its shell solved alone.  A shell short of roots rescans with 4 more zeros;
+    an exact 0 where j_{l_f} is not 0 (both underflow near x = 0 from j = 83/2)
+    opens a bracket.  Raises SolverError rather than skipping roots, and
+    ValueError for E < 0 above M R = 1.34e154, where the equation overflows.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
     two_j, kappa, esign = (v.ravel() for v in np.broadcast_arrays(two_j, kappa, esign))
     if not (np.isin(esign, (-1, 1)).all() and varsigma in (-1, 1)):
         raise ValueError("esign and varsigma must be +-1")
+    if (esign < 0).any() and M * R > _MR_MAX:
+        raise ValueError(f"M*R = {M * R!r} exceeds {_MR_MAX!r}: the E < 0 momentum scan overflows")
     f = lambda x, kappa, esign: _mit_equation(x, kappa, esign, M * R, varsigma)
-    n = kappa.size
+    n, sign_fg = kappa.size, np.where(kappa > 0, varsigma, -varsigma) * esign  # at a root
     roots, todo, top = np.empty((n, count)), np.arange(n), count + 2
     for _ in range(6):
-        grid, sizes = _scan_grids(np.array(bessel_orders(kappa[todo])), top)
-        shell = np.repeat(todo, sizes)
-        vals = f(grid, kappa[shell], esign[shell])
-        if not np.all(np.isfinite(vals)):
-            raise SolverError("non-finite values in momentum equation scan")
+        while True:  # a shell that fails a guard scans again, every point at this top
+            grid, sizes, want = _scan_grids(bessel_orders(kappa[todo]), top, sign_fg[todo])
+            shell = np.repeat(todo, sizes)
+            vals = f(grid, kappa[shell], esign[shell])
+            if not np.all(np.isfinite(vals)):
+                raise SolverError("non-finite values in momentum equation scan")
+            fails = shell[(want != 0) & (np.sign(vals) != want)]
+            sign_fg[fails] = 0
+            if not fails.size:
+                break
         zero = vals == 0.0
         zero[zero] = spherical_jn(bessel_orders(kappa[shell[zero]])[0], grid[zero]) != 0.0
         # a bracket, inside one shell's scan, is a sign change or starts at an
@@ -221,7 +248,8 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         cross = np.flatnonzero(((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) | zero[:-1])
                                & (shell[:-1] == shell[1:]))
         at = shell[cross]
-        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]))
+        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]),
+                              vals[cross], vals[cross + 1])
         first = np.searchsorted(at, todo)
         short = np.searchsorted(at, todo, "right") - first < count
         roots[todo[~short]] = found[first[~short, None] + np.arange(count)]

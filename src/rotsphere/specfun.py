@@ -87,18 +87,20 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _brentq_array(f, a, b, cols=()) -> np.ndarray:
+def _brentq_array(f, a, b, cols=(), fa=None, fb=None) -> np.ndarray:
     """Roots of the elementwise function f in the brackets [a_k, b_k], all at once.
 
     scipy's brentq.c, branch for branch, on arrays from which each bracket
     leaves when it converges: each root has the bits of
     scipy.optimize.brentq(f, a_k, b_k, xtol=_ROOT_XTOL).  f gets the per-bracket
-    parameter arrays cols of the brackets it evaluates: f(x, *cols).  Raises
+    parameter arrays cols of the brackets it evaluates: f(x, *cols).  fa and fb,
+    if given, are f at a and b (finite), which f is then not called for.  Raises
     SolverError on a non-finite f, a bracket without a sign change, or no
     convergence.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
-    fpre, fcur = _finite(f(xpre, *cols)), _finite(f(xcur, *cols))
+    fpre = _finite(f(xpre, *cols)) if fa is None else fa
+    fcur = _finite(f(xcur, *cols)) if fb is None else fb
     root = np.where(fpre == 0, xpre, xcur)  # an endpoint at a zero is the root
     act = np.flatnonzero((fpre != 0) & (fcur != 0))
     xpre, xcur, fpre, fcur, *cols = (v[act] for v in (xpre, xcur, fpre, fcur, *cols))

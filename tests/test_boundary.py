@@ -538,6 +538,39 @@ class TestMitArrayPath:
                     assert _same_bits(p[s], ref), (vs, tj, ka)
         assert failed == rejected
 
+    @pytest.mark.parametrize("rho", [1e16, 1e20])
+    def test_guard_fallback_at_huge_mass(self, rho, monkeypatch):
+        # here a break, a zero of one Bessel order, rounds the equation to
+        # either sign, so guards fail and those shells scan their whole grid:
+        # the esign = +1 roots keep the reference's bits, esign = -1 roots (which
+        # the reference's absolute check rejects) change sign at 50 digits
+        signs, real = [], boundary._scan_grids
+        monkeypatch.setattr(boundary, "_scan_grids", lambda orders, top, sign_fg: (
+            signs.append(sign_fg.copy()) or real(orders, top, sign_fg)))
+        two_j, kappa = np.array(list(_mit_shells(21))).T
+        for vs, esign in itertools.product((1, -1), (1, -1)):
+            signs.clear()
+            p = _mit_roots(two_j, kappa, esign, 1.0, rho, vs, 20)
+            assert signs[0].all() and not signs[1].all(), (vs, esign)  # a fallback ran
+            for s, (tj, ka) in enumerate(_mit_shells(21)):
+                if esign > 0:
+                    ref = _mit_momenta_reference(tj, ka, 1, 1.0, rho, vs, 20)
+                    assert _same_bits(p[s], ref), (vs, tj, ka)
+                else:
+                    for x in p[s].tolist():
+                        assert mp_mit_sign_change(x, ka, -1, rho, vs), (vs, tj, ka, x)
+
+    def test_cold_solve_skips_rootless_gaps(self, monkeypatch):
+        # the j <= 41/2, i_max = 60 set of shell_rows(mit(1), 1, 1.0, 1.0, 60, 41)
+        # evaluates the equation at 29,071 points; scanning every gap, the
+        # ones where sign(j_lf j_lg) forbids a root too, took 43,698
+        points, real = [], boundary._mit_equation
+        monkeypatch.setattr(boundary, "_mit_equation", lambda x, *args: (
+            points.append(np.size(x)) or real(x, *args)))
+        two_j, kappa = np.array(list(_mit_shells())).T
+        _mit_roots(two_j, kappa, 1, 1.0, 1.0, 1, 60)
+        assert sum(points) <= 31_000
+
     @pytest.mark.parametrize("rho", [1e6, 3e6, 1e7])
     def test_moved_roots_rejected(self, rho):
         # at the masses above, a root moved by 1e-9 relative fails the scaled
@@ -597,15 +630,38 @@ class TestMitArrayPath:
     def test_exact_zero_probe_in_a_batch(self, monkeypatch):
         # no input known to this suite puts an exact 0 of the equation on a
         # probe where j_{l_f} is not 0, so one is made: the equation of shell
-        # (5, 3) reads 0 at a scan point between two of its roots.  That probe
-        # is merged with the shell's roots; the other shells keep theirs.
+        # (5, 3) reads 0 at a scan point between two of its roots, in the gap
+        # from the first zero of j_3 to the second of j_2, which can hold a
+        # root.  That probe is merged with the shell's roots; the other shells
+        # keep theirs.
         real = boundary._mit_equation
-        x0 = float(np.linspace(bessel_zeros(2, 2)[1], bessel_zeros(3, 2)[1], 3)[1])
+        x0 = float(np.linspace(bessel_zeros(3, 1)[0], bessel_zeros(2, 2)[1], 3)[1])
         zero_at = lambda x, kappa, esign, rho, vs: np.where(
             (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
         monkeypatch.setattr(boundary, "_mit_equation", zero_at)
         monkeypatch.setitem(globals(), "_mit_equation", zero_at)
         p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
+        assert x0 in p[3].tolist() and x0 not in p[2].tolist()
+        for row, tj, ka in zip(p, *self._BATCH):
+            assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
+
+    def test_exact_zero_on_a_guarded_break(self, monkeypatch):
+        # for shell (5, 3) at esign = varsigma = 1 a root needs j_2 j_3 > 0, so
+        # the gap from the first zero of j_2 to the first of j_3 is not
+        # scanned, and the equation must be negative at both.  A 0 made at the
+        # first zero of j_3 fails the guard: the pass scans again, that shell
+        # on its whole grid, and the 0 is a root, as in the reference
+        real, scans = boundary._mit_equation, boundary._scan_grids
+        x0 = float(bessel_zeros(3, 1)[0])
+        zero_at = lambda x, kappa, esign, rho, vs: np.where(
+            (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
+        signs = []
+        monkeypatch.setattr(boundary, "_scan_grids", lambda orders, top, sign_fg: (
+            signs.append(sign_fg.tolist()) or scans(orders, top, sign_fg)))
+        monkeypatch.setattr(boundary, "_mit_equation", zero_at)
+        monkeypatch.setitem(globals(), "_mit_equation", zero_at)
+        p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
+        assert signs == [[-1, 1, -1, 1], [-1, 1, -1, 0]]
         assert x0 in p[3].tolist() and x0 not in p[2].tolist()
         for row, tj, ka in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
@@ -648,7 +704,8 @@ class TestMitArrayPath:
             r = resid[s][resid[s] > QUANT_TOL][0]
             with monkeypatch.context() as m:
                 m.setattr(boundary, "_brentq_array",
-                          lambda f, a, b, cols: moved(real(f, a, b, cols), cols[0]))
+                          lambda f, a, b, cols, *ends: moved(real(f, a, b, cols, *ends),
+                                                             cols[0]))
                 with pytest.raises(SolverError) as got:
                     _mit_roots(two_j, kappa, -1, 1.0, 1e7, 1, 20)
             assert str(got.value) == (f"momentum root residual {r:.2e} exceeds 1e-10 "

@@ -251,6 +251,27 @@ class TestBrentqArray:
         got = _brentq_array(f, a, b, (n, c))
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref]
 
+    @pytest.mark.parametrize("name", _SMOOTH)
+    def test_given_end_values(self, name):
+        # a scan that has f at the bracket ends passes them: the same bits, the
+        # same calls but the two at the ends, and no call at an end
+        f = _SMOOTH[name]
+        rng = np.random.default_rng(40 + sorted(_SMOOTH).index(name))
+        a, b = rng.uniform(-3.0, 1.0, 400), rng.uniform(1.0, 4.0, 400)
+        keep = np.signbit(f(a)) != np.signbit(f(b))
+        a, b = a[keep], b[keep]
+        want, got = [], []
+        ref = _brentq_array(lambda x: want.append(x.copy()) or f(x), a, b)
+        out = _brentq_array(lambda x: got.append(x.copy()) or f(x), a, b, (), f(a), f(b))
+        assert out.tobytes() == ref.tobytes()
+        assert [x.tobytes() for x in want[:2]] == [a.tobytes(), b.tobytes()]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want[2:]]
+        assert not set(np.r_[a, b].tolist()) & set(np.concatenate(got).tolist())
+        # an end at a zero of f is the root, with its value given as well
+        f = lambda x: x - 1.0
+        a, b = np.array([1.0, -2.0, 0.0]), np.array([3.0, 1.0, 2.0])
+        assert _brentq_array(f, a, b, (), f(a), f(b)).tolist() == [1.0, 1.0, 1.0]
+
     def test_exact_zeros(self):
         f = lambda x: x - 1.0
         # endpoints at a zero, and a step that lands on the zero mid-iteration
