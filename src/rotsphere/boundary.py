@@ -16,8 +16,8 @@ per (R, i_max); E is formed on each read.  A Spectrum holds the modes as flat
 columns gathered from it in one pass, so the vacuum check (E * E_tilde > 0
 for every mode when Omega*R < 1: the rotating and nonrotating vacua
 coincide), the quantization residual (once per root) and the wall checks
-(the spinors of up to _WALL_MODES consecutive modes per call, on 5 x 3
-(theta, phi) samples at r = R) are array expressions.
+(per label of up to _WALL_MODES consecutive modes, on 5 x 3 (theta, phi)
+samples at r = R, with the mode's f and g) are array expressions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .modes import (QuantumNumbers, _energy, _ubar_u, assemble_spinor, bessel_orders,
-                    corotating_energy, gamma_radial)
+from .modes import (QuantumNumbers, _energy, _label_harmonics, bessel_orders,
+                    corotating_energy, gamma_radial, radial_pair)
 from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, bessel_zeros,
                       spherical_jn)
 
@@ -422,24 +422,24 @@ class Spectrum:
 def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
                        i_max: int) -> Spectrum:
     """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j, as
-    flat columns: the labels repeat over (j, kappa) blocks with axes (i, m_j,
-    esign), and p, E and C are one gather from the E < 0 and E > 0 shell sets.
-    Raises FasterThanLightError unless Omega*R < 1."""
+    flat columns over (j, kappa) blocks with axes (i, m_j, esign): labels repeat
+    their (block, i) rows and p, E and C are one gather from the E < 0 and E > 0
+    shell sets, few temporaries live.  Raises FasterThanLightError unless Omega*R < 1."""
     _check_light_cylinder(params)
     M, R, Omega = params.M, params.R, params.Omega
     sets = np.array([shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)])
     n_j = sets.shape[1]  # sets' axes: [esign, j, (p, E, C), kappa shell and i - 1]
     k0, h = np.divmod(np.arange(2, 2 * n_j + 2), 2)  # (j, kappa) blocks, kappa = (2h - 1) k0
     k0, h, i = np.repeat(k0, i_max), np.repeat(h, i_max), np.tile(np.arange(i_max), 2 * n_j)
-    width = 4 * k0  # a (block, i) row holds 2j + 1 m_j by 2 esign modes
-    q = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)  # place in row
-    k0, h, i = (np.repeat(v, width) for v in (k0, h, i))
-    two_j, esign, two_mj = 2 * k0 - 1, (q & 1) * 2 - 1, (q & -2) - 2 * k0 + 1
-    shell = np.where((two_mj > 0) | bc.is_mit, h, 1 - h)  # the shell each m_j reads
-    at = (((q & 1) * n_j + k0 - 1) * 2 + shell) * i_max + i
-    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1), at, axis=1)
-    return Spectrum(esign, two_j, two_mj, (2 * h - 1) * k0, i + 1, p, E,
-                    corotating_energy(E, two_mj / 2.0, Omega), C)
+    width = 4 * k0  # (block, i) rows of 2j + 1 m_j (< 0 first) by 2 esign, at multiples of 4
+    two_mj = (np.arange(width.sum()) & -2) - np.repeat(np.cumsum(width) - 2 * k0 - 1, width)
+    shell = np.stack([h if bc.is_mit else 1 - h, h], 1)[..., None]  # each half row reads one
+    at = ((np.arange(2) * n_j + k0[:, None, None] - 1) * 2 + shell) * i_max + i[:, None, None]
+    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1),  # an (esign) pair per m_j
+                      np.repeat(at.reshape(-1, 2), np.repeat(k0, 2), axis=0).ravel(), axis=1)
+    E_tilde = corotating_energy(E, two_mj / 2.0, Omega)  # while few columns are live
+    return Spectrum(np.tile([-1, 1], E.size // 2), np.repeat(2 * k0 - 1, width), two_mj,
+                    np.repeat((2 * h - 1) * k0, width), np.repeat(i + 1, width), p, E, E_tilde, C)
 
 
 def _per_root(x: np.ndarray, label: np.ndarray, i: np.ndarray):
@@ -500,36 +500,41 @@ def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> Vac
 # The 15 wall samples: 5 polar angles x 3 azimuths, axes (theta, phi)
 _WALL_THETA, _WALL_PHI = np.meshgrid((0.17, 0.9, math.pi / 2, 2.3, 2.95), (0.0, 1.3, 4.0),
                                      indexing="ij")
-_WALL_GAMMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)
-_WALL_MODES = 1040  # modes per assembly, the j = 25/2 block at i_max = 20: bounds the memory
+_WALL_SIGMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)[:2, 2:].reshape(2, 2, 1, -1)  # sigma_r
+_WALL_MODES = 1040  # modes per run, the j = 25/2 block at i_max = 20: bounds the memory
 
 
 def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
     """Per-mode maxima over the wall samples at r = R, rows (vanishing
     components, MIT condition -i gamma^r psi = varsigma psi, C^2 |u-bar u|).
 
-    Spectral modes fill the first row: their lower pair must vanish for
-    m_j > 0, their upper pair for m_j < 0.  MIT modes fill the other two
-    from one assembly.  The rows a condition does not check hold 0.  Runs of
-    at most _WALL_MODES consecutive modes are assembled in one call each, so
-    verify's wall subset (j <= 9/2, i <= 6: 720 modes) takes one call.
+    A mode's pairs at r = R are f chi_a and i g chi_b, chi_a and chi_b the
+    harmonics of its labels (j, m_j, +-sgn kappa).  Spectral modes fill row 0
+    from the pair that must vanish (the lower for m_j > 0); MIT modes rows 1
+    and 2, C |g S_b - varsigma f chi_a|, C |f S_a - varsigma g chi_b| (S =
+    sigma_r chi) and C^2 |f^2 |chi_a|^2 - g^2 |chi_b|^2|, with chi and S once
+    per label of a run of at most _WALL_MODES modes (verify's subset: one run).
     """
     out = np.zeros((3, len(spectrum)))
     for lo in range(0, len(spectrum), _WALL_MODES):
         block, sel = spectrum[lo:lo + _WALL_MODES], slice(lo, lo + _WALL_MODES)
-        C = block.C[:, None, None]
-        u = assemble_spinor(block, block.p, M, R, _WALL_THETA, _WALL_PHI)  # (4, modes, 5, 3)
-        if bc.is_mit:
-            out[2, sel] = (C**2 * np.abs(_ubar_u(u))).max(axis=(1, 2))
-        Cu = np.multiply(C, u, out=u)  # C * u, in place: u is read no more
-        if bc.is_mit:  # -1j gamma^r C u - varsigma C u, each product formed in place
-            resid = np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu)
-            np.subtract(np.multiply(-1j, resid, out=resid),
-                        np.multiply(bc.varsigma, Cu, out=Cu), out=resid)
-            out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
-        else:
-            pairs = np.abs(Cu).reshape(2, 2, len(block), -1).max(axis=(1, 3))  # upper, lower
-            out[0, sel] = np.where(block.two_mj > 0, pairs[1], pairs[0])
+        rad = radial_pair(block, block.p, M, R)
+        f, g, C = rad.f[:, None], rad.g_over_i[:, None], block.C[:, None]
+        chi, (a, b) = _label_harmonics(block, _WALL_THETA.ravel(), _WALL_PHI.ravel())
+        if not bc.is_mit:  # C (amp chi) of the pair that must vanish, the spinor's bits
+            u = chi[:, np.where(block.two_mj < 0, a, b)]  # (component, mode, sample)
+            np.multiply(np.where(block.two_mj[:, None] < 0, f, 1j * g), u, out=u)
+            out[0, sel] = np.abs(np.multiply(C, u, out=u)).max(axis=(0, 2))
+            continue
+        S = _WALL_SIGMA_R[:, 0] * chi[0] + _WALL_SIGMA_R[:, 1] * chi[1]
+        n2 = (chi.real**2 + chi.imag**2).sum(axis=0)  # |chi|^2
+        out[2, sel] = (C * C * np.abs(f * f * n2[a] - g * g * n2[b])).max(axis=1)
+        buf = np.empty((2, 2, len(block), _WALL_THETA.size), complex)  # "clip" lets take fill it
+        for s_at, amp, chi_at, amp_vs in ((b, g, a, bc.varsigma * f), (a, f, b, bc.varsigma * g)):
+            pair = np.multiply(np.take(S, s_at, 1, buf[0], "clip"), amp, out=buf[0])
+            pair -= np.multiply(np.take(chi, chi_at, 1, buf[1], "clip"), amp_vs, out=buf[1])
+            np.maximum(out[1, sel], np.abs(pair).max(axis=(0, 2)), out=out[1, sel])
+        out[1, sel] *= C[:, 0]
     return out
 
 

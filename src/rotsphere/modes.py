@@ -148,14 +148,16 @@ def radial_pair(k: QuantumNumbers, p, M: float, r: float) -> RadialPair:
     f = sqrt((E+M)/(2E)) j_{l_f}(p r) and
     g_over_i = sgn(E) sgn(kappa) sqrt((E-M)/(2E)) j_{l_g}(p r),
     with E = esign * sqrt(p^2 + M^2).  Both ratios (E+-M)/(2E) are
-    non-negative for |E| >= M regardless of the sign of E.  Broadcasts over
+    non-negative for |E| >= M regardless of the sign of E; the one that cancels
+    (E - M for E > 0, E + M for E < 0) is +-p^2 / (|E| + M).  Broadcasts over
     label arrays k.esign and k.kappa and momenta p.
     """
     _check_momentum_radius(p, M, r)
     E = _energy(k.esign, p, M)
     l_f, l_g = bessel_orders(k.kappa)
-    pref_f = np.sqrt((E + M) / (2.0 * E))
-    pref_g = np.sqrt((E - M) / (2.0 * E))
+    small = p / (np.abs(E) + M) * p  # |E| - M; not p * p, which overflows first
+    pref_f = np.sqrt(np.where(E > 0, E + M, -small) / (2.0 * E))
+    pref_g = np.sqrt(np.where(E > 0, small, E - M) / (2.0 * E))
     f = pref_f * spherical_jn(l_f, p * r)
     g_i = k.esign * np.sign(k.kappa) * pref_g * spherical_jn(l_g, p * r)
     return RadialPair(f, g_i) if np.ndim(f) else RadialPair(float(f), float(g_i))
@@ -217,32 +219,33 @@ def spinor_harmonic(two_j, two_mj, sign, theta, phi) -> np.ndarray:
                      c2 * sph_harm_y(l, (two_mj + 1) // 2, theta, phi)])
 
 
+def _label_harmonics(k, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Spinor harmonics of the distinct labels (two_j, two_mj, +-sgn kappa) of label
+    columns k, (2, labels, *angles), and each mode's (upper, lower) pair labels, (2, *modes)."""
+    lab = np.stack(  # axes (label, upper/lower pair, *modes)
+        [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
+    key = ((lab[0] + 1) * lab[0] + lab[1]) * 2 + (lab[2] > 0)  # one-to-one: |two_mj| <= two_j
+    _, at, inv = np.unique(key, return_index=True, return_inverse=True)
+    lab = lab.reshape(3, -1)[:, at].reshape(3, -1, *(1,) * np.broadcast(theta, phi).ndim)
+    return spinor_harmonic(*lab, theta, phi), inv.reshape(key.shape)
+
+
 def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     """Explicit 4-component eigenspinor u_k(r, theta, phi), unnormalized.
 
     k is a QuantumNumbers, or has esign, two_j, two_mj and kappa columns (a
     Spectrum) that match the momenta p.  The result has shape
     (4, *modes, *angles), where the angle axes are those of theta and phi
-    broadcast.  Verification path only (wall residuals, oracle tests); each
-    distinct harmonic label (two_j, two_mj, +-sign kappa) is evaluated once.
+    broadcast.  Verification path only (oracle tests); each distinct
+    harmonic label (two_j, two_mj, +-sign kappa) is evaluated once.
     """
-    tail = (1,) * np.broadcast(theta, phi).ndim
-    col = lambda v: np.reshape(v, np.shape(v) + tail)  # mode axes, then angle axes
+    col = lambda v: np.reshape(v, np.shape(v) + (1,) * np.broadcast(theta, phi).ndim)
     rad = radial_pair(k, p, M, r)
-    two_j, two_mj, sign = lab = np.stack(  # axes (label, upper/lower block, *modes)
-        [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
-    key = ((two_j + 1) * two_j + two_mj) * 2 + (sign > 0)  # one-to-one: |two_mj| <= two_j
-    _, at, inv = np.unique(key, return_index=True, return_inverse=True)
-    chi, inv = spinor_harmonic(*col(lab.reshape(3, -1)[:, at]), theta, phi), inv.reshape(key.shape)
-    u = np.empty((2, 2) + key.shape[1:] + chi.shape[2:], complex)  # (block, component, ...)
+    chi, inv = _label_harmonics(k, theta, phi)
+    u = np.empty((2, 2) + inv.shape[1:] + chi.shape[2:], complex)  # (block, component, ...)
     for block, amp in enumerate((col(rad.f), 1j * col(rad.g_over_i))):  # upper, lower pair
         np.multiply(amp, chi[:, inv[block]], out=u[block])  # one block's gather at a time
     return u.reshape(4, *u.shape[2:])
-
-
-def _ubar_u(u: np.ndarray) -> np.ndarray:
-    """u-bar u = u^dag gamma^t u, contracted over the spinor axis 0 of u."""
-    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
 
 
 def scalar_density(k: QuantumNumbers, p: float, M: float, r: float,
@@ -251,4 +254,5 @@ def scalar_density(k: QuantumNumbers, p: float, M: float, r: float,
 
     Broadcasts over array theta and phi.
     """
-    return _ubar_u(assemble_spinor(k, p, M, r, theta, phi))
+    u = assemble_spinor(k, p, M, r, theta, phi)
+    return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real  # u^dag gamma^t u

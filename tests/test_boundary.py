@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -19,11 +20,11 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
-from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_GAMMA_R, _WALL_MODES, _WALL_PHI,
+from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
-from rotsphere.modes import (GAMMA_T, RadialPair, _ubar_u, assemble_spinor, bessel_orders,
+from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
                              gamma_radial, radial_pair, scalar_density, spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, mp_mit_norm, mp_mit_sign_change, quadrature_mode_norm,
@@ -38,7 +39,9 @@ XI_1_1 = 4.493409457909064
 
 
 def _energy_reference(esign: int, p: float, M: float) -> float:
-    return esign * math.hypot(p, M)
+    # np.hypot, as the library: math.hypot differs from it in the last bit for
+    # some p (p = 9.975595215145983, M = 1), and so would the E < 0 factor f
+    return esign * float(np.hypot(p, M))
 
 
 def _check_momentum_radius_reference(p: float, M: float, r: float) -> None:
@@ -54,8 +57,9 @@ def _radial_pair_reference(k: QuantumNumbers, p: float, M: float, r: float) -> R
     _check_momentum_radius_reference(p, M, r)
     E = _energy_reference(k.esign, p, M)
     l_f, l_g = bessel_orders(k.kappa)
-    pref_f = math.sqrt((E + M) / (2.0 * E))
-    pref_g = math.sqrt((E - M) / (2.0 * E))
+    small = p / (abs(E) + M) * p  # |E| - M, which E - M (E > 0) or -(E + M) cancels
+    pref_f = math.sqrt((E + M if E > 0 else -small) / (2.0 * E))
+    pref_g = math.sqrt((small if E > 0 else E - M) / (2.0 * E))
     f = pref_f * float(spherical_jn(l_f, p * r))
     g_i = k.esign * (1 if k.kappa > 0 else -1) * pref_g * float(spherical_jn(l_g, p * r))
     return RadialPair(f, g_i)
@@ -92,6 +96,9 @@ def _scalar_density_reference(k: QuantumNumbers, p: float, M: float, r: float,
     return np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
 
 
+_WALL_GAMMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)  # the 4 x 4 gamma^r of the wall samples
+
+
 def _wall_spinor_reference(mode: QuantizedMode, R: float, M: float) -> np.ndarray:
     return mode.C * _assemble_spinor_reference(mode.qn, mode.p, M, R, _WALL_THETA, _WALL_PHI)
 
@@ -114,8 +121,9 @@ def _mit_density_residual_reference(mode: QuantizedMode, R: float, M: float) -> 
 
 
 def _wall_residuals_by_block(bc, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
-    """The wall residuals with one assembly per (j, kappa) block, the loop that
-    the mode-budget runs replaced, kept verbatim as a bit-exact reference."""
+    """The wall residuals with one 4-component assembly per (j, kappa) block,
+    the loop that the mode-budget runs replaced: a bit-exact reference of the
+    spectral row, and of the MIT rows within _wall_rounding_bounds."""
     out = np.zeros((3, len(spectrum)))
     for kappa in np.unique(spectrum.kappa):  # kappa fixes j
         sel = spectrum.kappa == kappa
@@ -126,11 +134,81 @@ def _wall_residuals_by_block(bc, spectrum: Spectrum, R: float, M: float) -> np.n
         if bc.is_mit:
             resid = -1j * np.einsum("ab...,b...->a...", _WALL_GAMMA_R, Cu) - bc.varsigma * Cu
             out[1, sel] = np.abs(resid).max(axis=(0, 2, 3))
-            out[2, sel] = (C**2 * np.abs(_ubar_u(u))).max(axis=(1, 2))
+            ubar_u = np.einsum("a...,ab,b...->...", u.conj(), GAMMA_T, u).real
+            out[2, sel] = (C**2 * np.abs(ubar_u)).max(axis=(1, 2))
         else:
             pairs = np.abs(Cu).reshape(2, 2, len(block), -1).max(axis=(1, 3))  # upper, lower
             out[0, sel] = np.where(block.two_mj > 0, pairs[1], pairs[0])
     return out
+
+
+def _wall_residuals_per_block(bc, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
+    """The wall residuals with one _wall_residuals call per (j, kappa) block."""
+    out = np.zeros((3, len(spectrum)))
+    for kappa in np.unique(spectrum.kappa):  # kappa fixes j
+        sel = spectrum.kappa == kappa
+        out[:, sel] = _wall_residuals(bc, spectrum[sel], R, M)
+    return out
+
+
+def _wall_rounding_bounds(spectrum: Spectrum, R: float, M: float):
+    """Per-mode bounds on the difference between the MIT rows of the per-label
+    expression and of the 4-component references.
+
+    Both are formed from the same f, g, C, chi and sigma_r, so they differ by
+    their own roundings alone.  With u = 2^-53, a complex product within
+    sqrt(5) u of its modulus, every other operation within u, and the rows of
+    sigma_r of unit norm, at a sample:
+    - condition, per label: sigma_r chi_b (sqrt(5) + 1), times g, the
+      difference, |.| and C (1 each) on the g term, 4 on the f term; with
+      gamma^r: C (amp chi) (2), then as before less the product by g.  Each is
+      within (sqrt(5) + 5) u X, so the two within 14.5 u X < 16 u X, with
+      X = C (|f| |chi_a| + |g| |chi_b|);
+    - density, per label: |chi|^2 (3), f^2 and the product (2), the difference,
+      C^2 and the product (1 each): 8 u Y; with gamma^t: |u_c|^2 (2 + 2), the
+      sum of four (3), C**2 and the product (1 each): 9 u Y.  So 17 u Y < 20 u Y,
+      with Y = C^2 (f^2 |chi_a|^2 + g^2 |chi_b|^2).
+    A maximum over the samples moves by at most the largest of these.
+    """
+    u = assemble_spinor(spectrum, spectrum.p, M, R, _WALL_THETA, _WALL_PHI)  # (4, modes, 5, 3)
+    up, lo = (np.sqrt((np.abs(u[pair]) ** 2).sum(axis=0)) for pair in (slice(2), slice(2, 4)))
+    C = spectrum.C[:, None, None]
+    eps = 2.0**-53
+    return (16 * eps * (C * (up + lo)).max(axis=(1, 2)),
+            20 * eps * (C * C * (up * up + lo * lo)).max(axis=(1, 2)))
+
+
+# The MIT wall checks as scalar per-sample references of the per-label
+# expression: at r = R a mode's upper pair is f chi_a, its lower pair i g chi_b,
+# and S = sigma_r chi.  Each value is the library's IEEE expression at one
+# (theta, phi) sample, so the bits are equal.
+_SIGMA_R_SAMPLES = [gamma_radial(th, ph)[:2, 2:] for th, ph in
+                    zip(_WALL_THETA.ravel().tolist(), _WALL_PHI.ravel().tolist())]
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_sample_reference(two_j: int, two_mj: int, sign: int, sample: int) -> np.ndarray:
+    th, ph = float(_WALL_THETA.flat[sample]), float(_WALL_PHI.flat[sample])
+    return _spinor_harmonic_reference(two_j, two_mj, sign, th, ph)
+
+
+def _mit_wall_reference(mode, R: float, M: float, varsigma: int) -> tuple[float, float]:
+    """C max |g S_b - varsigma f chi_a|, |f S_a - varsigma g chi_b| and
+    C^2 max |f^2 |chi_a|^2 - g^2 |chi_b|^2| over the wall samples."""
+    k = mode.qn
+    rad = _radial_pair_reference(k, mode.p, M, R)
+    f, g, sgn = rad.f, rad.g_over_i, (1 if k.kappa > 0 else -1)
+    cond = dens = 0.0
+    for sample, sig in enumerate(_SIGMA_R_SAMPLES):
+        chi_a = _harmonic_sample_reference(k.two_j, k.two_mj, sgn, sample)
+        chi_b = _harmonic_sample_reference(k.two_j, k.two_mj, -sgn, sample)
+        S_a, S_b = (sig[:, 0] * chi[0] + sig[:, 1] * chi[1] for chi in (chi_a, chi_b))
+        for pair in (g * S_b - varsigma * f * chi_a, f * S_a - varsigma * g * chi_b):
+            cond = max(cond, float(np.max(np.abs(pair))))
+        n2a, n2b = (float(sq[0] + sq[1]) for sq in (chi_a.real**2 + chi_a.imag**2,
+                                                     chi_b.real**2 + chi_b.imag**2))
+        dens = max(dens, abs(f * f * n2a - g * g * n2b))
+    return mode.C * cond, mode.C * mode.C * dens
 
 
 # The per-sample wall checks that the array path replaced, kept verbatim as
@@ -1063,8 +1141,9 @@ class TestBoundaryResiduals:
 
 
 class TestWallArrayPath:
-    """The wall checks assemble up to _WALL_MODES consecutive modes in one
-    call; they must reproduce the per-mode, per-sample and per-block references."""
+    """The wall checks form each harmonic once per label of a run of up to
+    _WALL_MODES consecutive modes; they must reproduce the per-mode,
+    per-sample and per-block references."""
 
     @pytest.mark.parametrize("M", [0.0, 0.7, 1.0, 2.0])
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
@@ -1075,16 +1154,18 @@ class TestWallArrayPath:
             comp, cond, dens = _wall_residuals(bc, spec, R, M)
             modes = spec.modes()
             if bc.is_mit:
+                want = [_mit_wall_reference(mo, R, M, bc.varsigma) for mo in modes]
+                assert [v.hex() for v in cond.tolist()] == [w[0].hex() for w in want]
+                assert [v.hex() for v in dens.tolist()] == [w[1].hex() for w in want]
+                assert not np.any(comp)
+                # the 4-component references, gamma^r and gamma^t on the whole
+                # spinor, agree within the rounding of the two expressions
+                bound_cond, bound_dens = _wall_rounding_bounds(spec, R, M)
                 want = [_mit_condition_residual_reference(mo, R, M, bc.varsigma)
                         for mo in modes]
-                assert [v.hex() for v in cond.tolist()] == [v.hex() for v in want]
+                assert np.all(np.abs(cond - want) <= bound_cond)
                 want = [_mit_density_residual_reference(mo, R, M) for mo in modes]
-                assert np.all(np.abs(dens - want) <= 1e-14) and not np.any(comp)
-                # the reference squares C with libm pow, which differs from C*C
-                # in the last bit for some C; elsewhere the bits are equal
-                same = [mo.C**2 == mo.C * mo.C for mo in modes]
-                assert ([v.hex() for v, s in zip(dens.tolist(), same) if s]
-                        == [v.hex() for v, s in zip(want, same) if s])
+                assert np.all(np.abs(dens - want) <= np.minimum(bound_dens, 1e-14))
             else:
                 want = [_spectral_component_residual_reference(mo, R, M) for mo in modes]
                 assert [v.hex() for v in comp.tolist()] == [v.hex() for v in want]
@@ -1092,15 +1173,18 @@ class TestWallArrayPath:
             if R == 1.0 and M in (0.0, 1.0):
                 for n, mo in enumerate(modes):
                     if bc.is_mit:
-                        assert cond[n] == _mit_condition_reference(mo, R, M, bc.varsigma)
-                        assert abs(dens[n] - _mit_density_reference(mo, R, M)) <= 1e-14
+                        want = _mit_condition_reference(mo, R, M, bc.varsigma)
+                        assert abs(cond[n] - want) <= bound_cond[n]
+                        want = _mit_density_reference(mo, R, M)
+                        assert abs(dens[n] - want) <= min(bound_dens[n], 1e-14)
                     else:
                         assert comp[n] == _spectral_component_reference(mo, R, M)
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_runs_match_block_reference(self, bc):
-        # runs of _WALL_MODES consecutive modes give the bits of one assembly
-        # per (j, kappa) block: on verify's subset (one run), on whole spectra
+        # runs of _WALL_MODES consecutive modes give the bits of one call per
+        # (j, kappa) block, and the spectral row those of one 4-component
+        # assembly per block: on verify's subset (one run), on whole spectra
         # (at i_max = 20 a run is the j = 25/2 block; at 13 and 7 runs cut
         # blocks), and on a subset that is not a union of blocks
         cases = [((1.0, 1.0, 0.99), 12.5, 20), ((0.0, 1.3, 0.5), 12.5, 20),
@@ -1112,12 +1196,49 @@ class TestWallArrayPath:
                         spec[(spec.i + spec.two_mj) % 3 != 0]):
                 got = _wall_residuals(bc, sub, R, M)
                 assert got.shape == (3, len(sub))
-                assert _same_bits(got, _wall_residuals_by_block(bc, sub, R, M))
+                assert _same_bits(got, _wall_residuals_per_block(bc, sub, R, M))
+                ref = _wall_residuals_by_block(bc, sub, R, M)
+                if bc.is_mit:
+                    assert not np.any(got[0])
+                    for row, bound in zip(got[1:] - ref[1:], _wall_rounding_bounds(sub, R, M)):
+                        assert np.all(np.abs(row) <= bound)
+                else:
+                    assert _same_bits(got, ref)
+
+    @pytest.mark.parametrize("vs", [1, -1])
+    def test_mutated_wall_check_fails_on_right_spectrum(self, vs, monkeypatch):
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
+        spec = enumerate_spectrum(mit(vs), params, 4.5, 6)
+        check = lambda: verify_boundary_residuals(mit(vs), spec, params.R, params.M)
+        assert check().ok
+        real = boundary._label_harmonics
+
+        def relabelled(upper, lower):  # the pairs read the labels of pairs upper, lower
+            def harmonics(*args):
+                chi, inv = real(*args)
+                return chi, inv[[upper, lower]]
+            return harmonics
+
+        with monkeypatch.context() as m:  # sigma_r with its sign flipped
+            m.setattr(boundary, "_WALL_SIGMA_R", -_WALL_SIGMA_R)
+            rep = check()
+            assert not rep.ok and rep.max_condition > 1.0
+        with monkeypatch.context() as m:  # chi_a in place of chi_b
+            m.setattr(boundary, "_label_harmonics", relabelled(0, 0))
+            rep = check()
+            assert not rep.ok and rep.max_condition > 1.0
+        # exchanging chi_a and chi_b throughout is no fault: sigma_r maps each
+        # harmonic of (j, m_j) onto the other, so |chi_a| = |chi_b| pointwise,
+        # and g S_a - varsigma f chi_b = (g - varsigma f) chi_b vanishes with
+        # g S_b - varsigma f chi_a = (g - varsigma f) chi_a
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_label_harmonics", relabelled(1, 0))
+            assert check().ok
 
     def test_memory_bounded_by_mode_budget(self):
         # the whole j <= 25/2, i <= 20 MIT spectrum, 14,560 modes: one
-        # assembly of all of them peaks at about 35 MiB, runs of _WALL_MODES
-        # at about 4.4 MiB (a (j, kappa) block per call took 6.0 MiB)
+        # 4-component assembly of all of them peaked at about 35 MiB, of runs
+        # of _WALL_MODES at about 4.4 MiB; the per-label runs peak at 2.5 MiB
         params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
         spec = enumerate_spectrum(mit(1), params, 12.5, 20)
         assert len(spec) == 14_560
@@ -1127,7 +1248,7 @@ class TestWallArrayPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
 
     def test_broadcast_equals_scalar_calls(self):
         params = PhysicalParams(M=0.7, R=1.3, Omega=0.5, beta=1.0)

@@ -93,10 +93,10 @@ VERIFY_GOLDEN = {
         "1caaeffeea3493af5c063cabe30f68cb9151ec3aa84bf175352a35d99253c26f"),
     "verify-mit+1": (
         ["--bc", "mit", "--varsigma", "1"],
-        "fa349e10eba7c3c3140525a492291b4ef4820dd85664fce78143ff9eea61ad84"),
+        "019b277297ce8c50a69b340f362f15cc2c886009218a527cfe67135d501aa862"),
     "verify-mit-1": (
         ["--bc", "mit", "--varsigma", "-1"],
-        "0a83af380a0f90786529f7e414085121d46a9536e8923bc4fbeceee6229340ba"),
+        "5f1de36c35df3ba0ee426847f74232ce6f4edaa0faf39a1109f5a0e23a9bacac"),
 }
 
 

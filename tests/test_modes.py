@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -141,6 +142,23 @@ class TestRadialPair:
             math.sqrt((E + M) / (2 * E)) * mp_spherical_j(0, p * r), rel=1e-13)
         assert rp.g_over_i == pytest.approx(
             math.sqrt((E - M) / (2 * E)) * mp_spherical_j(1, p * r), rel=1e-13)
+
+    @pytest.mark.parametrize("M", [1e9, 1e12])
+    def test_near_threshold_against_mpmath(self, M):
+        # at M R >> p R the factor E - M (E > 0) or E + M (E < 0) is about
+        # p^2 / (2 M): formed from E itself it would keep no digit at 1e12
+        p, r = 3.7, 1.0
+        for esign, kappa in itertools.product((-1, 1), (-2, 2)):
+            k = QuantumNumbers(esign, 3, 1, kappa, 1)
+            rp = radial_pair(k, p, M, r)
+            l_f, l_g = bessel_orders(kappa)
+            with mp.workdps(50):
+                E = esign * mp.sqrt(mp.mpf(p) ** 2 + mp.mpf(M) ** 2)
+                f = mp.sqrt((E + M) / (2 * E)) * mp_spherical_j(l_f, p * r, dps=50)
+                g = (esign * np.sign(kappa) * mp.sqrt((E - M) / (2 * E))
+                     * mp_spherical_j(l_g, p * r, dps=50))
+            assert rp.f == pytest.approx(float(f), rel=1e-13)
+            assert rp.g_over_i == pytest.approx(float(g), rel=1e-13)
 
     def test_negative_energy_prefactors_real(self):
         k = QuantumNumbers(-1, 5, -3, 3, 2)
