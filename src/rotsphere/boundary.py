@@ -18,6 +18,13 @@ for every mode when Omega*R < 1: the rotating and nonrotating vacua
 coincide), the quantization residual (once per root) and the wall checks
 (per label of up to _WALL_MODES consecutive modes, on 5 x 3 (theta, phi)
 samples at r = R, with the mode's f and g) are array expressions.
+
+What depends only on the truncation, or on nothing, is formed once per
+process: the mode layout (label columns, m_j and gather index) per
+truncation, which every Spectrum of it shares read-only, and the wall table
+(chi, sigma_r chi and |chi|^2 of each harmonic label at the wall samples).
+verify checks the quantization residual on the modes with m_j = j, one per
+shell root, as a mode's residual depends on its root alone.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .modes import (QuantumNumbers, _energy, _label_harmonics, bessel_orders,
-                    corotating_energy, gamma_radial, radial_pair)
+from .modes import (QuantumNumbers, _energy, _label_harmonics, _label_key, bessel_orders,
+                    corotating_energy, gamma_radial, radial_pair, spinor_harmonic)
 from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, bessel_zeros,
                       spherical_jn)
 
@@ -332,7 +339,7 @@ def mit_norm(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
 
 
 # ---------------------------------------------------------------------------
-# The shell store
+# The process caches: shell store, mode layout and wall table
 # ---------------------------------------------------------------------------
 
 
@@ -346,6 +353,38 @@ def _shell_set(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int) -> 
     if not isinstance(i_max, (int, np.integer)) or not 1 <= i_max <= I_MAX_DEFAULT:
         raise ValueError(f"i_max must be an integer in [1, {I_MAX_DEFAULT}], got {i_max!r}")
     return []
+
+
+# The layout holds a truncation's label columns, m_j and (p, E, C) gather index,
+# seven read-only columns of 8 bytes a mode: 0.8 MB at verify's 14,560 modes, 52 MB
+# at j <= 41/2 and i_max = 500.  The bound counts layouts: verify-spectrum reads 4,
+# spectral and MIT at its truncation and at its warm-up's.
+@lru_cache(maxsize=4)
+def _mode_layout(mit: bool, n_j: int, i_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only (esign, two_j, two_mj, kappa, i) columns, m_j and the index into the
+    flattened (p, E, C) shell sets of enumerate_spectrum, axes [esign, j, kappa
+    shell, i - 1]: (j, kappa) blocks with axes (i, m_j, esign), each label column a
+    repeat of its (block, i) rows and the index built on the rows."""
+    k0, h = np.divmod(np.arange(2, 2 * n_j + 2), 2)  # (j, kappa) blocks, kappa = (2h - 1) k0
+    k0, h, i = np.repeat(k0, i_max), np.repeat(h, i_max), np.tile(np.arange(i_max), 2 * n_j)
+    width = 4 * k0  # (block, i) rows of 2j + 1 m_j (< 0 first) by 2 esign, at multiples of 4
+    two_mj = (np.arange(width.sum()) & -2) - np.repeat(np.cumsum(width) - 2 * k0 - 1, width)
+    shell = np.stack([h if mit else 1 - h, h], 1)[..., None]  # each half row reads one
+    at = ((np.arange(2) * n_j + k0[:, None, None] - 1) * 2 + shell) * i_max + i[:, None, None]
+    at = np.repeat(at.reshape(-1, 2), np.repeat(k0, 2), axis=0).ravel()  # an (esign) pair per m_j
+    cols = (np.tile([-1, 1], at.size // 2), np.repeat(2 * k0 - 1, width), two_mj,
+            np.repeat((2 * h - 1) * k0, width), np.repeat(i + 1, width), two_mj / 2.0, at)
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+# The wall table holds chi, S = sigma_r chi and |chi|^2 of the harmonic labels
+# (j, m_j, +-1) at the 15 wall samples, 1,080 bytes a label, read-only and grown by
+# whole j prefixes as far as a wall check asks: verify's j <= 9/2 is 60 labels
+# (65 KB); it stops at j = 41/2, 924 labels (1.0 MB).
+_WALL_TABLE_TWO_J = 41
+_wall_table: list[np.ndarray] = []
 
 
 def shell_rows(bc: BoundaryKind, esign: int, M: float, R: float, i_max: int,
@@ -422,24 +461,16 @@ class Spectrum:
 def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
                        i_max: int) -> Spectrum:
     """All modes with j <= j_max, i <= i_max, both kappa and E signs, all m_j, as
-    flat columns over (j, kappa) blocks with axes (i, m_j, esign): labels repeat
-    their (block, i) rows and p, E and C are one gather from the E < 0 and E > 0
-    shell sets, few temporaries live.  Raises FasterThanLightError unless Omega*R < 1."""
+    flat columns over (j, kappa) blocks with axes (i, m_j, esign).  The label
+    columns are the read-only arrays of the truncation's shared layout; p, E and
+    C are one gather from the E < 0 and E > 0 shell sets, and E_tilde is formed
+    from them.  Raises FasterThanLightError unless Omega*R < 1."""
     _check_light_cylinder(params)
     M, R, Omega = params.M, params.R, params.Omega
     sets = np.array([shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)])
-    n_j = sets.shape[1]  # sets' axes: [esign, j, (p, E, C), kappa shell and i - 1]
-    k0, h = np.divmod(np.arange(2, 2 * n_j + 2), 2)  # (j, kappa) blocks, kappa = (2h - 1) k0
-    k0, h, i = np.repeat(k0, i_max), np.repeat(h, i_max), np.tile(np.arange(i_max), 2 * n_j)
-    width = 4 * k0  # (block, i) rows of 2j + 1 m_j (< 0 first) by 2 esign, at multiples of 4
-    two_mj = (np.arange(width.sum()) & -2) - np.repeat(np.cumsum(width) - 2 * k0 - 1, width)
-    shell = np.stack([h if bc.is_mit else 1 - h, h], 1)[..., None]  # each half row reads one
-    at = ((np.arange(2) * n_j + k0[:, None, None] - 1) * 2 + shell) * i_max + i[:, None, None]
-    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1),  # an (esign) pair per m_j
-                      np.repeat(at.reshape(-1, 2), np.repeat(k0, 2), axis=0).ravel(), axis=1)
-    E_tilde = corotating_energy(E, two_mj / 2.0, Omega)  # while few columns are live
-    return Spectrum(np.tile([-1, 1], E.size // 2), np.repeat(2 * k0 - 1, width), two_mj,
-                    np.repeat((2 * h - 1) * k0, width), np.repeat(i + 1, width), p, E, E_tilde, C)
+    *labels, m_j, at = _mode_layout(bc.is_mit, sets.shape[1], i_max)
+    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1), at, axis=1)
+    return Spectrum(*labels, p, E, corotating_energy(E, m_j, Omega), C)
 
 
 def _per_root(x: np.ndarray, label: np.ndarray, i: np.ndarray):
@@ -489,7 +520,8 @@ def verify_vacuum_equivalence(spectrum: Spectrum, Omega: float, R: float) -> Vac
     if not math.isfinite(Omega):
         raise ValueError(f"Omega must be finite, got {Omega}")
     et = corotating_energy(spectrum.E, spectrum.two_mj / 2.0, Omega)
-    return VacuumReport(spectrum.modes(spectrum.E * et <= 0.0),
+    bad = np.flatnonzero(spectrum.E * et <= 0.0)
+    return VacuumReport(spectrum.modes(bad) if bad.size else [],
                         float(np.min(np.abs(et), initial=math.inf)), len(spectrum), Omega * R)
 
 
@@ -504,6 +536,36 @@ _WALL_SIGMA_R = gamma_radial(_WALL_THETA, _WALL_PHI)[:2, 2:].reshape(2, 2, 1, -1
 _WALL_MODES = 1040  # modes per run, the j = 25/2 block at i_max = 20: bounds the memory
 
 
+def _wall_rows(chi: np.ndarray) -> list[np.ndarray]:
+    """[chi, S = sigma_r chi, |chi|^2] of harmonics chi with axes (component, label, sample)."""
+    return [chi, _WALL_SIGMA_R[:, 0] * chi[0] + _WALL_SIGMA_R[:, 1] * chi[1],
+            (chi.real**2 + chi.imag**2).sum(axis=0)]
+
+
+def _wall_harmonics(block: Spectrum) -> tuple[list[np.ndarray], np.ndarray]:
+    """[chi, S, |chi|^2] at the wall samples, rows by label, and the rows of each
+    mode's (upper, lower) pair labels (j, m_j, +-sgn kappa), (2, modes).  The rows
+    are _wall_table's, grown to the block's largest j, with _label_key's order;
+    a block with j beyond _WALL_TABLE_TWO_J / 2 gets rows of its own labels."""
+    top = int(block.two_j.max(initial=1))
+    if top > _WALL_TABLE_TWO_J:
+        chi, at = _label_harmonics(block, _WALL_THETA.ravel(), _WALL_PHI.ravel())
+        return _wall_rows(chi), at
+    have = _wall_table[0].shape[1] if _wall_table else 0
+    if have <= _label_key(top, top, 1):  # add the labels of the j past the table's end
+        lab = np.array([(tj, tm, s) for tj in range(1, top + 1, 2)
+                        for tm in range(-tj, tj + 1, 2) for s in (-1, 1)][have:]).T
+        rows = _wall_rows(spinor_harmonic(*lab[..., None], _WALL_THETA.ravel(),
+                                          _WALL_PHI.ravel()))
+        if _wall_table:
+            rows = [np.concatenate(v, axis=-2) for v in zip(_wall_table, rows)]
+        _wall_table[:] = rows
+        for v in _wall_table:
+            v.flags.writeable = False
+    return _wall_table, np.stack([_label_key(block.two_j, block.two_mj, s * block.kappa)
+                                  for s in (1, -1)])
+
+
 def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) -> np.ndarray:
     """Per-mode maxima over the wall samples at r = R, rows (vanishing
     components, MIT condition -i gamma^r psi = varsigma psi, C^2 |u-bar u|).
@@ -512,22 +574,21 @@ def _wall_residuals(bc: BoundaryKind, spectrum: Spectrum, R: float, M: float) ->
     harmonics of its labels (j, m_j, +-sgn kappa).  Spectral modes fill row 0
     from the pair that must vanish (the lower for m_j > 0); MIT modes rows 1
     and 2, C |g S_b - varsigma f chi_a|, C |f S_a - varsigma g chi_b| (S =
-    sigma_r chi) and C^2 |f^2 |chi_a|^2 - g^2 |chi_b|^2|, with chi and S once
-    per label of a run of at most _WALL_MODES modes (verify's subset: one run).
+    sigma_r chi) and C^2 |f^2 |chi_a|^2 - g^2 |chi_b|^2|, with chi, S and
+    |chi|^2 read from the wall table, per run of at most _WALL_MODES modes
+    (verify's subset: one run).
     """
     out = np.zeros((3, len(spectrum)))
     for lo in range(0, len(spectrum), _WALL_MODES):
         block, sel = spectrum[lo:lo + _WALL_MODES], slice(lo, lo + _WALL_MODES)
         rad = radial_pair(block, block.p, M, R)
         f, g, C = rad.f[:, None], rad.g_over_i[:, None], block.C[:, None]
-        chi, (a, b) = _label_harmonics(block, _WALL_THETA.ravel(), _WALL_PHI.ravel())
+        (chi, S, n2), (a, b) = _wall_harmonics(block)
         if not bc.is_mit:  # C (amp chi) of the pair that must vanish, the spinor's bits
             u = chi[:, np.where(block.two_mj < 0, a, b)]  # (component, mode, sample)
             np.multiply(np.where(block.two_mj[:, None] < 0, f, 1j * g), u, out=u)
             out[0, sel] = np.abs(np.multiply(C, u, out=u)).max(axis=(0, 2))
             continue
-        S = _WALL_SIGMA_R[:, 0] * chi[0] + _WALL_SIGMA_R[:, 1] * chi[1]
-        n2 = (chi.real**2 + chi.imag**2).sum(axis=0)  # |chi|^2
         out[2, sel] = (C * C * np.abs(f * f * n2[a] - g * g * n2[b])).max(axis=1)
         buf = np.empty((2, 2, len(block), _WALL_THETA.size), complex)  # "clip" lets take fill it
         for s_at, amp, chi_at, amp_vs in ((b, g, a, bc.varsigma * f), (a, f, b, bc.varsigma * g)):

@@ -210,13 +210,19 @@ def spinor_harmonic(two_j, two_mj, sign, theta, phi) -> np.ndarray:
     coefficient vanishes.
     """
     # with t = 2j + 1 - sign: l = (2j - sign)/2, c1 = sqrt((t + sign 2m_j)/(2t))
-    # and c2 = sign sqrt((t - sign 2m_j)/(2t))
+    # and c2 = sign sqrt((t - sign 2m_j)/(2t)); pm = (1, -1) picks the component on a
+    # leading axis ahead of every axis of the labels and angles, so one sph_harm_y call
+    # forms both, m = (2m_j - pm)/2
+    pm = np.reshape([1, -1], (2,) + (1,) * np.broadcast(two_j, two_mj, sign, theta, phi).ndim)
     t = two_j + 1 - sign
-    l = (two_j - sign) // 2
-    c1 = np.sqrt((t + sign * two_mj) / (2.0 * t))
-    c2 = sign * np.sqrt((t - sign * two_mj) / (2.0 * t))
-    return np.array([c1 * sph_harm_y(l, (two_mj - 1) // 2, theta, phi),
-                     c2 * sph_harm_y(l, (two_mj + 1) // 2, theta, phi)])
+    c = np.sqrt((t + pm * sign * two_mj) / (2.0 * t)) * np.where(pm > 0, 1, sign)
+    return c * sph_harm_y((two_j - sign) // 2, (two_mj - pm) // 2, theta, phi)
+
+
+def _label_key(two_j, two_mj, sign):
+    """Row of the harmonic label (two_j, two_mj, sign) in the order (j, m_j, sign):
+    dense, so the labels of j <= J are the first (2J + 1)(2J + 3)/2 rows."""
+    return (two_j + 1) ** 2 // 2 - 1 + two_mj + (sign > 0)
 
 
 def _label_harmonics(k, theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +230,7 @@ def _label_harmonics(k, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     columns k, (2, labels, *angles), and each mode's (upper, lower) pair labels, (2, *modes)."""
     lab = np.stack(  # axes (label, upper/lower pair, *modes)
         [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
-    key = ((lab[0] + 1) * lab[0] + lab[1]) * 2 + (lab[2] > 0)  # one-to-one: |two_mj| <= two_j
+    key = _label_key(*lab)
     _, at, inv = np.unique(key, return_index=True, return_inverse=True)
     lab = lab.reshape(3, -1)[:, at].reshape(3, -1, *(1,) * np.broadcast(theta, phi).ndim)
     return spinor_harmonic(*lab, theta, phi), inv.reshape(key.shape)

@@ -25,7 +25,8 @@ from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
-                             gamma_radial, radial_pair, scalar_density, spinor_harmonic)
+                             corotating_energy, gamma_radial, radial_pair, scalar_density,
+                             spinor_harmonic)
 from rotsphere.specfun import _ROOT_XTOL, I_MAX_DEFAULT, bessel_zeros, spherical_jn
 from oracles import (bisect_root, mp_mit_norm, mp_mit_sign_change, quadrature_mode_norm,
                      quadrature_mode_overlap, radial_quadrature, scan_mit_momenta,
@@ -360,6 +361,25 @@ def _enumerate_spectrum_reference(bc, params, j_max: float,
                         qn = QuantumNumbers(esign, two_j, two_mj, kappa, i)
                         modes.append(QuantizedMode(qn, p, E, E - Omega * two_mj / 2.0, C))
     return modes
+
+
+def _enumerate_spectrum_flat_reference(bc, params, j_max: float, i_max: int) -> Spectrum:
+    # the flat construction that the shared mode layout replaced: every column
+    # built on each call
+    M, R, Omega = params.M, params.R, params.Omega
+    sets = np.array([shell_rows(bc, es, M, R, i_max, two_j_from(j_max)) for es in (-1, 1)])
+    n_j = sets.shape[1]  # sets' axes: [esign, j, (p, E, C), kappa shell and i - 1]
+    k0, h = np.divmod(np.arange(2, 2 * n_j + 2), 2)  # (j, kappa) blocks, kappa = (2h - 1) k0
+    k0, h, i = np.repeat(k0, i_max), np.repeat(h, i_max), np.tile(np.arange(i_max), 2 * n_j)
+    width = 4 * k0  # (block, i) rows of 2j + 1 m_j (< 0 first) by 2 esign, at multiples of 4
+    two_mj = (np.arange(width.sum()) & -2) - np.repeat(np.cumsum(width) - 2 * k0 - 1, width)
+    shell = np.stack([h if bc.is_mit else 1 - h, h], 1)[..., None]  # each half row reads one
+    at = ((np.arange(2) * n_j + k0[:, None, None] - 1) * 2 + shell) * i_max + i[:, None, None]
+    p, E, C = np.take(np.moveaxis(sets, 2, 0).reshape(3, -1),  # an (esign) pair per m_j
+                      np.repeat(at.reshape(-1, 2), np.repeat(k0, 2), axis=0).ravel(), axis=1)
+    E_tilde = corotating_energy(E, two_mj / 2.0, Omega)  # while few columns are live
+    return Spectrum(np.tile([-1, 1], E.size // 2), np.repeat(2 * k0 - 1, width), two_mj,
+                    np.repeat((2 * h - 1) * k0, width), np.repeat(i + 1, width), p, E, E_tilde, C)
 
 
 def _verify_vacuum_equivalence_reference(modes, Omega: float, R: float) -> VacuumReport:
@@ -1017,6 +1037,31 @@ class TestSpectrumColumns:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
                 assert got.tobytes() == want.tobytes(), f.name
 
+    @pytest.mark.parametrize("j_max, i_max", [(4.5, 7), (12.5, 20)])
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_shared_layout_matches_flat_construction(self, bc, j_max, i_max):
+        params = PhysicalParams(M=1.0, R=1.3, Omega=0.7, beta=1.0)
+        spec = enumerate_spectrum(bc, params, j_max, i_max)
+        want = _enumerate_spectrum_flat_reference(bc, params, j_max, i_max)
+        for f in dataclasses.fields(Spectrum):
+            got, ref = getattr(spec, f.name), getattr(want, f.name)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape), f.name
+            assert got.tobytes() == ref.tobytes(), f.name
+        # a second call, at another rotation rate, reads the same read-only
+        # label arrays; p, E, E_tilde and C are its own
+        again = enumerate_spectrum(bc, PhysicalParams(M=1.0, R=1.3, Omega=0.2, beta=1.0),
+                                   j_max, i_max)
+        for name in ("esign", "two_j", "two_mj", "kappa", "i"):
+            col = getattr(spec, name)
+            assert getattr(again, name) is col and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = col[0]
+        for name in ("p", "E", "E_tilde", "C"):
+            col = getattr(again, name)
+            assert col.flags.writeable and not np.shares_memory(col, getattr(spec, name))
+        assert again.p.tobytes() == spec.p.tobytes()
+        assert again.E_tilde.tobytes() != spec.E_tilde.tobytes()
+
     @pytest.mark.parametrize("bc, M, R, Omega", _COLUMN_CASES)
     def test_vacuum_and_residual_match_reference(self, bc, M, R, Omega):
         params = PhysicalParams(M=M, R=R, Omega=Omega, beta=1.0)
@@ -1053,6 +1098,22 @@ class TestVacuumEquivalence:
         rep = verify_vacuum_equivalence(spec, 1.5, 1.0)
         assert not rep.ok
         assert all(abs(m.qn.two_mj) / 2.0 > 1.0 for m in rep.violations)
+
+    def test_modes_built_only_for_violations(self, monkeypatch):
+        params = PhysicalParams(M=0.0, R=1.0, Omega=0.0, beta=1.0)
+        spec = enumerate_spectrum(SPECTRAL, params, 10.5, 4)
+        built, real = [], Spectrum.modes
+
+        def counting(self, mask=slice(None)):
+            built.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(Spectrum, "modes", counting)
+        assert verify_vacuum_equivalence(spec, 0.99, 1.0).ok and built == []
+        rep = verify_vacuum_equivalence(spec, 1.5, 1.0)
+        assert len(built) == 1 and rep.violations == [
+            mo for mo in real(spec) if mo.E * (mo.E - 1.5 * mo.qn.two_mj / 2.0) <= 0.0]
+        assert rep.violations
 
     def test_rejects_non_finite_omega(self):
         # E * E_tilde <= 0 is False for a NaN E_tilde, which would pass every mode
@@ -1211,20 +1272,21 @@ class TestWallArrayPath:
         spec = enumerate_spectrum(mit(vs), params, 4.5, 6)
         check = lambda: verify_boundary_residuals(mit(vs), spec, params.R, params.M)
         assert check().ok
-        real = boundary._label_harmonics
+        real = boundary._wall_harmonics
 
         def relabelled(upper, lower):  # the pairs read the labels of pairs upper, lower
             def harmonics(*args):
-                chi, inv = real(*args)
-                return chi, inv[[upper, lower]]
+                rows, at = real(*args)
+                return rows, at[[upper, lower]]
             return harmonics
 
-        with monkeypatch.context() as m:  # sigma_r with its sign flipped
+        with monkeypatch.context() as m:  # sigma_r with its sign flipped, in a new table
             m.setattr(boundary, "_WALL_SIGMA_R", -_WALL_SIGMA_R)
+            m.setattr(boundary, "_wall_table", [])
             rep = check()
             assert not rep.ok and rep.max_condition > 1.0
         with monkeypatch.context() as m:  # chi_a in place of chi_b
-            m.setattr(boundary, "_label_harmonics", relabelled(0, 0))
+            m.setattr(boundary, "_wall_harmonics", relabelled(0, 0))
             rep = check()
             assert not rep.ok and rep.max_condition > 1.0
         # exchanging chi_a and chi_b throughout is no fault: sigma_r maps each
@@ -1232,8 +1294,56 @@ class TestWallArrayPath:
         # and g S_a - varsigma f chi_b = (g - varsigma f) chi_b vanishes with
         # g S_b - varsigma f chi_a = (g - varsigma f) chi_a
         with monkeypatch.context() as m:
-            m.setattr(boundary, "_label_harmonics", relabelled(1, 0))
+            m.setattr(boundary, "_wall_harmonics", relabelled(1, 0))
             assert check().ok
+
+    def test_wall_table_rows(self, monkeypatch):
+        # the table holds each label's spinor_harmonic bits, sigma_r chi and
+        # |chi|^2 at the wall samples, in _label_key's rows, read-only; grown by
+        # j prefixes from empty, it equals one build
+        theta, phi = _WALL_THETA.ravel(), _WALL_PHI.ravel()
+        spec = enumerate_spectrum(mit(1), PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=1.0),
+                                  12.5, 2)
+        built = {}
+        for steps in ((9, 25), (25,)):
+            monkeypatch.setattr(boundary, "_wall_table", [])
+            for top in steps:
+                rows, at = boundary._wall_harmonics(spec[spec.two_j <= top])
+            built[steps] = rows
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(*built.values()))
+        chi, S, n2 = rows
+        assert chi.shape == S.shape == (2, 14 * 26, 15) and n2.shape == (14 * 26, 15)
+        assert not any(v.flags.writeable for v in rows)
+        sigma = gamma_radial(theta, phi)[:2, 2:]
+        for tj in range(1, 26, 2):
+            for tm in range(-tj, tj + 1, 2):
+                for s in (-1, 1):
+                    row = modes._label_key(tj, tm, s)
+                    want = _spinor_harmonic_reference(tj, tm, s, theta, phi)
+                    assert np.array_equal(chi[:, row], want)
+                    assert np.array_equal(S[:, row], sigma[:, 0] * want[0] + sigma[:, 1] * want[1])
+                    assert np.array_equal(n2[row], (want.real**2 + want.imag**2).sum(axis=0))
+        # each mode's rows are those of its labels (j, m_j, +-sgn kappa)
+        for n, (tj, tm, ka) in enumerate(zip(spec.two_j.tolist(), spec.two_mj.tolist(),
+                                             spec.kappa.tolist())):
+            assert at[:, n].tolist() == [modes._label_key(tj, tm, np.sign(ka)),
+                                         modes._label_key(tj, tm, -np.sign(ka))]
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_runs_past_the_table_keep_the_bits(self, bc, monkeypatch):
+        # a run with a j past the table's end forms the harmonics of its own
+        # labels and stores nothing; at i_max = 6 the first run of a j <= 25/2
+        # spectrum ends in the j = 13/2 block and the later runs pass it
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 12.5, 6)
+        want = _wall_residuals(bc, spec, params.R, params.M)
+        monkeypatch.setattr(boundary, "_wall_table", [])
+        monkeypatch.setattr(boundary, "_WALL_TABLE_TWO_J", 13)
+        assert spec.two_j[_WALL_MODES - 1] == 13 and spec.two_j[_WALL_MODES] == 13
+        assert _same_bits(_wall_residuals(bc, spec, params.R, params.M), want)
+        assert _same_bits(want, _wall_residuals_per_block(bc, spec, params.R, params.M))
+        assert boundary._wall_table[0].shape[1] == modes._label_key(13, 13, 1) + 1 == 14 * 16 // 2
 
     def test_memory_bounded_by_mode_budget(self):
         # the whole j <= 25/2, i <= 20 MIT spectrum, 14,560 modes: one
@@ -1310,21 +1420,32 @@ class TestDistinctInputs:
             return sph_harm_y(l, m, theta, phi)
 
         monkeypatch.setattr(modes, "sph_harm_y", counting)
-        # verify's wall subset takes one run of consecutive modes, the whole
-        # spectrum 14 (a run per 1,040 modes, the j = 25/2 block); n_i radial
-        # indices of each label are in the run, at least 1 where runs cut blocks
-        for wall, n_i, n_runs in ((spec[(spec.two_j <= 9) & (spec.i <= 6)], 6, 1),
-                                  (spec, 1, 14)):
+        monkeypatch.setattr(boundary, "_wall_table", [])  # a process's first wall check
+        # a run grows the table by the labels of the j past its end, one
+        # sph_harm_y call on both components of each: verify's wall subset, j <=
+        # 9/2, is one run, the whole spectrum 14 (a run per 1,040 modes, the j =
+        # 25/2 block), of which those that reach a new j call it; a wall check
+        # that reads no new j calls nothing
+        top, total = -1, 0
+        for wall, n_runs in ((spec[(spec.two_j <= 9) & (spec.i <= 6)], 1), (spec, 14), (spec, 14)):
             sizes.clear()
             assert verify_boundary_residuals(bc, wall, params.R, params.M).ok
-            runs = [wall[lo:lo + _WALL_MODES] for lo in range(0, len(wall), _WALL_MODES)]
-            assert len(runs) == n_runs and len(sizes) == 2 * n_runs  # a spinor_harmonic per run
-            for run, pair in zip(runs, zip(sizes[::2], sizes[1::2])):
-                labels = {(tj, tm, s * np.sign(ka)) for tj, tm, ka in
-                          zip(run.two_j.tolist(), run.two_mj.tolist(), run.kappa.tolist())
-                          for s in (1, -1)}
-                assert max(pair) <= len(labels) * _WALL_THETA.size
-                assert len(run) >= 2 * n_i * len(labels) / 2  # 2 E signs x n_i radial indices
+            want = []
+            for lo in range(0, len(wall), _WALL_MODES):
+                run_top = int(wall.two_j[lo:lo + _WALL_MODES].max())
+                new = [(tj, tm, s) for tj in range(top + 2, run_top + 1, 2)
+                       for tm in range(-tj, tj + 1, 2) for s in (1, -1)]
+                if new:
+                    want.append(2 * len(new) * _WALL_THETA.size)
+                    top = run_top
+            assert lo // _WALL_MODES + 1 == n_runs and sizes == want
+            total += sum(sizes)
+        # each label of the spectrum once
+        labels = {(tj, tm, s * np.sign(ka)) for tj, tm, ka in
+                  zip(spec.two_j.tolist(), spec.two_mj.tolist(), spec.kappa.tolist())
+                  for s in (1, -1)}
+        assert total == 2 * len(labels) * _WALL_THETA.size
+        assert boundary._wall_table[0].shape[1] == len(labels) == 14 * 26
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_quantization_residual_once_per_root(self, bc, monkeypatch):
@@ -1366,6 +1487,32 @@ class TestDistinctInputs:
                 for mo in moved.modes()]
         assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
         assert resid[7] > QUANT_TOL and resid[len(p) // 2] > QUANT_TOL
+
+    @pytest.mark.parametrize("M", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    def test_top_m_j_holds_each_root_once(self, bc, M):
+        # verify checks the quantization of the modes with m_j = j only: one
+        # mode per shell root (two_j, kappa, esign, i), which carries every
+        # distinct input of the residual, the root and the labels (kappa,
+        # esign) or n, so its maximum is the whole spectrum's
+        params = PhysicalParams(M=M, R=1.0, Omega=0.99, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 12.5, 20)
+        top = spec[spec.two_mj == spec.two_j]
+        roots = set(zip(top.two_j.tolist(), top.kappa.tolist(), top.esign.tolist(),
+                        top.i.tolist()))
+        assert len(top) == len(roots) == 1040
+
+        def inputs(s):
+            if bc.is_mit:
+                labels = (s.kappa, s.esign)
+            else:
+                labels = ((s.two_j + np.where(s.two_mj * s.kappa > 0, 1, -1)) // 2,)
+            return set(zip(*(v.tolist() for v in labels), s.p.tolist()))
+
+        assert inputs(top) == inputs(spec)
+        got = float(np.max(quantization_residual(bc, top, params.R, M)))
+        assert got.hex() == float(np.max(quantization_residual(bc, spec, params.R, M))).hex()
+        assert got <= QUANT_TOL
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1)])
     def test_empty_spectrum(self, bc):
