@@ -176,6 +176,45 @@ def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
     return r
 
 
+def _row_bounds(params: PhysicalParams, rows: list, d: np.ndarray, two_m: np.ndarray,
+                starts: np.ndarray, i_max: int, subtracted: bool) -> np.ndarray:
+    """A bound U per (j, kappa, i) row of rows on the summed b of its m_j (see
+    _j_blocks), formed before any weight, shape (j, kappa, i).  d holds d+ +
+    d- of the (j, m_j) pairs, each j's from starts on, and two_m their
+    doubled m_j.
+
+    f(x) = 1/(1 + e^(beta x)) <= min(1, e^(-beta x)), so each subtracted
+    weight is at most min(2, 2 cosh(beta mu) e^(-beta E_tilde)) in size, a raw
+    one at most 1, and amp <= (|w_t| + |w_b|)(1/2 + M/(2E)) for both
+    boundaries.  Over m_j, w_t sits at E_tilde = E - Omega m_j and w_b at
+    E + Omega m_j: with D = sum d and S = sum d (e^(beta Omega m_j) +
+    e^(-beta Omega m_j)), the row's b sum to at most C2 (1/2 + M/(2E))
+    min(4 D, 2 cosh(beta mu) e^(-beta E) S).  S e^(-beta E) is formed as
+    e^(a - beta E) s, a = max log(d e^(beta Omega m_j)) and 1 <= s <= 2
+    (2j + 1), which neither overflows nor loses a pair to underflow; an inf
+    or nan there falls back to 4 D, so U is never nan.  U adds the held
+    (C2 + 1) 2^-1060 of each mode twice, which covers what underflow takes
+    from a weight, then 2^-36 of itself, and its exponentials beta (E +
+    Omega j + |mu|) 2^-48, over what rounding of the weights and of U moves
+    their arguments and their products: U is at least the rounded b sum."""
+    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
+    E = np.array([E for _, E, _ in rows]).reshape(-1, 2, i_max)  # (j, kappa, i)
+    C2 = np.array([C for *_, C in rows]).reshape(E.shape) ** 2
+    k0 = (np.arange(len(E)) + 1)[:, None, None]  # the m_j > 0 of each j
+    bound = 4.0 * np.add.reduceat(d, starts)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if subtracted:
+            a = np.log(d) + (beta * Omega / 2.0) * two_m
+            top = np.maximum.reduceat(a, starts)
+            s = np.add.reduceat(np.exp(a - np.repeat(top, k0.ravel()))
+                                * (1.0 + np.exp((-beta * Omega) * two_m)), starts)
+            x = top[:, None, None] + (beta * (E + Omega * k0 + abs(mu))) * 2.0**-48
+            exp = (np.exp(x - beta * (E - mu)) + np.exp(x - beta * (E + mu))) * s[:, None, None]
+            bound = np.fmin(bound, exp)
+        return ((C2 * (0.5 + M / (2.0 * E)) * bound + k0 * (C2 + 1.0) * 2.0**-1059)
+                * (1.0 + 2.0**-36))
+
+
 def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
               tabs: list[np.ndarray], two_j_max: int, i_max: int, weight,
               prune: bool = True):
@@ -189,66 +228,76 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     Each term is C2 ((w_t - w_b) A + (w_t + w_b) B), or C2 (w_t + w_b)(A + B)
     for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
     (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
-    at every r, with d+ + d- at its largest over the thetas.  With prune,
-    each j but the last, whose sum is the tail estimate, keeps the shortest
-    i-prefix, shared by both kappa shells, whose dropped suffix bounds below
-    _PRUNE_REL times the block's; a nan or inf b is never dropped, nor is
-    any mode of a j whose b sum to inf.  Each b carries (C2 + 1) 2^-1060,
-    over 2^8 times what underflow can take from a formed term or from b, and
-    D is twice their rounded sum: that covers the relative rounding of the
-    terms, of the b and of their sum, below 2^-35 at 2^17 terms, and a
-    computed |j_n| up to 1.4."""
+    at every r, with d+ + d- at its largest over the thetas, plus (C2 + 1)
+    2^-1060, over 2^8 times what underflow can take from a formed term.
+    With prune, _kept_prefixes bounds each (j, kappa, i) row's b sum before
+    any weight is formed, and each j but the last, whose sum is the tail
+    estimate, keeps the shortest i-prefix, shared by both kappa shells, whose
+    dropped suffix bounds below _PRUNE_REL times the j's; a nan or inf bound
+    is never dropped, nor is any mode of a j whose bounds sum to inf.  D is
+    twice the rounded sum of the dropped rows' bounds: that covers the
+    relative rounding of the terms and of the sum, below 2^-35 at 2^17
+    terms, and a computed |j_n| up to 1.4.  The weights, |C|^2 and M/(2E)
+    are formed on the kept rows only, and the densities of all (j, m_j) pairs
+    once per theta."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
     cap = min(_BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last
-    buf, width, dropped = None, 0, 0.0  # the open buffer, filled up to width
+    buf, width = None, 0  # the open buffer, filled up to width
     last = (np.empty(0), None)  # the previous +k0 shell's kept momenta and order-k0 squares
     rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
-    for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
-        two_m = np.arange(1, two_j + 1, 2)
-        E, C2 = E.reshape(2, i_max, 1), (C * C).reshape(2, i_max, 1)  # (kappa, i, m_j)
-        w_t, w_b = (weight(corotating_energy(E, m_j, Omega), 1, beta, mu)
-                    for m_j in (two_m / 2.0, -two_m / 2.0))
-        ratio, dens = M / (2.0 * E), [spinor_densities(two_j, two_m, tab) for tab in tabs]
-        w_d, w_s = w_t - w_b, w_t + w_b
-        keep = i_max
-        if prune and two_j < two_j_max:
-            d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
-            amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
-                   else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
-            with np.errstate(over="ignore"):  # an inf b keeps its mode
-                b = (amp * d) * C2 + (C2 + 1.0) * 2.0**-1060
-                tail = np.cumsum(b.sum(axis=(0, 2))[::-1])[::-1]
-            total = tail[0] if np.isfinite(tail[0]) else np.nan  # nan: every mode is kept
-            keep = int(np.count_nonzero(~(tail < _PRUNE_REL * total)))
-            dropped += float(tail[keep]) if keep < i_max else 0.0
-        p = p.reshape(2, i_max)[:, :keep].ravel()
-        C2, ratio, w_d, w_s = (v[:, :keep] for v in (C2, ratio, w_d, w_s))
-        size = w_d.size  # terms per point
+    k0s = np.arange(1, len(rows) + 1)  # the m_j > 0 of each j
+    starts = np.cumsum(k0s) - k0s  # each j's first (j, m_j) pair
+    two_m = 2 * (np.arange(starts[-1] + k0s[-1]) - np.repeat(starts, k0s)) + 1
+    dens = [spinor_densities(np.repeat(2 * k0s - 1, k0s), two_m, tab) for tab in tabs]
+    keep, dropped = np.full(len(rows), i_max), np.zeros(len(rows))
+    if prune and len(rows) > 1:  # all j but the last
+        n, cut = len(rows) - 1, starts[-1]
+        d = np.max([d_plus[:cut] + d_minus[:cut] for d_plus, d_minus in dens], axis=0)
+        U = _row_bounds(params, rows[:n], d, two_m[:cut], starts[:n], i_max,
+                        weight is thermal_weight_subtracted)
+        with np.errstate(over="ignore"):  # an inf U keeps its row
+            tail = np.cumsum(U.sum(axis=1)[:, ::-1], axis=1)[:, ::-1]
+        total = np.where(np.isfinite(tail[:, :1]), tail[:, :1], np.nan)  # nan: all kept
+        keep[:n] = np.count_nonzero(~(tail < _PRUNE_REL * total), axis=1)
+        dropped[:n] = np.c_[tail, np.zeros(n)][np.arange(n), keep[:n]]
+    dropped = (2.0 * np.cumsum(dropped)).tolist()  # D after each j
+    for two_j, (p, E, C), kept, lo in zip(range(1, two_j_max + 1, 2), rows, keep.tolist(),
+                                          starts.tolist()):
+        k0 = (two_j + 1) // 2
+        D = dropped[k0 - 1]
+        pairs = slice(lo, lo + k0)  # the (j, m_j) pairs of j
+        m_j = two_m[pairs] / 2.0
+        E, C = (v.reshape(2, i_max, 1)[:, :kept] for v in (E, C))  # (kappa, i, m_j)
+        C2, ratio = C * C, M / (2.0 * E)
+        w_t, w_b = (weight(corotating_energy(E, m, Omega), 1, beta, mu) for m in (m_j, -m_j))
+        w_s = w_t + w_b
+        w_d = None if bc.is_mit else w_t - w_b
+        p = p.reshape(2, i_max)[:, :kept].ravel()
+        size = w_s.size  # terms per point
         if buf is not None and (two_j == two_j_max or points * (width + size) > _BUFFER_TERMS):
-            yield from ((two_j - 2, it, terms, 2.0 * dropped)
+            yield from ((two_j - 2, it, terms, D)
                         for it, terms in enumerate(buf[:, :, :width]))
             buf = None
         if buf is None and two_j < two_j_max and points * size <= _BUFFER_TERMS:
             buf, width = np.empty((len(tabs), len(r_vals), cap)), 0
-        k0 = (two_j + 1) // 2
         x = r_col * p
         x[x < 2.0**-1022] = 0.0  # subnormal x: scipy's j_n is nan there for n >= 1
         jp2 = spherical_jn(k0, x) ** 2
         # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
         # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
         # of the modes both kept
-        shared = min(last[0].size, keep)
+        shared = min(last[0].size, kept)
         if not np.array_equal(last[0][:shared], p[:shared]):
             shared = 0
         jm2 = spherical_jn(k0 - 1, x[:, shared:]) ** 2
         if shared:
             jm2 = np.concatenate([last[1][:, :shared], jm2], axis=1)
-        last = (p[keep:], jp2[:, keep:])
-        jm2, jp2 = (v.reshape(len(r_vals), 2, keep, 1) for v in (jm2, jp2))
+        last = (p[kept:], jp2[:, kept:])
+        jm2, jp2 = (v.reshape(len(r_vals), 2, kept, 1) for v in (jm2, jp2))
         kappa = np.array([-k0, k0])[:, None, None]
         for it, (d_plus, d_minus) in enumerate(dens):
-            A, B = density_split(kappa, d_plus, d_minus, jm2, jp2, ratio)
+            A, B = density_split(kappa, d_plus[pairs], d_minus[pairs], jm2, jp2, ratio)
             # MIT: (C2 (w_t + w_b)) (A + B); spectral: C2 ((w_t - w_b) A + (w_t + w_b) B)
             if not bc.is_mit:
                 A *= w_d
@@ -258,7 +307,7 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
             out = A if buf is None else buf[it, :, width:width + size].reshape(A.shape)
             np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
             if buf is None:
-                yield two_j, it, A.reshape(len(r_vals), -1), 2.0 * dropped
+                yield two_j, it, A.reshape(len(r_vals), -1), D
         width += size
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -16,8 +17,9 @@ from rotsphere import (FasterThanLightError, PhysicalParams, SPECTRAL,
                        thermal_weight_subtracted)
 from rotsphere import condensate as cnd
 from rotsphere.boundary import shell_rows
-from rotsphere.modes import density_split, spinor_densities
+from rotsphere.modes import corotating_energy, density_split, spinor_densities
 from rotsphere.specfun import legendre_density_table
+from rotsphere.specfun import spherical_jn as _spherical_jn
 from oracles import fermi, shell_table, unbounded_axis_condensate
 
 
@@ -658,6 +660,93 @@ def _mode_bounds(bc, params, tabs, two_j, E, C):
     return (C2 * amp * d + (C2 + 1.0) * 2.0**-1060).reshape(2, E.size // 2, -1)
 
 
+# The kernel that bound-first pruning replaced, kept verbatim as a bit-exact
+# reference: it forms the weights of every mode and prunes on the exact b.
+def _j_blocks_reference(bc, params, r_vals: list[float], tabs: list[np.ndarray],
+                        two_j_max: int, i_max: int, weight, prune: bool = True):
+    """Yield (two_j, it, terms, D) per buffer, then per theta tabs[it]: the
+    terms of the j blocks up to two_j, a row per r in the order (j, kappa, i,
+    m_j) over the kept modes, and D, which bounds the summed magnitudes of the
+    terms dropped so far.  Consecutive j blocks fill a buffer while their
+    terms over all points fit in cnd._BUFFER_TERMS; a larger block, and the last
+    j, come alone, formed in place.
+
+    Each term is C2 ((w_t - w_b) A + (w_t + w_b) B), or C2 (w_t + w_b)(A + B)
+    for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
+    (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
+    at every r, with d+ + d- at its largest over the thetas.  With prune,
+    each j but the last, whose sum is the tail estimate, keeps the shortest
+    i-prefix, shared by both kappa shells, whose dropped suffix bounds below
+    cnd._PRUNE_REL times the block's; a nan or inf b is never dropped, nor is
+    any mode of a j whose b sum to inf.  Each b carries (C2 + 1) 2^-1060,
+    over 2^8 times what underflow can take from a formed term or from b, and
+    D is twice their rounded sum: that covers the relative rounding of the
+    terms, of the b and of their sum, below 2^-35 at 2^17 terms, and a
+    computed |j_n| up to 1.4."""
+    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
+    r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
+    cap = min(cnd._BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last
+    buf, width, dropped = None, 0, 0.0  # the open buffer, filled up to width
+    last = (np.empty(0), None)  # the previous +k0 shell's kept momenta and order-k0 squares
+    rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
+    for two_j, (p, E, C) in zip(range(1, two_j_max + 1, 2), rows):
+        two_m = np.arange(1, two_j + 1, 2)
+        E, C2 = E.reshape(2, i_max, 1), (C * C).reshape(2, i_max, 1)  # (kappa, i, m_j)
+        w_t, w_b = (weight(corotating_energy(E, m_j, Omega), 1, beta, mu)
+                    for m_j in (two_m / 2.0, -two_m / 2.0))
+        ratio, dens = M / (2.0 * E), [spinor_densities(two_j, two_m, tab) for tab in tabs]
+        w_d, w_s = w_t - w_b, w_t + w_b
+        keep = i_max
+        if prune and two_j < two_j_max:
+            d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
+            amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
+                   else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
+            with np.errstate(over="ignore"):  # an inf b keeps its mode
+                b = (amp * d) * C2 + (C2 + 1.0) * 2.0**-1060
+                tail = np.cumsum(b.sum(axis=(0, 2))[::-1])[::-1]
+            total = tail[0] if np.isfinite(tail[0]) else np.nan  # nan: every mode is kept
+            keep = int(np.count_nonzero(~(tail < cnd._PRUNE_REL * total)))
+            dropped += float(tail[keep]) if keep < i_max else 0.0
+        p = p.reshape(2, i_max)[:, :keep].ravel()
+        C2, ratio, w_d, w_s = (v[:, :keep] for v in (C2, ratio, w_d, w_s))
+        size = w_d.size  # terms per point
+        if buf is not None and (two_j == two_j_max or points * (width + size) > cnd._BUFFER_TERMS):
+            yield from ((two_j - 2, it, terms, 2.0 * dropped)
+                        for it, terms in enumerate(buf[:, :, :width]))
+            buf = None
+        if buf is None and two_j < two_j_max and points * size <= cnd._BUFFER_TERMS:
+            buf, width = np.empty((len(tabs), len(r_vals), cap)), 0
+        k0 = (two_j + 1) // 2
+        x = r_col * p
+        x[x < 2.0**-1022] = 0.0  # subnormal x: scipy's j_n is nan there for n >= 1
+        jp2 = _spherical_jn(k0, x) ** 2
+        # spectral shells (j - 1, k0 - 1) and (j, -k0) share momenta, so the
+        # order k0 - 1 squares of this -k0 shell are the last order-k0 squares
+        # of the modes both kept
+        shared = min(last[0].size, keep)
+        if not np.array_equal(last[0][:shared], p[:shared]):
+            shared = 0
+        jm2 = _spherical_jn(k0 - 1, x[:, shared:]) ** 2
+        if shared:
+            jm2 = np.concatenate([last[1][:, :shared], jm2], axis=1)
+        last = (p[keep:], jp2[:, keep:])
+        jm2, jp2 = (v.reshape(len(r_vals), 2, keep, 1) for v in (jm2, jp2))
+        kappa = np.array([-k0, k0])[:, None, None]
+        for it, (d_plus, d_minus) in enumerate(dens):
+            A, B = density_split(kappa, d_plus, d_minus, jm2, jp2, ratio)
+            # MIT: (C2 (w_t + w_b)) (A + B); spectral: C2 ((w_t - w_b) A + (w_t + w_b) B)
+            if not bc.is_mit:
+                A *= w_d
+                B *= w_s
+            A += B
+            del B  # free before the caller reduces A
+            out = A if buf is None else buf[it, :, width:width + size].reshape(A.shape)
+            np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
+            if buf is None:
+                yield two_j, it, A.reshape(len(r_vals), -1), 2.0 * dropped
+        width += size
+
+
 # (M R, R, Omega R, beta / R, mu R): figure-like, hot (nothing is dropped),
 # mu above the lowest energies, near the light cylinder, massless, and spheres
 # far from R = 1
@@ -780,6 +869,128 @@ class TestThermalPruning:
         assert calls.count(27720) == 1 and max(calls) == 27720
         assert got.values.tobytes() == want.values.tobytes()
         assert got.tail_estimate == want.tail_estimate
+
+
+def _reference_row_b(bc, params, tabs, two_j, E, C, weight):
+    """The b sum of each (kappa, i) row of j, shape (2, i), formed as
+    _j_blocks_reference forms each mode's b."""
+    M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
+    two_m = np.arange(1, two_j + 1, 2)
+    E, C2 = E.reshape(2, -1, 1), (C * C).reshape(2, -1, 1)
+    w_t, w_b = (weight(corotating_energy(E, m_j, Omega), 1, beta, mu)
+                for m_j in (two_m / 2.0, -two_m / 2.0))
+    ratio, w_d, w_s = M / (2.0 * E), w_t - w_b, w_t + w_b
+    d = np.max([d_plus + d_minus for d_plus, d_minus in
+                (spinor_densities(two_j, two_m, tab) for tab in tabs)], axis=0)
+    amp = (np.abs(w_s) * (0.5 + ratio) if bc.is_mit
+           else 0.5 * np.abs(w_d) + np.abs(w_s) * ratio)
+    return ((amp * d) * C2 + (C2 + 1.0) * 2.0**-1060).sum(axis=2)
+
+
+# (M, R, Omega, beta, mu, thetas, two_j_max): the axis at both poles, mu < 0,
+# Omega R near the light cylinder, with beta Omega j near 1,000, the overflow
+# edge M = 0, R = 0.01, Omega = 50, beta = 100, |C|^2 near 2^1000, weights that
+# underflow, beta |mu| = 800, where cosh(beta mu) overflows, and beta E_tilde
+# over 40 at every mode, where the MIT bound is its b sum to rounding
+_BOUND_CASES = [(1.0, 1.0, 0.5, 2.0, 0.3, (0.0, math.pi), 21),
+                (1.0, 1.0, 0.5, 2.0, -0.7, (math.pi / 2,), 21),
+                (1.0, 1.0, 0.999, 1.0, 0.3, (0.4, math.pi / 2), 41),
+                (1.0, 1.0, 0.999, 50.0, 2.0, (math.pi / 2,), 41),
+                (0.0, 0.01, 50.0, 100.0, 0.0, (math.pi / 2, 0.0), 21),
+                (0.0, 1e-101, 0.0, 1e-104, 0.0, (1.0,), 11),
+                (1.0, 1.0, 0.5, 1e4, 0.0, (1.0,), 21),
+                (2.0, 1.0, 0.3, 2.0, 400.0, (1.0,), 21),
+                (2.0, 1.0, 0.3, 2.0, -400.0, (0.0,), 21),
+                (500.0, 1e-3, 900.0, 1.5e-3, 200.0, (0.3,), 21),
+                (2.0, 1.0, 0.5, 30.0, 0.0, (1.0,), 21)]
+
+
+def _fig_sweep_curves(count=40, seed=23):
+    """Fig-sweep-like curves: (bc, params, theta) with M in {0, 1, 2} and the
+    boundaries in turn, spectral, MIT +1, spectral, MIT -1."""
+    rng = random.Random(seed)
+    cycle = [SPECTRAL, mit(1), SPECTRAL, mit(-1)]
+    return [(cycle[k % 4], PhysicalParams(M=rng.choice((0.0, 1.0, 2.0)), R=1.0,
+                                          Omega=rng.uniform(0.0, 0.95),
+                                          beta=rng.uniform(0.3, 3.0), mu=rng.uniform(0.0, 1.0)),
+             rng.uniform(0.1, math.pi / 2)) for k in range(count)]
+
+
+class TestBoundFirstPruning:
+    """The kernel decides each j's kept i-prefix from a bound per (j, kappa, i)
+    row, before it forms any weight, and keeps the reference kernel's bits."""
+
+    @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
+    @pytest.mark.parametrize("case", _BOUND_CASES)
+    @pytest.mark.parametrize("subtracted", [True, False])
+    def test_row_bound_covers_reference_b(self, bc, case, subtracted, monkeypatch):
+        M, R, Omega, beta, mu, thetas, two_j_max = case
+        params, i_max = PhysicalParams(M, R, Omega, beta, mu), 30
+        weight = thermal_weight_subtracted if subtracted else thermal_weight
+        tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in thetas]
+        bounds, real = [], cnd._row_bounds
+        monkeypatch.setattr(cnd, "_row_bounds", lambda *args: bounds.append(real(*args)) or
+                            bounds[-1])
+        list(cnd._j_blocks(bc, params, [0.5 * R], tabs, two_j_max, i_max, weight))
+        (U,) = bounds
+        rows = shell_rows(bc, 1, M, R, i_max, two_j_max)
+        assert U.shape == ((two_j_max - 1) // 2, 2, i_max)  # every j but the last
+        assert not np.isnan(U).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for two_j, (_, E, C), bound in zip(range(1, two_j_max, 2), rows, U):
+                b = _reference_row_b(bc, params, tabs, two_j, E, C, weight)
+                assert np.all(bound >= b), (two_j, np.flatnonzero(~(bound >= b)))
+
+    def test_values_match_reference_kernel(self, monkeypatch):
+        # random grids over all three boundaries, subtracted or not, R from
+        # 0.1 to 10, Omega R up to 0.999, mu R from -6 to 6 and the axis in
+        # every grid: the same value and tail bits as the reference kernel
+        rng = random.Random(2330)
+        cases = []
+        for _ in range(60):
+            R = 10.0 ** rng.uniform(-1.0, 1.0)
+            params = PhysicalParams(M=rng.choice((0.0, 0.3, 1.0, 2.5)) / R, R=R,
+                                    Omega=rng.uniform(0.0, 0.999) / R,
+                                    beta=10.0 ** rng.uniform(-1.3, 1.5) * R,
+                                    mu=rng.uniform(-6.0, 6.0) / R)
+            cases.append((rng.choice([SPECTRAL, mit(1), mit(-1)]), params,
+                          [0.0] + [rng.uniform(0.0, R) for _ in range(rng.randrange(1, 4))],
+                          [rng.uniform(0.0, math.pi) for _ in range(rng.randrange(1, 3))],
+                          rng.randrange(3, 42, 2) / 2, rng.randrange(1, 61),
+                          rng.random() > 0.15))
+
+        def outcomes():
+            return [(grid.values.tobytes(), grid.tail_estimate.hex())
+                    for grid in (condensate_grid(*case) for case in cases)]
+
+        want = outcomes()
+        monkeypatch.setattr(cnd, "_j_blocks", _j_blocks_reference)
+        assert outcomes() == want
+
+    def test_fig_sweep_fsum_and_kept_terms(self, monkeypatch):
+        # 40 fig-sweep-like 41-point curves: no more math.fsum calls than the
+        # reference kernel makes (17 here, each on a last j's 2,520 terms, a
+        # tail that does not certify), and at most 0.1% more kept terms
+        fsum, calls, kept, kernel_now = math.fsum, [], [], cnd._j_blocks
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(1) or fsum(v))
+
+        def run(kernel):
+            def counting(*args, prune=True):
+                for block in kernel(*args, prune=prune):
+                    kept.append(block[2].shape[1] * (block[1] == 0) * prune)
+                    yield block
+
+            calls.clear()
+            kept.clear()
+            monkeypatch.setattr(cnd, "_j_blocks", counting)
+            for bc, params, theta in _fig_sweep_curves():
+                condensate_grid(bc, params, np.linspace(0.0, 1.0, 41), [theta], 20.5, 60)
+            return len(calls), sum(kept)
+
+        ref_calls, ref_kept = run(_j_blocks_reference)
+        got_calls, got_kept = run(kernel_now)
+        assert ref_calls == 17 and got_calls <= ref_calls
+        assert got_kept <= 1.001 * ref_kept
 
 
 class TestEdgeInputs:
