@@ -147,25 +147,31 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _apply(cfg: RunConfig, key: str, value) -> RunConfig:
-    if key not in _CONFIG:
-        raise ConfigError(f"unknown key '{key}'")
-    field, parse = _CONFIG[key]
-    return replace(cfg, **{field: parse(key, str(value))})
+def _apply(cfg: RunConfig, items) -> RunConfig:
+    """cfg with the (key, value) items, each parsed in turn by its key's
+    _CONFIG parser, so the first bad item raises; one replace."""
+    fields = {}
+    for key, value in items:
+        if key not in _CONFIG:
+            raise ConfigError(f"unknown key '{key}'")
+        field, parse = _CONFIG[key]
+        fields[field] = parse(key, str(value))
+    return replace(cfg, **fields)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Build a RunConfig from flat key=value lines; '#' starts a comment."""
-    cfg = RunConfig()
+def _config_items(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        cfg = _apply(cfg, key, value)
-    return _validate(cfg)
+        yield tuple(s.strip() for s in line.split("=", 1))
+
+
+def parse_config(text: str) -> RunConfig:
+    """Build a RunConfig from flat key=value lines; '#' starts a comment."""
+    return _validate(_apply(RunConfig(), _config_items(text)))
 
 
 def _parse_grid(spec: str, key: str) -> np.ndarray:
@@ -345,14 +351,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig()
-    cfg = _apply(cfg, "mode", args.mode)
-    for key in _CONFIG:
-        if key == "mode":
-            continue
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg = _apply(cfg, key, val)
-    return _validate(cfg)
+    given = ((key, args.mode if key == "mode" else getattr(args, key, None)) for key in _CONFIG)
+    return _validate(_apply(cfg, ((key, val) for key, val in given if val is not None)))
 
 
 def run(cfg: RunConfig) -> int:

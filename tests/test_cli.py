@@ -379,6 +379,32 @@ class TestArgsToConfig:
         cfg = config_from_args(args)
         assert cfg.M == 2.5 and cfg.two_j_max == 7 and cfg.mode == "condensate"
 
+    def test_flags_applied_by_one_replace(self, monkeypatch):
+        calls, real = [], cli.replace
+        monkeypatch.setattr(cli, "replace", lambda cfg, **kw: calls.append(kw) or real(cfg, **kw))
+        args = build_parser().parse_args(["verify", "--M", "1", "--Omega", "0.5", "--jmax",
+                                          "9/2", "--imax", "4", "--bc", "mit", "--varsigma",
+                                          "-1"])
+        cfg = config_from_args(args)
+        assert [list(kw) for kw in calls] == [
+            ["mode", "bc", "varsigma", "M", "Omega", "two_j_max", "i_max"]]
+        assert (cfg.mode, cfg.bc, cfg.varsigma, cfg.M, cfg.Omega, cfg.two_j_max, cfg.i_max) == (
+            "verify", "mit", -1, 1.0, 0.5, 9, 4)
+
+    def test_first_bad_flag_in_key_order(self):
+        # the flags are parsed in the config's key order, whatever their order
+        # on the command line: the first bad one names its key, and a value that
+        # parses but is out of range is named by the validation after
+        flags = ["--imax", "0", "--jmax", "7/3", "--beta", "inf", "--M", "nan"]
+        messages = []
+        for n in range(len(flags), 0, -2):
+            with pytest.raises(ConfigError) as got:
+                config_from_args(build_parser().parse_args(["condensate", *flags[:n]]))
+            messages.append(str(got.value))
+        assert messages == ["non-finite value for key 'M'", "non-finite value for key 'beta'",
+                            "malformed half-integer '7/3' for key 'jmax'",
+                            "imax must be in [1, 500] for key 'imax'"]
+
     def test_run_dispatch_unknown_blocked_by_validation(self):
         with pytest.raises(ConfigError):
             parse_config("mode=render\n")
