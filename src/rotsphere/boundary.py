@@ -2,11 +2,13 @@
 
 The spectral condition zeroes one pair of spinor components on the wall and
 puts the momenta at spherical Bessel zeros.  The MIT bag condition
--i gamma^r psi = varsigma psi gives a transcendental momentum equation, solved
-by a guarded sign scan per shell, over the gaps where the signs of its two
-Bessel terms admit a root, which cannot skip roots silently, and one array
-Brent refinement over the brackets of a batch of shells.  The solver and the
-quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
+-i gamma^r psi = varsigma psi gives a transcendental momentum equation.  Above
+the first zero of its two Bessel orders, each gap between consecutive zeros
+where the signs of its two Bessel terms admit a root holds exactly one (the
+proof is _mit_roots'), so those gaps are the brackets, with probes below the
+first zero; one array Brent refinement solves the brackets of a batch of
+shells.  The solver and the quantization residual accept a root by one rule,
+_mit_residual <= QUANT_TOL.
 
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
 E_tilde = E - Omega * m_j.  One store holds the solved (p, C) shells, in j
@@ -45,7 +47,6 @@ from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, be
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
 
-_SCAN_STEP = math.pi / 8.0
 QUANT_TOL = 1e-10  # the largest quantization residual accepted
 _MR_MAX = math.sqrt(np.finfo(float).max)  # x * x + (M R)**2 overflows above it
 
@@ -168,47 +169,41 @@ def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
     return np.abs(_mit_equation(x, kappa, esign, rho, varsigma)) / scale
 
 
-def _scan_grids(orders: tuple[np.ndarray, np.ndarray], top: int,
-                sign_fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign-scan points of each shell, concatenated, the counts per shell, and
-    the sign f must have at each point (0: unchecked).
+def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.ndarray):
+    """Brackets of each shell's first count roots, shell by shell, ascending:
+    (x, shell, sign) of 11 log-spaced probes and the first break, below which
+    sign(j_lf j_lg) = +1 admits a root if sign_fg is +1, and (lo, hi, shell,
+    sign) of the first count gaps between breaks where sign(j_lf j_lg) =
+    sign_fg, with sign that of f at the first break and at lo (0: unknown).
 
-    A shell's breaks are the first top zeros of both its Bessel orders, of
-    the columns (l_f, l_g), sorted, each order's table read once; below the
-    first break come log-spaced probes, then linspace(lo, hi, nseg + 1)[1:]
-    of every gap, bit for bit.  sign(j_lf j_lg) is +1 below the first break
-    and flips at each: a region where it is not the shell's sign_fg (0: none)
-    holds no root and keeps its upper break alone, where, as at its lower
-    break, f has j_lf's sign in it.
+    The breaks are the first count + 1 zeros of both orders of the columns
+    (l_f, l_g), sorted, each order's table read once.  They interlace, the
+    lower order's first, so sign(j_lf j_lg) flips at each and every other gap
+    is kept, and (r + 1 + [l_f < l_g]) // 2 of j_lf's zeros lie below gap r.
+    f has j_lf's sign in the rootless gaps next to a kept one, so at its ends.
+    Two zeros of one order in a row mean a cut table (inf past its end), and
+    no gap from there on is kept.
     """
     distinct, at = np.unique(orders, return_inverse=True)
-    tables = np.full((distinct.size, top), np.inf)  # inf ends the gaps of a cut table
+    tables = np.full((distinct.size, count + 1), np.inf)
     for row, n_fg in zip(tables, distinct.tolist()):
-        z = _zero_table(n_fg, top)
+        z = _zero_table(n_fg, count + 1)
         row[:z.size] = z
-    breaks = np.sort(np.concatenate(tables[at.reshape(np.shape(orders))], axis=1), axis=1)
-    # region r: below the first break if r = -1, else above break r; the zeros of l_f
-    # and l_g interlace, the lower's first, so (r + 1 + [l_f < l_g]) // 2 of j_lf's precede it
-    r = np.arange(-1, breaks.shape[1])
-    skip = sign_fg[:, None] == (-1.0) ** r
-    sign_f = np.where(skip, (-1.0) ** ((r + 1 + (orders[0] < orders[1])[:, None]) // 2), 0.0)
-    edges = np.c_[np.zeros(sign_fg.size), breaks]
-    gaps = np.isfinite(edges[:, 1:])  # region -1 is its upper break, after the probes
-    lo, hi = edges[:, :-1][gaps], edges[:, 1:][gaps]  # shell by shell, ascending
-    nseg = np.where((skip | (r < 0))[:, :-1][gaps], 1,
-                    np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP))).astype(int)
-    gap = np.repeat(np.arange(nseg.size), nseg)
-    k = np.arange(gap.size) - np.repeat(np.cumsum(nseg) - nseg, nseg) + 1
-    inner = k < nseg[gap]
-    scan = np.where(inner, k * ((hi - lo) / nseg)[gap] + lo[gap], hi[gap])
-    per_shell = np.zeros(gaps.shape, int)
-    per_shell[gaps] = nseg
-    per_shell = per_shell.sum(axis=1)
-    n_probe = ~skip[:, 0] * 11
-    at = np.repeat(np.cumsum(per_shell) - per_shell, n_probe)
-    want = np.where(inner, 0.0, (sign_f[:, :-1] + sign_f[:, 1:])[gaps][gap])  # one is 0
-    probes = np.geomspace(1e-6, breaks[:, 0], 12, axis=1)[:, :11][n_probe > 0]
-    return np.insert(scan, at, probes.ravel()), per_shell + n_probe, np.insert(want, at, 0.0)
+    both = np.concatenate(tables[at.reshape(np.shape(orders))], axis=1)
+    by = np.argsort(both, axis=1, kind="stable")
+    breaks, of_g = np.take_along_axis(both, by, axis=1), by > count  # of_g: a zero of l_g
+    breaks[:, 1:][np.cumsum(of_g[:, 1:] == of_g[:, :-1], axis=1) > 0] = np.inf
+    r = np.arange(breaks.shape[1] - 1)
+    kept = (sign_fg[:, None] == -(-1.0) ** r) & np.isfinite(breaks[:, 1:])
+    shell, gap = np.nonzero(kept & (np.cumsum(kept, axis=1) <= count))
+    lower_f = orders[0] < orders[1]
+    probed = np.flatnonzero(sign_fg > 0)
+    probes = np.c_[np.geomspace(1e-6, breaks[probed, 0], 12, axis=1)[:, :11], breaks[probed, 0]]
+    want = np.zeros(probes.shape)
+    want[:, -1] = 1.0 - 2.0 * lower_f[probed]  # j_lf's sign above the first break
+    return ((probes.ravel(), np.repeat(probed, 12), want.ravel()),
+            (breaks[shell, gap], breaks[shell, gap + 1], shell,
+             (-1.0) ** ((gap + lower_f[shell]) // 2)))
 
 
 def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
@@ -216,16 +211,27 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     """First `count` momenta of each MIT shell of the label columns (two_j,
     kappa, esign), ascending, a row per shell.
 
-    Each shell's roots in x = p*R are located by a sign scan over the
-    intervals between the zeros of both Bessel orders where sign(j_lf j_lg)
-    admits a root (over every interval, for a shell whose equation fails the
-    sign guard at a zero), subdivided to at most pi/8; the scan grids of all
-    shells of a pass are built in one array pass, and their brackets refined
-    from the scan's values by one array Brent call, so a root has the bits of
-    its shell solved alone.  A shell short of roots rescans with 4 more zeros;
-    an exact 0 where j_{l_f} is not 0 (both underflow near x = 0 from j = 83/2)
-    opens a bracket.  Raises SolverError rather than skipping roots, and
-    ValueError for E < 0 above M R = 1.34e154, where the equation overflows.
+    In x = p R, let n be the lower order, (l_f, l_g) = (n, n + 1) for kappa > 0
+    and (n + 1, n) for kappa < 0.  The angle theta of (j_n, j_n+1) obeys
+    theta' = 1 - (n + 1) sin(2 theta) / x (by j_n' = n j_n / x - j_n+1 and
+    j_n+1' = j_n - (n + 2) j_n+1 / x), and a root is where tan theta is s c
+    or 1 / (s c), s = sgn(kappa) varsigma, c = p / (E + M): c = tan(psi/2),
+    or -cot(psi/2) for E < 0, psi = atan(x / (M R)), so that target angle
+    keeps its sign and turns at M R / (2 (x^2 + (M R)^2)) <= 1 / (4 x).  Above
+    the first break, a zero of j_n above n + 5/4 (specfun checks it), theta
+    minus the target so increases strictly, and theta turns a quarter from
+    break to break: a gap where sign(j_lf j_lg) = s esign, the sign of tan
+    theta at a root, holds one root and the others none.  Below the first
+    break, probes find sign changes, and an exact 0 where j_lf is not 0 (both
+    underflow near x = 0 from j = 83/2) is a root.
+
+    f is evaluated once at each probe and each end of a kept gap, and one
+    array Brent call refines all brackets, so a root has the bits of scalar
+    brentq on its bracket.  A break where f has the wrong sign or is 0 (from M
+    R of about 1e14, where rounding swamps f there) is the root, to within
+    rounding, for the unchanged QUANT_TOL check.  Raises SolverError rather
+    than skipping roots, and ValueError for E < 0 above M R = 1.34e154, where
+    the equation overflows.
     """
     if not (0 < R < math.inf and 0 <= M < math.inf and count >= 1):
         raise ValueError("require finite R > 0, finite M >= 0, count >= 1")
@@ -235,37 +241,30 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     if (esign < 0).any() and M * R > _MR_MAX:
         raise ValueError(f"M*R = {M * R!r} exceeds {_MR_MAX!r}: the E < 0 momentum scan overflows")
     f = lambda x, kappa, esign: _mit_equation(x, kappa, esign, M * R, varsigma)
-    n, sign_fg = kappa.size, np.where(kappa > 0, varsigma, -varsigma) * esign  # at a root
-    roots, todo, top = np.empty((n, count)), np.arange(n), count + 2
-    for _ in range(6):
-        while True:  # a shell that fails a guard scans again, every point at this top
-            grid, sizes, want = _scan_grids(bessel_orders(kappa[todo]), top, sign_fg[todo])
-            shell = np.repeat(todo, sizes)
-            vals = f(grid, kappa[shell], esign[shell])
-            if not np.all(np.isfinite(vals)):
-                raise SolverError("non-finite values in momentum equation scan")
-            fails = shell[(want != 0) & (np.sign(vals) != want)]
-            sign_fg[fails] = 0
-            if not fails.size:
-                break
-        zero = vals == 0.0
-        zero[zero] = spherical_jn(bessel_orders(kappa[shell[zero]])[0], grid[zero]) != 0.0
-        # a bracket, inside one shell's scan, is a sign change or starts at an
-        # exact zero, which _brentq_array returns as the root
-        cross = np.flatnonzero(((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) | zero[:-1])
-                               & (shell[:-1] == shell[1:]))
-        at = shell[cross]
-        found = _brentq_array(f, grid[cross], grid[cross + 1], (kappa[at], esign[at]),
-                              vals[cross], vals[cross + 1])
-        first = np.searchsorted(at, todo)
-        short = np.searchsorted(at, todo, "right") - first < count
-        roots[todo[~short]] = found[first[~short, None] + np.arange(count)]
-        todo = todo[short]
-        if not todo.size:
-            break
-        top += 4
+    sign_fg = np.where(kappa > 0, varsigma, -varsigma) * esign  # of j_lf j_lg at a root
+    (px, ps, want), (lo, hi, gs, sign) = _scan_grids(bessel_orders(kappa), count, sign_fg)
+    shell = np.r_[ps, gs, gs]
+    vals = f(np.r_[px, lo, hi], kappa[shell], esign[shell])
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("non-finite values in momentum equation scan")
+    pv, f_lo, f_hi = np.split(vals, [px.size, px.size + lo.size])
+    zero = pv == 0.0
+    zero[zero] = spherical_jn(bessel_orders(kappa[ps[zero]])[0], px[zero]) != 0.0
+    zero |= (want != 0) & (np.sign(pv) != want)  # a first break with the wrong sign
+    cross = np.flatnonzero((np.sign(pv[:-1]) * np.sign(pv[1:]) < 0) & (ps[:-1] == ps[1:])
+                           & ~zero[1:])
+    at_lo = np.sign(f_lo) != sign
+    near = at_lo | (np.sign(f_hi) != -sign)
+    at = np.r_[ps[cross], gs[~near]]
+    found = _brentq_array(f, np.r_[px[cross], lo[~near]], np.r_[px[cross + 1], hi[~near]],
+                          (kappa[at], esign[at]), np.r_[pv[cross], f_lo[~near]],
+                          np.r_[pv[cross + 1], f_hi[~near]])
+    x, at = np.r_[px[zero], found, np.where(at_lo, lo, hi)[near]], np.r_[ps[zero], at, gs[near]]
+    have = np.bincount(at, minlength=kappa.size)
+    roots = x[np.lexsort((x, at))][(np.cumsum(have) - have)[have >= count, None]
+                                   + np.arange(count)]
     # the first failing shell raises, as it would with the shells solved in turn
-    stop = todo[0] if todo.size else n
+    stop = np.argmax(have < count) if (have < count).any() else kappa.size
     resid = _mit_residual(roots[:stop], kappa[:stop, None], esign[:stop, None], M * R,
                           varsigma)
     fails = np.flatnonzero((resid > QUANT_TOL).any(axis=1))
@@ -273,10 +272,10 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         s, r = fails[0], resid[resid > QUANT_TOL][0]  # the first failing root
         raise SolverError(f"momentum root residual {r:.2e} exceeds {QUANT_TOL:g} "
                           f"(two_j={two_j[s]}, kappa={kappa[s]}, esign={esign[s]})")
-    if todo.size:
-        s = todo[0]
-        raise SolverError(f"could not locate {count} momentum roots (two_j={two_j[s]}, "
-                          f"kappa={kappa[s]}, esign={esign[s]}, M={M}, varsigma={varsigma})")
+    if stop < kappa.size:
+        raise SolverError(f"could not locate {count} momentum roots (two_j={two_j[stop]}, "
+                          f"kappa={kappa[stop]}, esign={esign[stop]}, M={M}, "
+                          f"varsigma={varsigma})")
     return roots / R
 
 
@@ -315,16 +314,18 @@ def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
     Uses the closed form obtained by eliminating one Bessel order through the
     momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation).
     The ratio under the square root must be positive: if negative, (p, E) do not
-    solve the same branch; if +0, it underflowed (FloatingPointError)."""
+    solve the same branch; if +0 or subnormal, it underflowed, and C would keep
+    few bits (FloatingPointError)."""
     two_j, kappa, i, E, p = np.broadcast_arrays(two_j, kappa, i, E, p)
     sgn_k = np.where(kappa > 0, 1, -1)
     ratio = (np.where(E > 0, E + M, -(p * p) / (np.abs(E) + M))
              / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E))
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
-    bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
+    tiny = np.finfo(float).tiny
+    bad = np.flatnonzero(~(ratio >= tiny) | (jval == 0.0))
     if bad.size:
         at = np.unravel_index(bad[0], p.shape)
-        if ratio[at] == 0.0 and not np.signbit(ratio[at]):
+        if 0.0 <= ratio[at] < tiny and not np.signbit(ratio[at]):
             raise FloatingPointError(f"MIT norm ratio underflows at R={R}, M={M}")
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "

@@ -161,8 +161,8 @@ def _extend_zeros(n: int, count: int) -> None:
     _extend_zeros(n - 1, count + 1)
     edges = np.array(_zero_cache[n - 1][len(have):count + 1])
     have += _brentq_array(lambda x: spherical_jn(n, x), edges[:-1], edges[1:]).tolist()
-    # first-zero lower bound xi_{n,1} > n + 1
-    if have[0] <= n + 1:
+    # first-zero lower bound xi_{n,1} > n + 5/4, on which the MIT brackets rest
+    if have[0] <= n + 1.25:
         raise RuntimeError(f"zero table inconsistent at order {n}: xi_1 = {have[0]}")
 
 

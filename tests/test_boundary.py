@@ -20,7 +20,7 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
-from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
+from rotsphere.boundary import (QUANT_TOL, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
@@ -251,9 +251,10 @@ def _mit_density_reference(mode, R: float, M: float,
     return worst
 
 
-# The scalar MIT root and norm code that the array path replaced, kept
-# verbatim as references: the per-interval linspace scan, one scipy brentq
-# call per bracket, the per-root residual check and the per-mode norm.
+# The scalar MIT root and norm references: one scipy brentq call per bracket,
+# over the gaps between consecutive zeros of the shell's two Bessel orders,
+# and between log-spaced probes below the first, where the equation changes
+# sign; the per-root residual check and the per-mode norm.
 
 
 def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: float,
@@ -265,41 +266,24 @@ def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: floa
     rho = M * R
     n_f, n_g = bessel_orders(kappa)
     f = lambda x: _mit_equation(x, kappa, esign, rho, varsigma)
-
-    need = count
-    for _ in range(6):
-        k_hi = min(need + 2, I_MAX_DEFAULT)
-        breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
-        # near-zero approach: log-spaced probes below the first break
-        pts = [np.geomspace(1e-6, breaks[0], 12)]
-        lo = breaks[0]
-        for hi in breaks[1:]:
-            nseg = max(2, int(math.ceil((hi - lo) / _SCAN_STEP)))
-            pts.append(np.linspace(lo, hi, nseg + 1)[1:])
-            lo = hi
-        grid = np.concatenate(pts)
-        vals = f(grid)
-        if not np.all(np.isfinite(vals)):
-            raise SolverError("non-finite values in momentum equation scan")
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        roots = []
-        for idx in sign_change:
-            roots.append(brentq(f, grid[idx], grid[idx + 1], xtol=_ROOT_XTOL))
-        exact = grid[vals == 0.0]
-        if exact.size:
-            roots = sorted(set(roots) | set(exact.tolist()))
-        if len(roots) >= count:
-            roots = sorted(roots)[:count]
-            for x in roots:
-                if abs(f(x)) > 1e-10:
-                    raise SolverError(
-                        f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
-                        f"(two_j={two_j}, kappa={kappa}, esign={esign})")
-            return np.array([x / R for x in roots])
-        need += 4
-    raise SolverError(
-        f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
-        f"esign={esign}, M={M}, varsigma={varsigma})")
+    breaks = np.union1d(bessel_zeros(n_f, count + 1), bessel_zeros(n_g, count + 1))
+    grid = np.concatenate([np.geomspace(1e-6, breaks[0], 12)[:11], breaks])
+    vals = f(grid)
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("non-finite values in momentum equation scan")
+    roots = [brentq(f, grid[k], grid[k + 1], xtol=_ROOT_XTOL)
+             for k in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]]
+    roots = sorted(set(roots) | set(grid[vals == 0.0].tolist()))
+    if len(roots) < count:
+        raise SolverError(
+            f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
+            f"esign={esign}, M={M}, varsigma={varsigma})")
+    for x in roots[:count]:
+        if abs(f(x)) > 1e-10:
+            raise SolverError(
+                f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
+                f"(two_j={two_j}, kappa={kappa}, esign={esign})")
+    return np.array(roots[:count]) / R
 
 
 def _mit_norm_reference(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
@@ -616,7 +600,7 @@ class TestMitArrayPath:
                 assert _same_bits(p[s], ref), (R, vs, esign, tj, ka)
                 assert _same_bits(C[s], ref_C), (R, vs, esign, tj, ka)
 
-    @pytest.mark.parametrize("rho, rejected", [(1e6, 0), (3e6, 8), (1e7, 57)])
+    @pytest.mark.parametrize("rho, rejected", [(1e6, 0), (3e6, 4), (1e7, 38)])
     def test_solves_at_huge_mass(self, rho, rejected):
         # the esign = -1 coefficient grows like 2 M R / x, and with it the
         # rounding of the equation at a root: the reference's absolute check
@@ -636,38 +620,75 @@ class TestMitArrayPath:
                     assert _same_bits(p[s], ref), (vs, tj, ka)
         assert failed == rejected
 
-    @pytest.mark.parametrize("rho", [1e16, 1e20])
-    def test_guard_fallback_at_huge_mass(self, rho, monkeypatch):
-        # here a break, a zero of one Bessel order, rounds the equation to
-        # either sign, so guards fail and those shells scan their whole grid:
-        # the esign = +1 roots keep the reference's bits, esign = -1 roots (which
-        # the reference's absolute check rejects) change sign at 50 digits
-        signs, real = [], boundary._scan_grids
-        monkeypatch.setattr(boundary, "_scan_grids", lambda orders, top, sign_fg: (
-            signs.append(sign_fg.copy()) or real(orders, top, sign_fg)))
+    @pytest.mark.parametrize("rho, budget", [(1e16, 1_820), (1e20, 1_690)])
+    def test_evaluations_at_huge_mass(self, rho, budget, monkeypatch):
+        # here a root lies within rounding of a break, a zero of one Bessel
+        # order, and the equation there can round to either sign: the break
+        # with the wrong sign is the root, with no second pass over the shell.
+        # The 22 shells of j <= 21/2 and 20 roots take 1,673 to 1,816
+        # evaluations (a sign scan whose guard failed there, then a scan of
+        # every gap, took 8,174 to 8,277).  Every root changes sign at 50 digits.
+        points, real = [], boundary._mit_equation
+        monkeypatch.setattr(boundary, "_mit_equation", lambda x, *args: (
+            points.append(np.size(x)) or real(x, *args)))
         two_j, kappa = np.array(list(_mit_shells(21))).T
         for vs, esign in itertools.product((1, -1), (1, -1)):
-            signs.clear()
+            points.clear()
             p = _mit_roots(two_j, kappa, esign, 1.0, rho, vs, 20)
-            assert signs[0].all() and not signs[1].all(), (vs, esign)  # a fallback ran
+            assert sum(points) <= budget, (vs, esign)
             for s, (tj, ka) in enumerate(_mit_shells(21)):
-                if esign > 0:
-                    ref = _mit_momenta_reference(tj, ka, 1, 1.0, rho, vs, 20)
-                    assert _same_bits(p[s], ref), (vs, tj, ka)
-                else:
-                    for x in p[s].tolist():
-                        assert mp_mit_sign_change(x, ka, -1, rho, vs), (vs, tj, ka, x)
+                for x in p[s].tolist():
+                    assert mp_mit_sign_change(x, ka, esign, rho, vs), (vs, esign, tj, ka, x)
 
     def test_cold_solve_skips_rootless_gaps(self, monkeypatch):
         # the j <= 41/2, i_max = 60 set of shell_rows(mit(1), 1, 1.0, 1.0, 60, 41)
-        # evaluates the equation at 29,071 points; scanning every gap, the
-        # ones where sign(j_lf j_lg) forbids a root too, took 43,698
+        # evaluates the equation at 21,924 points: once at each end of a kept gap
+        # and each probe, then in Brent.  A sign scan over the gaps where
+        # sign(j_lf j_lg) admits a root took 29,071, over every gap 43,698
         points, real = [], boundary._mit_equation
         monkeypatch.setattr(boundary, "_mit_equation", lambda x, *args: (
             points.append(np.size(x)) or real(x, *args)))
         two_j, kappa = np.array(list(_mit_shells())).T
         _mit_roots(two_j, kappa, 1, 1.0, 1.0, 1, 60)
-        assert sum(points) <= 31_000
+        assert sum(points) <= 22_000
+
+    def test_break_rule_idle_below_1e14(self):
+        # below M R = 1e14 f has the expected sign at every break, so the roots
+        # keep the bits of the reference, which has no break rule, wherever it
+        # accepts them
+        rng, compared = np.random.default_rng(1414), 0
+        shells = list(_mit_shells(81))  # from j = 83/2 j_lf underflows at the first probe
+        for rho in [0.0, *10.0 ** rng.uniform(-3.0, 13.0, 15)]:
+            vs, esign, count = int(rng.choice([1, -1])), int(rng.choice([1, -1])), 12
+            pick = rng.choice(len(shells), 10, replace=False)
+            two_j, kappa = np.array([shells[k] for k in pick]).T
+            p = _mit_roots(two_j, kappa, esign, 1.0, rho, vs, count)
+            for row, tj, ka in zip(p, two_j.tolist(), kappa.tolist()):
+                try:
+                    ref = _mit_momenta_reference(tj, ka, esign, 1.0, rho, vs, count)
+                except SolverError:  # its absolute residual check, at large M R
+                    continue
+                assert _same_bits(row, ref), (rho, vs, esign, tj, ka)
+                compared += 1
+        assert compared >= 100
+
+    def test_phase_margin_above_first_break(self):
+        # _mit_roots' proof: above the first zero of the lower order n, which
+        # exceeds n + 5/4, the angle theta of (j_n, j_n+1) less the target angle
+        # atan(s c) (kappa < 0) or atan(1 / (s c)) (kappa > 0) increases
+        # strictly.  Sampled from that zero to the third of order n, for every
+        # shell of j <= 41/2, both varsigma and E signs, and M R in {0, 1, 1e3}
+        for (two_j, kappa), vs, esign, rho in itertools.product(
+                _mit_shells(), (1, -1), (1, -1), (0.0, 1.0, 1e3)):
+            n = min(bessel_orders(kappa))
+            zeros = bessel_zeros(n, 3)
+            assert zeros[0] > n + 1.25
+            x = np.linspace(zeros[0], zeros[2], 400)
+            theta = np.unwrap(np.arctan2(spherical_jn(n + 1, x), spherical_jn(n, x)))
+            s = np.hypot(x, rho)
+            sc = (1 if kappa > 0 else -1) * vs * (x / (s + rho) if esign > 0 else -(s + rho) / x)
+            gap = theta - (np.arctan(1.0 / sc) if kappa > 0 else np.arctan(sc))
+            assert np.all(np.diff(gap) > 0), (two_j, kappa, vs, esign, rho)
 
     @pytest.mark.parametrize("rho", [1e6, 3e6, 1e7])
     def test_moved_roots_rejected(self, rho):
@@ -697,43 +718,48 @@ class TestMitArrayPath:
         monkeypatch.setattr(boundary, "_zero_table", cut)
         return calls
 
-    def test_short_scan_retries_that_shell_only(self, monkeypatch):
-        # count 8 scans count + 2 = 10 zeros first; the cut scans find fewer
-        # than 8 roots in shells (5, -3) and (5, 3), which rescan with 14
-        calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
+    def test_each_table_read_once(self, monkeypatch):
+        # count 8 reads the first count + 1 = 9 zeros of each order, and each
+        # order's table once for all the shells of the batch that read it
+        calls = self._cut_tables(monkeypatch, lambda count: count)
         p = _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
-        assert sorted(set(calls)) == [(0, 10), (1, 10), (2, 10), (2, 14), (3, 10), (3, 14)]
-        # one rescan pass, which reads each order's table once for both shells
-        assert calls.count((2, 14)) == calls.count((3, 14)) == 1
+        assert sorted(calls) == [(0, 9), (1, 9), (2, 9), (3, 9)]
         for row, two_j, kappa in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(two_j, kappa, 1, 1.3, 0.7, -1, 8))
 
     def test_ragged_scans_in_one_batch(self, monkeypatch):
-        # the cut tables give the first pass shells of 20 breaks (j = 1/2),
-        # 12 (j = 5/2) and 18 (j = 9/2); the j = 5/2 shells rescan with 14
-        # zeros, the others do not.  The reference reads the same tables.
-        calls = self._cut_tables(monkeypatch, lambda count: count - 4 if count == 10 else count)
+        # tables of orders 3 and 5 cut to count zeros, one short: the j = 5/2
+        # and 9/2 shells have 17 breaks, the j = 1/2 shells 18, and the shells
+        # with sign_fg = +1 probe below their first break, the others do not.
+        # Every shell still has count kept gaps, and the reference reads the
+        # same tables.  One zero fewer leaves those shells short: no gap past
+        # the last zero of a cut table is kept, as the next zero is unknown.
+        calls = self._cut_tables(monkeypatch, lambda count: count)
         cut = boundary._zero_table
         monkeypatch.setattr(boundary, "_zero_table", lambda n, count: (
-            cut(n, count)[:count - 1] if n in (4, 5) else cut(n, count)))
+            cut(n, count)[:count - 1] if n in (3, 5) else cut(n, count)))
         monkeypatch.setitem(globals(), "bessel_zeros", boundary._zero_table)
         two_j, kappa = [1, 1, 5, 5, 9, 9], [-1, 1, -3, 3, -5, 5]
         for esign, vs in itertools.product((1, -1), (1, -1)):
             calls.clear()
             p = _mit_roots(two_j, kappa, esign, 1.3, 0.7, vs, 8)
-            assert sorted(set(calls)) == sorted([(n, 10) for n in range(6)] + [(2, 14), (3, 14)])
+            assert sorted(calls) == [(n, 9) for n in range(6)]
             for row, tj, ka in zip(p, two_j, kappa):
                 assert _same_bits(row, _mit_momenta_reference(tj, ka, esign, 1.3, 0.7, vs, 8))
+        monkeypatch.setattr(boundary, "_zero_table", lambda n, count: (
+            cut(n, count)[:count - 2] if n in (3, 5) else cut(n, count)))
+        with pytest.raises(SolverError, match=r"could not locate 8 momentum roots \(two_j=5, "
+                                              r"kappa=-3,"):
+            _mit_roots(two_j, kappa, 1, 1.3, 0.7, 1, 8)
 
     def test_exact_zero_probe_in_a_batch(self, monkeypatch):
         # no input known to this suite puts an exact 0 of the equation on a
         # probe where j_{l_f} is not 0, so one is made: the equation of shell
-        # (5, 3) reads 0 at a scan point between two of its roots, in the gap
-        # from the first zero of j_3 to the second of j_2, which can hold a
-        # root.  That probe is merged with the shell's roots; the other shells
-        # keep theirs.
+        # (5, 3) reads 0 at a probe below its first break, where sign(j_2 j_3)
+        # = +1 admits a root at esign = varsigma = 1.  That probe is merged
+        # with the shell's roots; the other shells keep theirs.
         real = boundary._mit_equation
-        x0 = float(np.linspace(bessel_zeros(3, 1)[0], bessel_zeros(2, 2)[1], 3)[1])
+        x0 = float(np.geomspace(1e-6, bessel_zeros(2, 1)[0], 12)[7])
         zero_at = lambda x, kappa, esign, rho, vs: np.where(
             (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
         monkeypatch.setattr(boundary, "_mit_equation", zero_at)
@@ -745,21 +771,22 @@ class TestMitArrayPath:
 
     def test_exact_zero_on_a_guarded_break(self, monkeypatch):
         # for shell (5, 3) at esign = varsigma = 1 a root needs j_2 j_3 > 0, so
-        # the gap from the first zero of j_2 to the first of j_3 is not
-        # scanned, and the equation must be negative at both.  A 0 made at the
-        # first zero of j_3 fails the guard: the pass scans again, that shell
-        # on its whole grid, and the 0 is a root, as in the reference
-        real, scans = boundary._mit_equation, boundary._scan_grids
+        # the gap from the first zero of j_3 to the second of j_2 is kept, and
+        # the equation must be negative at its lower end.  A 0 made there is
+        # that gap's root, as in the reference, from the one evaluation of
+        # that break: no pass scans the shell again, and Brent never reads it
+        real, seen = boundary._mit_equation, []
         x0 = float(bessel_zeros(3, 1)[0])
-        zero_at = lambda x, kappa, esign, rho, vs: np.where(
-            (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
-        signs = []
-        monkeypatch.setattr(boundary, "_scan_grids", lambda orders, top, sign_fg: (
-            signs.append(sign_fg.tolist()) or scans(orders, top, sign_fg)))
+
+        def zero_at(x, kappa, esign, rho, vs):
+            if np.ndim(x) == 1:  # the pass over the brackets' ends, then Brent
+                seen.extend(x[kappa == 3].tolist())
+            return np.where((x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
+
         monkeypatch.setattr(boundary, "_mit_equation", zero_at)
-        monkeypatch.setitem(globals(), "_mit_equation", zero_at)
         p = _mit_roots(*self._BATCH, 1, 1.0, 1.23, 1, 5)
-        assert signs == [[-1, 1, -1, 1], [-1, 1, -1, 0]]
+        assert seen.count(x0) == 1
+        monkeypatch.setitem(globals(), "_mit_equation", zero_at)
         assert x0 in p[3].tolist() and x0 not in p[2].tolist()
         for row, tj, ka in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))

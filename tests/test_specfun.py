@@ -12,8 +12,8 @@ from rotsphere import (QuantumNumbers, UnsupportedOrderError, angular_density,
                        assoc_legendre_density, bessel_zeros, density_terms,
                        legendre_density_table, spherical_bessel_j,
                        spherical_bessel_j_prime, spherical_bessel_zero)
-from rotsphere.specfun import (_ROOT_XTOL, I_MAX_DEFAULT, SolverError, _brentq_array,
-                               spherical_jn)
+from rotsphere.specfun import (_ROOT_XTOL, I_MAX_DEFAULT, N_MAX_DEFAULT, SolverError,
+                               _brentq_array, spherical_jn)
 from oracles import mp_spherical_j, scan_bessel_zeros
 
 # first zero of j_1, frozen from bisection over (pi, 2*pi); mpmath-confirmed below
@@ -142,6 +142,8 @@ class TestZeros:
         tables = {n: bessel_zeros(n, count + 1) for n in range(0, 21)}
         for n in range(0, 21):
             assert tables[n][0] > n + 1
+        # the MIT brackets rest on xi_{n,1} > n + 5/4, which the table checks
+        assert all(bessel_zeros(n, 1)[0] > n + 1.25 for n in range(N_MAX_DEFAULT + 1))
         for n in range(0, 20):
             for i in range(count):
                 assert tables[n][i] < tables[n + 1][i] < tables[n][i + 1]
