@@ -5,9 +5,9 @@ puts the momenta at spherical Bessel zeros.  The MIT bag condition
 -i gamma^r psi = varsigma psi gives a transcendental momentum equation.  Above
 the first zero of its two Bessel orders, each gap between consecutive zeros
 where the signs of its two Bessel terms admit a root holds exactly one (the
-proof is _mit_roots'), so those gaps are the brackets, with probes below the
-first zero; one array Brent refinement solves the brackets of a batch of
-shells.  The solver and the quantization residual accept a root by one rule,
+proof is _mit_roots'), so each is bisected over its equal parts to the one
+that holds the root, with probes below the first zero, and one array Brent
+refinement solves the brackets of a batch of shells.  The solver and the quantization residual accept a root by one rule,
 _mit_residual <= QUANT_TOL.
 
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
@@ -47,6 +47,7 @@ from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, be
 if TYPE_CHECKING:
     from .condensate import PhysicalParams
 
+_SCAN_STEP = math.pi / 8.0
 QUANT_TOL = 1e-10  # the largest quantization residual accepted
 _MR_MAX = math.sqrt(np.finfo(float).max)  # x * x + (M R)**2 overflows above it
 
@@ -206,6 +207,30 @@ def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.n
              (-1.0) ** ((gap + lower_f[shell]) // 2)))
 
 
+def _bisect_parts(f, lo, hi, f_lo, f_hi, cols, todo):
+    """Of each gap [lo, hi] in todo, holding one root where f changes sign,
+    the part of its nseg = max(2, ceil((hi - lo) / _SCAN_STEP)) equal parts
+    that holds the root, found by bisecting over the parts' ends, as (a, b,
+    f(a), f(b)); an end at an exact 0 of f is the root, with f(a) = 0.
+    Brent from that part, as from a sign scan over every part's end, gives
+    each root the same bits with fewer evaluations of f."""
+    nseg = np.maximum(2, np.ceil((hi - lo) / _SCAN_STEP)).astype(int)
+    step, i, k = (hi - lo) / nseg, np.zeros_like(nseg), nseg.copy()
+    fa, fb = f_lo.copy(), f_hi.copy()
+    while True:
+        act = np.flatnonzero(todo & (k - i > 1) & (fa != 0))
+        if not act.size:
+            break
+        m = (i[act] + k[act]) // 2
+        fm = f(m * step[act] + lo[act], *(c[act] for c in cols))
+        if not np.all(np.isfinite(fm)):
+            raise SolverError("non-finite values in momentum equation scan")
+        right = (fm == 0) | (np.sign(fm) == np.sign(fa[act]))  # the root is at or past m
+        i[act[right]], fa[act[right]] = m[right], fm[right]
+        k[act[~right]], fb[act[~right]] = m[~right], fm[~right]
+    return (np.where(i > 0, i * step + lo, lo), np.where(k < nseg, k * step + lo, hi), fa, fb)
+
+
 def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
                count: int) -> np.ndarray:
     """First `count` momenta of each MIT shell of the label columns (two_j,
@@ -225,10 +250,12 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     break, probes find sign changes, and an exact 0 where j_lf is not 0 (both
     underflow near x = 0 from j = 83/2) is a root.
 
-    f is evaluated once at each probe and each end of a kept gap, and one
-    array Brent call refines all brackets, so a root has the bits of scalar
-    brentq on its bracket.  A break where f has the wrong sign or is 0 (from M
-    R of about 1e14, where rounding swamps f there) is the root, to within
+    f is evaluated once at each probe and each end of a kept gap, which
+    _bisect_parts then bisects to the part of it that holds the root, and
+    one array Brent call refines all brackets, so a root has the bits of
+    scalar brentq after a sign scan of every part.  An exact 0 of f at a gap's
+    end is a root, and an end where f has the wrong sign (from M R of about
+    1e14, where rounding swamps f at a break) is the root, to within
     rounding, for the unchanged QUANT_TOL check.  Raises SolverError rather
     than skipping roots, and ValueError for E < 0 above M R = 1.34e154, where
     the equation overflows.
@@ -253,13 +280,18 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     zero |= (want != 0) & (np.sign(pv) != want)  # a first break with the wrong sign
     cross = np.flatnonzero((np.sign(pv[:-1]) * np.sign(pv[1:]) < 0) & (ps[:-1] == ps[1:])
                            & ~zero[1:])
-    at_lo = np.sign(f_lo) != sign
-    near = at_lo | (np.sign(f_hi) != -sign)
-    at = np.r_[ps[cross], gs[~near]]
-    found = _brentq_array(f, np.r_[px[cross], lo[~near]], np.r_[px[cross + 1], hi[~near]],
-                          (kappa[at], esign[at]), np.r_[pv[cross], f_lo[~near]],
-                          np.r_[pv[cross + 1], f_hi[~near]])
-    x, at = np.r_[px[zero], found, np.where(at_lo, lo, hi)[near]], np.r_[ps[zero], at, gs[near]]
+    # a gap's ends: an exact 0 is a root, and one with the wrong sign is the root
+    wrong_lo, wrong = f_lo * sign < 0, (f_lo * sign < 0) | (f_hi * sign > 0)
+    a, b, fa, fb = _bisect_parts(f, lo, hi, np.where(f_lo == 0, sign, f_lo),
+                                 np.where(f_hi == 0, -sign, f_hi), (kappa[gs], esign[gs]), ~wrong)
+    solve = ~wrong & ((a > lo) | (f_lo != 0)) & ((b < hi) | (f_hi != 0))
+    at = np.r_[ps[cross], gs[solve]]
+    found = _brentq_array(f, np.r_[px[cross], a[solve]], np.r_[px[cross + 1], b[solve]],
+                          (kappa[at], esign[at]), np.r_[pv[cross], fa[solve]],
+                          np.r_[pv[cross + 1], fb[solve]])
+    on_lo, on_hi = f_lo * sign <= 0, (f_hi * sign >= 0) & ~wrong_lo
+    x = np.r_[px[zero], found, lo[on_lo], hi[on_hi]]
+    at = np.r_[ps[zero], at, gs[on_lo], gs[on_hi]]
     have = np.bincount(at, minlength=kappa.size)
     roots = x[np.lexsort((x, at))][(np.cumsum(have) - have)[have >= count, None]
                                    + np.arange(count)]
@@ -314,18 +346,16 @@ def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
     Uses the closed form obtained by eliminating one Bessel order through the
     momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation).
     The ratio under the square root must be positive: if negative, (p, E) do not
-    solve the same branch; if +0 or subnormal, it underflowed, and C would keep
-    few bits (FloatingPointError)."""
+    solve the same branch; if +0, it underflowed (FloatingPointError)."""
     two_j, kappa, i, E, p = np.broadcast_arrays(two_j, kappa, i, E, p)
     sgn_k = np.where(kappa > 0, 1, -1)
     ratio = (np.where(E > 0, E + M, -(p * p) / (np.abs(E) + M))
              / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E))
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
-    tiny = np.finfo(float).tiny
-    bad = np.flatnonzero(~(ratio >= tiny) | (jval == 0.0))
+    bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
     if bad.size:
         at = np.unravel_index(bad[0], p.shape)
-        if 0.0 <= ratio[at] < tiny and not np.signbit(ratio[at]):
+        if ratio[at] == 0.0 and not np.signbit(ratio[at]):
             raise FloatingPointError(f"MIT norm ratio underflows at R={R}, M={M}")
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "

@@ -351,7 +351,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig()
-    given = ((key, args.mode if key == "mode" else getattr(args, key, None)) for key in _CONFIG)
+    given = ((key, getattr(args, key, None)) for key in _CONFIG)  # mode is the subcommand
     return _validate(_apply(cfg, ((key, val) for key, val in given if val is not None)))
 
 

@@ -10,13 +10,16 @@ temperature-independent divergent part; w' is the default.
 
 One kernel evaluates points and grids.  It walks j once, outermost, for all
 points at once, with the two kappa shells of a j stacked along the radial
-index.  Per j it forms the paired weights, |C|^2 and M/(2E), which bound each
-mode's |term| at any r: |A| <= (d+ + d-)/2 and |B| <= M/(2E) (d+ + d-), as
-0 <= j_n^2 <= 1.  The weights fall like exp(-beta (E_tilde - |mu|)), so each
-j but the last keeps only the i-prefix whose dropped suffix bounds below
-2^-120 of the j block's bound; a spectral j reuses the order-k0 Bessel
-squares of the shell before it, whose momenta its -k0 shell shares.  The
-Legendre table is formed once per theta.  The terms, a row per point in the
+index.  Each mode's |term| at any r is bounded from its weights, |C|^2 and
+M/(2E): |A| <= (d+ + d-)/2 and |B| <= M/(2E) (d+ + d-), as 0 <= j_n^2 <= 1.
+The weights fall like exp(-beta (E_tilde - |mu|)), so before it forms any
+weight the kernel bounds each (j, kappa, i) row's sum over m_j from the
+densities' sums over m_j, for all j at once, and each j but the last keeps
+only the i-prefix whose dropped suffix bounds below 2^-120 of the j's bound.
+The weights, |C|^2 and M/(2E) are formed on the kept rows only; a spectral j
+reuses the order-k0 Bessel squares of the shell before it, whose momenta its
+-k0 shell shares.  The Legendre table and the densities of all (j, m_j) pairs
+are formed once per theta.  The terms, a row per point in the
 canonical order (ascending j, then kappa, i, m_j), fill a buffer of about
 2^16 terms j block by j block, reduced by one TwoSum tree per theta; a j
 block too large for it, and the last j, whose sum is the tail estimate, are
@@ -178,25 +181,21 @@ def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
 
 def _row_bounds(params: PhysicalParams, rows: list, d: np.ndarray, two_m: np.ndarray,
                 starts: np.ndarray, i_max: int, subtracted: bool) -> np.ndarray:
-    """A bound U per (j, kappa, i) row of rows on the summed b of its m_j (see
-    _j_blocks), formed before any weight, shape (j, kappa, i).  d holds d+ +
-    d- of the (j, m_j) pairs, each j's from starts on, and two_m their
-    doubled m_j.
+    """A bound U, shape (j, kappa, i), on each row's sum over m_j of the b of
+    _j_blocks, formed before any weight; d holds d+ + d- of the (j, m_j)
+    pairs, each j's from starts on, and two_m their doubled m_j.
 
-    f(x) = 1/(1 + e^(beta x)) <= min(1, e^(-beta x)), so each subtracted
-    weight is at most min(2, 2 cosh(beta mu) e^(-beta E_tilde)) in size, a raw
-    one at most 1, and amp <= (|w_t| + |w_b|)(1/2 + M/(2E)) for both
-    boundaries.  Over m_j, w_t sits at E_tilde = E - Omega m_j and w_b at
-    E + Omega m_j: with D = sum d and S = sum d (e^(beta Omega m_j) +
-    e^(-beta Omega m_j)), the row's b sum to at most C2 (1/2 + M/(2E))
-    min(4 D, 2 cosh(beta mu) e^(-beta E) S).  S e^(-beta E) is formed as
-    e^(a - beta E) s, a = max log(d e^(beta Omega m_j)) and 1 <= s <= 2
-    (2j + 1), which neither overflows nor loses a pair to underflow; an inf
-    or nan there falls back to 4 D, so U is never nan.  U adds the held
-    (C2 + 1) 2^-1060 of each mode twice, which covers what underflow takes
-    from a weight, then 2^-36 of itself, and its exponentials beta (E +
-    Omega j + |mu|) 2^-48, over what rounding of the weights and of U moves
-    their arguments and their products: U is at least the rounded b sum."""
+    f(x) = 1/(1 + e^(beta x)) <= min(1, e^(-beta x)) bounds a subtracted weight
+    by min(2, 2 cosh(beta mu) e^(-beta E_tilde)), a raw one by 1, and amp <=
+    (|w_t| + |w_b|)(1/2 + M/(2E)).  With w_t at E - Omega m_j and w_b at E +
+    Omega m_j, a row's b sum to at most C2 (1/2 + M/(2E)) min(4 D, 2 cosh(beta
+    mu) e^(-beta E) S), D = sum d and S = sum d (e^(beta Omega m_j) +
+    e^(-beta Omega m_j)).  e^(-beta E) S is formed as e^(a - beta E) s, with
+    a = max log(d e^(beta Omega m_j)) and 1 <= s <= 2 (2j + 1), so nothing
+    overflows or underflows to hide a pair; an inf or nan there gives 4 D.  U
+    adds the (C2 + 1) 2^-1060 of each mode twice, over what underflow takes
+    from a weight, then 2^-36 of itself and beta (E + Omega j + |mu|) 2^-48 to
+    its exponents, over what rounding moves: U is at least the rounded b sum."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     E = np.array([E for _, E, _ in rows]).reshape(-1, 2, i_max)  # (j, kappa, i)
     C2 = np.array([C for *_, C in rows]).reshape(E.shape) ** 2
@@ -229,17 +228,14 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
     (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
     at every r, with d+ + d- at its largest over the thetas, plus (C2 + 1)
-    2^-1060, over 2^8 times what underflow can take from a formed term.
-    With prune, _kept_prefixes bounds each (j, kappa, i) row's b sum before
-    any weight is formed, and each j but the last, whose sum is the tail
-    estimate, keeps the shortest i-prefix, shared by both kappa shells, whose
-    dropped suffix bounds below _PRUNE_REL times the j's; a nan or inf bound
-    is never dropped, nor is any mode of a j whose bounds sum to inf.  D is
-    twice the rounded sum of the dropped rows' bounds: that covers the
-    relative rounding of the terms and of the sum, below 2^-35 at 2^17
-    terms, and a computed |j_n| up to 1.4.  The weights, |C|^2 and M/(2E)
-    are formed on the kept rows only, and the densities of all (j, m_j) pairs
-    once per theta."""
+    2^-1060, over 2^8 times what underflow can take from a formed term.  With
+    prune, each j but the last, whose sum is the tail estimate, keeps the
+    shortest i-prefix, shared by both kappa shells, whose dropped suffix of
+    _row_bounds bounds below _PRUNE_REL times the j's; an inf bound is never
+    dropped, nor is any row of a j whose bounds sum to inf.  D is twice the
+    rounded sum of the dropped rows' bounds: that covers the relative rounding
+    of the terms and of the sum, below 2^-35 at 2^17 terms, and a computed
+    |j_n| up to 1.4.  Weights, |C|^2 and M/(2E) are formed on kept rows only."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
     cap = min(_BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last

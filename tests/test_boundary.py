@@ -20,7 +20,7 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        spectrum_to_csv, spectrum_to_json, spherical_bessel_j,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
-from rotsphere.boundary import (QUANT_TOL, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
+from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
                                 _WALL_THETA, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
@@ -251,10 +251,9 @@ def _mit_density_reference(mode, R: float, M: float,
     return worst
 
 
-# The scalar MIT root and norm references: one scipy brentq call per bracket,
-# over the gaps between consecutive zeros of the shell's two Bessel orders,
-# and between log-spaced probes below the first, where the equation changes
-# sign; the per-root residual check and the per-mode norm.
+# The scalar MIT root and norm code that the array path replaced, kept
+# verbatim as references: the per-interval linspace scan, one scipy brentq
+# call per bracket, the per-root residual check and the per-mode norm.
 
 
 def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: float,
@@ -266,24 +265,41 @@ def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: floa
     rho = M * R
     n_f, n_g = bessel_orders(kappa)
     f = lambda x: _mit_equation(x, kappa, esign, rho, varsigma)
-    breaks = np.union1d(bessel_zeros(n_f, count + 1), bessel_zeros(n_g, count + 1))
-    grid = np.concatenate([np.geomspace(1e-6, breaks[0], 12)[:11], breaks])
-    vals = f(grid)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("non-finite values in momentum equation scan")
-    roots = [brentq(f, grid[k], grid[k + 1], xtol=_ROOT_XTOL)
-             for k in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]]
-    roots = sorted(set(roots) | set(grid[vals == 0.0].tolist()))
-    if len(roots) < count:
-        raise SolverError(
-            f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
-            f"esign={esign}, M={M}, varsigma={varsigma})")
-    for x in roots[:count]:
-        if abs(f(x)) > 1e-10:
-            raise SolverError(
-                f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
-                f"(two_j={two_j}, kappa={kappa}, esign={esign})")
-    return np.array(roots[:count]) / R
+
+    need = count
+    for _ in range(6):
+        k_hi = min(need + 2, I_MAX_DEFAULT)
+        breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
+        # near-zero approach: log-spaced probes below the first break
+        pts = [np.geomspace(1e-6, breaks[0], 12)]
+        lo = breaks[0]
+        for hi in breaks[1:]:
+            nseg = max(2, int(math.ceil((hi - lo) / _SCAN_STEP)))
+            pts.append(np.linspace(lo, hi, nseg + 1)[1:])
+            lo = hi
+        grid = np.concatenate(pts)
+        vals = f(grid)
+        if not np.all(np.isfinite(vals)):
+            raise SolverError("non-finite values in momentum equation scan")
+        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        roots = []
+        for idx in sign_change:
+            roots.append(brentq(f, grid[idx], grid[idx + 1], xtol=_ROOT_XTOL))
+        exact = grid[vals == 0.0]
+        if exact.size:
+            roots = sorted(set(roots) | set(exact.tolist()))
+        if len(roots) >= count:
+            roots = sorted(roots)[:count]
+            for x in roots:
+                if abs(f(x)) > 1e-10:
+                    raise SolverError(
+                        f"momentum root residual {abs(f(x)):.2e} exceeds 1e-10 "
+                        f"(two_j={two_j}, kappa={kappa}, esign={esign})")
+            return np.array([x / R for x in roots])
+        need += 4
+    raise SolverError(
+        f"could not locate {count} momentum roots (two_j={two_j}, kappa={kappa}, "
+        f"esign={esign}, M={M}, varsigma={varsigma})")
 
 
 def _mit_norm_reference(two_j: int, kappa: int, i: int, R: float, M: float, esign: int,
@@ -600,7 +616,7 @@ class TestMitArrayPath:
                 assert _same_bits(p[s], ref), (R, vs, esign, tj, ka)
                 assert _same_bits(C[s], ref_C), (R, vs, esign, tj, ka)
 
-    @pytest.mark.parametrize("rho, rejected", [(1e6, 0), (3e6, 4), (1e7, 38)])
+    @pytest.mark.parametrize("rho, rejected", [(1e6, 0), (3e6, 8), (1e7, 57)])
     def test_solves_at_huge_mass(self, rho, rejected):
         # the esign = -1 coefficient grows like 2 M R / x, and with it the
         # rounding of the equation at a root: the reference's absolute check
@@ -620,14 +636,15 @@ class TestMitArrayPath:
                     assert _same_bits(p[s], ref), (vs, tj, ka)
         assert failed == rejected
 
-    @pytest.mark.parametrize("rho, budget", [(1e16, 1_820), (1e20, 1_690)])
+    @pytest.mark.parametrize("rho, budget", [(1e16, 2_700), (1e20, 2_200)])
     def test_evaluations_at_huge_mass(self, rho, budget, monkeypatch):
-        # here a root lies within rounding of a break, a zero of one Bessel
-        # order, and the equation there can round to either sign: the break
-        # with the wrong sign is the root, with no second pass over the shell.
-        # The 22 shells of j <= 21/2 and 20 roots take 1,673 to 1,816
-        # evaluations (a sign scan whose guard failed there, then a scan of
-        # every gap, took 8,174 to 8,277).  Every root changes sign at 50 digits.
+        # here a break, a zero of one Bessel order, rounds the equation to
+        # either sign: such a break is the root, to within rounding, with no
+        # second pass over the shell.  The 22 shells of j <= 21/2 and 20 roots
+        # take 2,154 to 2,683 evaluations (a scan whose sign guard failed
+        # there, then a scan of every gap, took 8,174 to 8,277).  The esign =
+        # +1 roots keep the reference's bits; the esign = -1 roots (which the
+        # reference's absolute check rejects) change sign at 50 digits
         points, real = [], boundary._mit_equation
         monkeypatch.setattr(boundary, "_mit_equation", lambda x, *args: (
             points.append(np.size(x)) or real(x, *args)))
@@ -637,20 +654,25 @@ class TestMitArrayPath:
             p = _mit_roots(two_j, kappa, esign, 1.0, rho, vs, 20)
             assert sum(points) <= budget, (vs, esign)
             for s, (tj, ka) in enumerate(_mit_shells(21)):
-                for x in p[s].tolist():
-                    assert mp_mit_sign_change(x, ka, esign, rho, vs), (vs, esign, tj, ka, x)
+                if esign > 0:
+                    ref = _mit_momenta_reference(tj, ka, 1, 1.0, rho, vs, 20)
+                    assert _same_bits(p[s], ref), (vs, tj, ka)
+                else:
+                    for x in p[s].tolist():
+                        assert mp_mit_sign_change(x, ka, -1, rho, vs), (vs, tj, ka, x)
 
     def test_cold_solve_skips_rootless_gaps(self, monkeypatch):
         # the j <= 41/2, i_max = 60 set of shell_rows(mit(1), 1, 1.0, 1.0, 60, 41)
-        # evaluates the equation at 21,924 points: once at each end of a kept gap
-        # and each probe, then in Brent.  A sign scan over the gaps where
-        # sign(j_lf j_lg) admits a root took 29,071, over every gap 43,698
+        # evaluates the equation at 24,545 points: at the probes and the ends of
+        # the gaps where sign(j_lf j_lg) admits a root, at the ends of the
+        # parts that bisect each to its root's, then in Brent.  A sign scan of
+        # every part of those gaps took 29,071, of every gap 43,698
         points, real = [], boundary._mit_equation
         monkeypatch.setattr(boundary, "_mit_equation", lambda x, *args: (
             points.append(np.size(x)) or real(x, *args)))
         two_j, kappa = np.array(list(_mit_shells())).T
         _mit_roots(two_j, kappa, 1, 1.0, 1.0, 1, 60)
-        assert sum(points) <= 22_000
+        assert sum(points) <= 24_600
 
     def test_break_rule_idle_below_1e14(self):
         # below M R = 1e14 f has the expected sign at every break, so the roots
@@ -755,11 +777,12 @@ class TestMitArrayPath:
     def test_exact_zero_probe_in_a_batch(self, monkeypatch):
         # no input known to this suite puts an exact 0 of the equation on a
         # probe where j_{l_f} is not 0, so one is made: the equation of shell
-        # (5, 3) reads 0 at a probe below its first break, where sign(j_2 j_3)
-        # = +1 admits a root at esign = varsigma = 1.  That probe is merged
-        # with the shell's roots; the other shells keep theirs.
+        # (5, 3) reads 0 at a scan point between two of its roots, in the gap
+        # from the first zero of j_3 to the second of j_2, which can hold a
+        # root.  That probe is merged with the shell's roots; the other shells
+        # keep theirs.
         real = boundary._mit_equation
-        x0 = float(np.geomspace(1e-6, bessel_zeros(2, 1)[0], 12)[7])
+        x0 = float(np.linspace(bessel_zeros(3, 1)[0], bessel_zeros(2, 2)[1], 3)[1])
         zero_at = lambda x, kappa, esign, rho, vs: np.where(
             (x == x0) & (kappa == 3), 0.0, real(x, kappa, esign, rho, vs))[()]
         monkeypatch.setattr(boundary, "_mit_equation", zero_at)

@@ -34,39 +34,39 @@ GOLDEN = {
         "f6988691cdb61ced5687266bf741981919aee339b12920e2d835ca50ed85e04f"),
     "condensate-mit+1": (
         ["condensate", "--bc", "mit", "--varsigma", "1", *_README],
-        "6098ba46bd9bb6042ca7f7c03e6ab709c76843268e0d0898d62a0d75bb1e0fc6"),
+        "24eda54a8d7af86871716efaf0623eea97cc505a0f355d1b4e6370d49d4d073e"),
     "condensate-mit-1": (
         ["condensate", "--bc", "mit", "--varsigma", "-1", *_README],
-        "b773435a7c1828fa72e9ed11a45256e850471fa37aad28e3ed4ad9c71e3d4d94"),
+        "3152b0de7fef77e2d46103a7d02b4b9a0e1d94215de86b7607ae05e833ae8e9a"),
     "condensate-2d-spectral": (
         ["condensate", "--bc", "spectral", *_GRID_2D],
         "8d68a957e8b583442691681b2939f581a6489fca36fa9772db323b6834bd9eba"),
     "condensate-2d-mit+1": (
         ["condensate", "--bc", "mit", "--varsigma", "1", *_GRID_2D],
-        "d8eba6622ffc129c95e36733157d240ca67cf58d85dedb0cb02245263d49aba8"),
+        "6d03c1a657efea967998cf03556decb2afec1f9d214b76fed98bec2b9675f514"),
     "spectrum-spectral-csv": (
         _SPECTRUM, "3b3ee3ea6ac016327e5b0e7b251c4d90f50aa9eadaf2557d882cc01e2693e59d"),
     "spectrum-spectral-json": (
         [*_SPECTRUM, "--format", "json"],
         "df9d9738e79f1e6d61d7482a2a1fd0a02ee91e2b915bab784ae6e15a4c89871a"),
     "spectrum-mit+1-csv": (
-        _MIT["1"], "7de5d7d0dacae8b629c6012698608b39ca8533f82f6f95a85f9609419349e2e5"),
+        _MIT["1"], "19b490f54f822e6cfd9a6747e025b0f2ae8f78c670850c7980f6c6359133026f"),
     "spectrum-mit+1-json": (
         [*_MIT["1"], "--format", "json"],
-        "672a12c1a0c9365aae54af64a307c482bb5ada9fdff03cd91e9adb9f090fa644"),
+        "26259229ae750c07c7afaed910ad36e08335da9ea0c19e80f523e75cdb57c975"),
     "spectrum-mit-1-csv": (
-        _MIT["-1"], "d498da870ee51fe7e8f1189e332c560c2be79b758d9be03b87648be11f0af35e"),
+        _MIT["-1"], "89cdaa2c21129a6b4d225ffe088940650a3abb26399df2840c1633343e6eb189"),
     "spectrum-mit-1-json": (
         [*_MIT["-1"], "--format", "json"],
-        "6329c8ce9872466e9f0c35b23f6a3b146ae644e9158dc4d20a7e802d65f4dd9f"),
+        "66d8001c70b9dcde0acc0861fb1faa7ad3a6bb7fcc2be4ae77e5a0c2ab3e8429"),
     "spectrum-mit+1-deep": (
         [*_MIT_DEEP, "--varsigma", "1"],
-        "14d0ce0d25ee0527d0b2b9473c3690b5e9a88051006e01cbca2e9816a99a2632"),
+        "dfae3a3cdeb1ac255975d74ce72fbd9fea154c633f6b3ee5541d8c77bdac2da6"),
     "spectrum-mit-1-deep": (
         [*_MIT_DEEP, "--varsigma", "-1"],
-        "eeb1fb94774e5d6ddb70b3f0a37e0c9c157d1ab81c70115e262e01d6a0b2ef69"),
+        "a29d45801c8a528dd3c879a33915118ac4ed1e4d0a824c8c0f1289e0dd56f337"),
     "spectrum-mit+1-heavy": (
-        _MIT_HEAVY, "f4723160caf864c211682439c73eb4479f1370985a04787c0983f84bc48c8e36"),
+        _MIT_HEAVY, "36ba24dbdef5d70843eb38714a2e59c5b30119f88390b78f20907e60684bb6de"),
     "zeros": (
         ["zeros", "--order", "3", "--count", "20"],
         "78b71e02872455c791424b8cbee6b70f73491d0f5577a345820587a16b28b3c7"),
@@ -93,10 +93,10 @@ VERIFY_GOLDEN = {
         "1caaeffeea3493af5c063cabe30f68cb9151ec3aa84bf175352a35d99253c26f"),
     "verify-mit+1": (
         ["--bc", "mit", "--varsigma", "1"],
-        "4f4e99ca5b21a6108100e85f8883f382d088ff57a552e934be7cf3f75a46a14f"),
+        "019b277297ce8c50a69b340f362f15cc2c886009218a527cfe67135d501aa862"),
     "verify-mit-1": (
         ["--bc", "mit", "--varsigma", "-1"],
-        "46f46bcf8dd305a1057580d5f525c82382a4e43f6202be51e7d7411e2de3949a"),
+        "5f1de36c35df3ba0ee426847f74232ce6f4edaa0faf39a1109f5a0e23a9bacac"),
 }
 
 
@@ -111,12 +111,12 @@ def test_verify_stdout_sha256(name, capsys):
 # preset writes, by name
 PRESET_GOLDEN = {
     "fig2d": {
-        "p_M0_vs+1.csv": "f2455c71807d3a536a849c26e6c69b7191136c23ef59bbd643d9ff17e4868847",
-        "p_M0_vs-1.csv": "1027ab6ef048f390d01cd6cb47421c7fe63ca4c3a46391ba61e62f2022f0c092",
-        "p_M1_vs+1.csv": "a266093a67eeb562bfb55f0c91786280671c6abecdc317f5aa16bc64b3c92e40",
-        "p_M1_vs-1.csv": "9dfb75e419241b6769011ccc7b3f2284b5265e2c69e700e70dde7bce268aa266",
-        "p_M2_vs+1.csv": "1bd4d1ce11cc523694ae808c124f9bab5b186544bcf16cdb8e7404237390bea6",
-        "p_M2_vs-1.csv": "c3473e2ad34d7869661e78067f6982fa7d238e72eff25c7e9b20ade3b6c25b49",
+        "p_M0_vs+1.csv": "acb66894defcf32784e78ab44d005f76090981031f3645976252031acc42d792",
+        "p_M0_vs-1.csv": "4e4caaebe3345e9c9b999837200a1dcd884a32325e100ae19a9bc0d8e0a64d4b",
+        "p_M1_vs+1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_M1_vs-1.csv": "e3492f8000d7faf164975f6ebdaff3c3f9624699ec2076b3042b4116150da938",
+        "p_M2_vs+1.csv": "70c1e2d8416ddc448256614f1a8f06757a4ecefe6cbf83a1797236dafce356ee",
+        "p_M2_vs-1.csv": "62ac2266be4b1806332c277994cc4947c05be0e8f50662eb5b4c2fa5a4e813ea",
     },
     "fig1e": {
         "p_theta0.3927.csv": "8fac64e0085b3abc7d47785baee805b5a76b670c9a90bc21059c0fc247773db1",
@@ -125,10 +125,10 @@ PRESET_GOLDEN = {
         "p_theta1.5708.csv": "f84cd5316795059d5344e070478ed5840d19ad559e2f65e622565daa4a30465c",
     },
     "fig2f": {
-        "p_theta0.3927.csv": "7f7f7e213af9dbc672bc2553af060b9b78136c16e22964f1144f5a150bb98688",
-        "p_theta0.7854.csv": "ef28cd0ae1927a68360a7218ed20794b79f5056a01f60abb1714392d0fbd8a96",
-        "p_theta1.1781.csv": "e3eb160ab1d5c01d4494ea227450bd9ebbb7ad7676c6bbe1bdd3f28287aa2679",
-        "p_theta1.5708.csv": "2fea08fc4148e11f9dacb5d197b876e604b9c644eab47f0c596f0557815a8b30",
+        "p_theta0.3927.csv": "e56df1f18bee047290025182f0db111d945e64431a74946516f9adee6cd42b4a",
+        "p_theta0.7854.csv": "ddec5dc3a5d1a309093f4f3e9b1ba8f39e4bb490eb4da0edd43470e97d873960",
+        "p_theta1.1781.csv": "1124c1d5cfacc90d6fbcd6d1f0ad7b2f87823d0f2e13b8175a2385bf4975f43d",
+        "p_theta1.5708.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
     },
     # both whole figures, all six panels: `condensate --preset fig1` and `fig2`
     "fig1": {
@@ -154,29 +154,29 @@ PRESET_GOLDEN = {
         "p_f_theta1.5708.csv": "db3255b2bb44b9e8f9f327a4d2ed6d269133205d65eb77a925bca1f865d705d7",
     },
     "fig2": {
-        "p_a_Omega0.4.csv": "fab0264a99fcf46d01b0c2f4e6986383c8e4fdacca69ff38d6a287cec9b86750",
-        "p_a_Omega0.8.csv": "555ca1e4b7c966b0b02f8f15fe83cd3ff2757037b8a7e1927146834df723ae0a",
-        "p_a_Omega0.csv": "febffe9d0673189ac76dab47d4c9ad8789c1bfe17f4b5b9c703665b22913315a",
-        "p_b_Omega0.4.csv": "2ad38ac527e8b6026a249274fee7cbcdda0d0fe7f3a0c89e5fe9663a5011f13b",
-        "p_b_Omega0.8.csv": "2fea08fc4148e11f9dacb5d197b876e604b9c644eab47f0c596f0557815a8b30",
-        "p_b_Omega0.csv": "2f3248ceaa230b7b6527003c283e5457853ca9158a778c7b7b2d0288db114219",
-        "p_c_beta0.5.csv": "5f75403cbe231d251c534142334527e6dbf97dd5f3f4612451cd05102b74aeea",
-        "p_c_beta1.csv": "a266093a67eeb562bfb55f0c91786280671c6abecdc317f5aa16bc64b3c92e40",
-        "p_c_beta2.csv": "fffd791211bd6f1a84d737b82a09af7227da2c873e3220f3b6fd6e448ecbf20c",
-        "p_d_M0_vs+1.csv": "f2455c71807d3a536a849c26e6c69b7191136c23ef59bbd643d9ff17e4868847",
-        "p_d_M0_vs-1.csv": "1027ab6ef048f390d01cd6cb47421c7fe63ca4c3a46391ba61e62f2022f0c092",
-        "p_d_M1_vs+1.csv": "a266093a67eeb562bfb55f0c91786280671c6abecdc317f5aa16bc64b3c92e40",
-        "p_d_M1_vs-1.csv": "9dfb75e419241b6769011ccc7b3f2284b5265e2c69e700e70dde7bce268aa266",
-        "p_d_M2_vs+1.csv": "1bd4d1ce11cc523694ae808c124f9bab5b186544bcf16cdb8e7404237390bea6",
-        "p_d_M2_vs-1.csv": "c3473e2ad34d7869661e78067f6982fa7d238e72eff25c7e9b20ade3b6c25b49",
-        "p_e_theta0.3927.csv": "6d7d7b0696e2bc20f905f9d984f904712f361c23b150c12ebb055757a2b8ad40",
-        "p_e_theta0.7854.csv": "2619cbf17f7190a2771e4297e2193dc33c42bea2ca04a1f03e8c1c3ade21285c",
-        "p_e_theta1.1781.csv": "03e378a2ca4dcbda70d7290d4539eb9d6275e5321d0569acdbdbf6098a0ae805",
-        "p_e_theta1.5708.csv": "555ca1e4b7c966b0b02f8f15fe83cd3ff2757037b8a7e1927146834df723ae0a",
-        "p_f_theta0.3927.csv": "7f7f7e213af9dbc672bc2553af060b9b78136c16e22964f1144f5a150bb98688",
-        "p_f_theta0.7854.csv": "ef28cd0ae1927a68360a7218ed20794b79f5056a01f60abb1714392d0fbd8a96",
-        "p_f_theta1.1781.csv": "e3eb160ab1d5c01d4494ea227450bd9ebbb7ad7676c6bbe1bdd3f28287aa2679",
-        "p_f_theta1.5708.csv": "2fea08fc4148e11f9dacb5d197b876e604b9c644eab47f0c596f0557815a8b30",
+        "p_a_Omega0.4.csv": "36971a103026faa7ced8c337ac98cd0ce8fa9b2140fd2131d65751ec203bd00a",
+        "p_a_Omega0.8.csv": "42f706b18f87519d733d56d83d1beb804fd566b8205f1e8f815270f46c24ce1c",
+        "p_a_Omega0.csv": "140f3b15a50c1df94201fdd6e3c9dc62661d672fbb05732adb62f08bab528923",
+        "p_b_Omega0.4.csv": "2dc1fdd80fa46f2e3f5c3314ec2ba675289d4c0efb21c5711e0e75bee44bd8be",
+        "p_b_Omega0.8.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
+        "p_b_Omega0.csv": "36f7cf0c402521f99fbd15ac6df1b9e85f0ada037501b06ea64804216b7391bb",
+        "p_c_beta0.5.csv": "54443a3a33f5c300f5203905476a1ac241f5be8d18dbd3a676d1bdc021d982e0",
+        "p_c_beta1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_c_beta2.csv": "c7dfd235856ce2f0d525cd0f2ebeb0c8ff1715080aaf7b41b97e5325cae09009",
+        "p_d_M0_vs+1.csv": "acb66894defcf32784e78ab44d005f76090981031f3645976252031acc42d792",
+        "p_d_M0_vs-1.csv": "4e4caaebe3345e9c9b999837200a1dcd884a32325e100ae19a9bc0d8e0a64d4b",
+        "p_d_M1_vs+1.csv": "917c0fad3b930bb8fd51a2bf1a7f2507940f2ad065172b278cf4e413db899c74",
+        "p_d_M1_vs-1.csv": "e3492f8000d7faf164975f6ebdaff3c3f9624699ec2076b3042b4116150da938",
+        "p_d_M2_vs+1.csv": "70c1e2d8416ddc448256614f1a8f06757a4ecefe6cbf83a1797236dafce356ee",
+        "p_d_M2_vs-1.csv": "62ac2266be4b1806332c277994cc4947c05be0e8f50662eb5b4c2fa5a4e813ea",
+        "p_e_theta0.3927.csv": "bd1ff9a402c75546ef40154f9b5e38a62ccca489157fc2ec79fb07433ebef8c1",
+        "p_e_theta0.7854.csv": "cc0bb59f57b1926c9e7e3d6d23ef67015c8f34f310254f38dcddbcaa568ac31a",
+        "p_e_theta1.1781.csv": "1a03fbd6073a14498bc31a25dc7eff68bf19f6e8de577f76c282f1f6d53dd628",
+        "p_e_theta1.5708.csv": "42f706b18f87519d733d56d83d1beb804fd566b8205f1e8f815270f46c24ce1c",
+        "p_f_theta0.3927.csv": "e56df1f18bee047290025182f0db111d945e64431a74946516f9adee6cd42b4a",
+        "p_f_theta0.7854.csv": "ddec5dc3a5d1a309093f4f3e9b1ba8f39e4bb490eb4da0edd43470e97d873960",
+        "p_f_theta1.1781.csv": "1124c1d5cfacc90d6fbcd6d1f0ad7b2f87823d0f2e13b8175a2385bf4975f43d",
+        "p_f_theta1.5708.csv": "bae0975bfb39fc754943f825cf29019774fa632db529f67d49e8998aee8fcd02",
     },
 }
 
