@@ -7,8 +7,8 @@ the first zero of its two Bessel orders, each gap between consecutive zeros
 where the signs of its two Bessel terms admit a root holds exactly one (the
 proof is _mit_roots'), so each is bisected over its equal parts to the one
 that holds the root, with probes below the first zero, and one array Brent
-refinement solves the brackets of a batch of shells.  The solver and the quantization residual accept a root by one rule,
-_mit_residual <= QUANT_TOL.
+refinement solves the brackets of a batch of shells.  The solver and the
+quantization residual accept a root by one rule, _mit_residual <= QUANT_TOL.
 
 Momenta are handled as x = p*R, energies as E = esign * hypot(p, M) and
 E_tilde = E - Omega * m_j.  One store holds the solved (p, C) shells, in j

@@ -268,7 +268,7 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         C2, ratio = C * C, M / (2.0 * E)
         w_t, w_b = (weight(corotating_energy(E, m, Omega), 1, beta, mu) for m in (m_j, -m_j))
         w_s = w_t + w_b
-        w_d = None if bc.is_mit else w_t - w_b
+        w_d = None if bc.is_mit else w_t - w_b  # MIT terms read w_s alone
         p = p.reshape(2, i_max)[:, :kept].ravel()
         size = w_s.size  # terms per point
         if buf is not None and (two_j == two_j_max or points * (width + size) > _BUFFER_TERMS):

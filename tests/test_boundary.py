@@ -795,9 +795,10 @@ class TestMitArrayPath:
     def test_exact_zero_on_a_guarded_break(self, monkeypatch):
         # for shell (5, 3) at esign = varsigma = 1 a root needs j_2 j_3 > 0, so
         # the gap from the first zero of j_3 to the second of j_2 is kept, and
-        # the equation must be negative at its lower end.  A 0 made there is
-        # that gap's root, as in the reference, from the one evaluation of
-        # that break: no pass scans the shell again, and Brent never reads it
+        # the equation must be negative at its lower end.  A 0 made there is a
+        # root, as in the reference, beside the one the gap's parts bracket,
+        # from the one evaluation of that break: no pass scans the shell
+        # again, and Brent never reads it
         real, seen = boundary._mit_equation, []
         x0 = float(bessel_zeros(3, 1)[0])
 
