@@ -170,12 +170,13 @@ def _mit_residual(x, kappa, esign, rho: float, varsigma: int):
     return np.abs(_mit_equation(x, kappa, esign, rho, varsigma)) / scale
 
 
-def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.ndarray):
+def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.ndarray,
+                probe: np.ndarray):
     """Brackets of each shell's first count roots, shell by shell, ascending:
     (x, shell, sign) of 11 log-spaced probes and the first break, below which
-    sign(j_lf j_lg) = +1 admits a root if sign_fg is +1, and (lo, hi, shell,
-    sign) of the first count gaps between breaks where sign(j_lf j_lg) =
-    sign_fg, with sign that of f at the first break and at lo (0: unknown).
+    the shells where probe holds can have a root, and (lo, hi, shell, sign)
+    of the first count gaps between breaks where sign(j_lf j_lg) = sign_fg,
+    with sign that of f at the first break and at lo (0: unknown).
 
     The breaks are the first count + 1 zeros of both orders of the columns
     (l_f, l_g), sorted, each order's table read once.  They interlace, the
@@ -198,7 +199,7 @@ def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.n
     kept = (sign_fg[:, None] == -(-1.0) ** r) & np.isfinite(breaks[:, 1:])
     shell, gap = np.nonzero(kept & (np.cumsum(kept, axis=1) <= count))
     lower_f = orders[0] < orders[1]
-    probed = np.flatnonzero(sign_fg > 0)
+    probed = np.flatnonzero(probe)
     probes = np.c_[np.geomspace(1e-6, breaks[probed, 0], 12, axis=1)[:, :11], breaks[probed, 0]]
     want = np.zeros(probes.shape)
     want[:, -1] = 1.0 - 2.0 * lower_f[probed]  # j_lf's sign above the first break
@@ -247,8 +248,16 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
     minus the target so increases strictly, and theta turns a quarter from
     break to break: a gap where sign(j_lf j_lg) = s esign, the sign of tan
     theta at a root, holds one root and the others none.  Below the first
-    break, probes find sign changes, and an exact 0 where j_lf is not 0 (both
-    underflow near x = 0 from j = 83/2) is a root.
+    break, j_n+1 / (x j_n) rises from 1/(2n + 3) (the Mittag-Leffler series
+    of J_nu+1/J_nu, Watson ch. 15), and a root puts it at 1/(q + M R), q =
+    (x^2 + (M R)^2)^(1/2), falling from 1/(2 M R), where E and kappa have
+    opposite signs, or at (q + M R)/x^2, falling from inf, where they agree.
+    So only a shell with sign_fg = +1 can have a root there, and with
+    opposite signs only if M R < n + 3/2.  Probes of those shells find sign
+    changes, and an exact 0 where j_lf is not 0 (both underflow near x = 0
+    from j = 83/2) is a root.  The others are not probed: the rounding of
+    their subnormal terms gave f a wrong sign there (from j = 81/2 at M R =
+    50), a spurious root.
 
     f is evaluated once at each probe and each end of a kept gap, which
     _bisect_parts then bisects to the part of it that holds the root, and
@@ -269,7 +278,9 @@ def _mit_roots(two_j, kappa, esign, R: float, M: float, varsigma: int,
         raise ValueError(f"M*R = {M * R!r} exceeds {_MR_MAX!r}: the E < 0 momentum scan overflows")
     f = lambda x, kappa, esign: _mit_equation(x, kappa, esign, M * R, varsigma)
     sign_fg = np.where(kappa > 0, varsigma, -varsigma) * esign  # of j_lf j_lg at a root
-    (px, ps, want), (lo, hi, gs, sign) = _scan_grids(bessel_orders(kappa), count, sign_fg)
+    orders = bessel_orders(kappa)
+    probe = (sign_fg > 0) & ((esign * kappa > 0) | (M * R < np.minimum(*orders) + 1.5))
+    (px, ps, want), (lo, hi, gs, sign) = _scan_grids(orders, count, sign_fg, probe)
     shell = np.r_[ps, gs, gs]
     vals = f(np.r_[px, lo, hi], kappa[shell], esign[shell])
     if not np.all(np.isfinite(vals)):
@@ -346,16 +357,17 @@ def _mit_norms(two_j, kappa, i, R: float, M: float, E, varsigma: int,
     Uses the closed form obtained by eliminating one Bessel order through the
     momentum equation, its E + M as -p^2 / (|E| + M) for E < 0 (no cancellation).
     The ratio under the square root must be positive: if negative, (p, E) do not
-    solve the same branch; if +0, it underflowed (FloatingPointError)."""
+    solve the same branch; if +0 or subnormal, it underflowed, keeping few or no
+    bits (FloatingPointError)."""
     two_j, kappa, i, E, p = np.broadcast_arrays(two_j, kappa, i, E, p)
     sgn_k = np.where(kappa > 0, 1, -1)
     ratio = (np.where(E > 0, E + M, -(p * p) / (np.abs(E) + M))
              / (2.0 * E * R - sgn_k * varsigma * (two_j + 1) + varsigma * M / E))
     jval = np.abs(spherical_jn((two_j + sgn_k) // 2, p * R))
-    bad = np.flatnonzero(~(ratio > 0.0) | (jval == 0.0))
+    bad = np.flatnonzero(~(ratio >= 2.0**-1022) | (jval == 0.0))
     if bad.size:
         at = np.unravel_index(bad[0], p.shape)
-        if ratio[at] == 0.0 and not np.signbit(ratio[at]):
+        if 0.0 <= ratio[at] < 2.0**-1022 and not np.signbit(ratio[at]):
             raise FloatingPointError(f"MIT norm ratio underflows at R={R}, M={M}")
         raise SolverError(
             f"inconsistent momentum/energy pair for MIT norm (two_j={two_j[at]}, "

@@ -14,9 +14,13 @@ index.  Each mode's |term| at any r is bounded from its weights, |C|^2 and
 M/(2E): |A| <= (d+ + d-)/2 and |B| <= M/(2E) (d+ + d-), as 0 <= j_n^2 <= 1.
 The weights fall like exp(-beta (E_tilde - |mu|)), so before it forms any
 weight the kernel bounds each (j, kappa, i) row's sum over m_j from the
-densities' sums over m_j, for all j at once, and each j but the last keeps
-only the i-prefix whose dropped suffix bounds below 2^-120 of the j's bound.
-The weights, |C|^2 and M/(2E) are formed on the kept rows only; a spectral j
+densities' sums over m_j, for all j at once.  Each j but the last keeps only
+the i-prefix whose dropped suffix bounds below 2^-80 of the request's summed
+bound over those j, shared out equally among them, as a value needs its
+dropped terms small against itself, not against its j; the last j, whose
+sum is the tail estimate, keeps the prefix whose dropped suffix bounds below
+2^-120 of its own bound.  The weights, |C|^2 and M/(2E) are formed on the
+kept rows only; a spectral j
 reuses the order-k0 Bessel squares of the shell before it, whose momenta its
 -k0 shell shares.  The Legendre table and the densities of all (j, m_j) pairs
 are formed once per theta.  The terms, a row per point in the
@@ -25,10 +29,13 @@ canonical order (ascending j, then kappa, i, m_j), fill a buffer of about
 block too large for it, and the last j, whose sum is the tail estimate, are
 reduced alone.  The partials are certified once per point, with the dropped
 terms' bound as slack, to be the correctly rounded sum of the whole (j_max,
-i_max) rectangle, math.fsum's bits, however the rows were cut; a point that
-fails gets math.fsum of all its terms.  Every term is the same IEEE
-expression of the same operands wherever it is formed, so points and grids
-give bit-identical values.
+i_max) rectangle, math.fsum's bits, however the rows were cut.  The points
+that fail, mostly MIT values at r = R, zero but for rounding, are redone
+together in one pass that cuts at 2^-120 in place of 2^-80, and a point
+that fails again gets math.fsum of all its terms.  A tail estimate
+takes math.fsum of a whole last j only where an uncertified sum could raise
+it.  Every term is the same IEEE expression of the same operands wherever it
+is formed, so points and grids give bit-identical values.
 """
 
 from __future__ import annotations
@@ -82,20 +89,25 @@ def _weight_input(E_tilde, esign: int, beta: float) -> np.ndarray:
 def thermal_weight(E_tilde, esign: int, beta: float, mu: float):
     """Occupation-difference weight w = theta(E)/2 [tanh(b(Et-mu)/2) + tanh(b(Et+mu)/2)].
 
-    Zero for negative Minkowski energy; odd in E_tilde at mu = 0.
+    Zero for negative Minkowski energy; odd in E_tilde at mu = 0.  A product
+    beta (E_tilde -+ mu) past the largest double is an exact +-inf here.
     """
     et = _weight_input(E_tilde, esign, beta)
-    out = (np.zeros_like(et) if esign < 0
-           else 0.5 * (np.tanh(0.5 * beta * (et - mu)) + np.tanh(0.5 * beta * (et + mu))))
+    with np.errstate(over="ignore"):
+        out = (np.zeros_like(et) if esign < 0
+               else 0.5 * (np.tanh(0.5 * beta * (et - mu)) + np.tanh(0.5 * beta * (et + mu))))
     return float(out) if out.ndim == 0 else out
 
 
 def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
     """Vacuum-subtracted weight w' = -theta(E) [f(E_tilde - mu) + f(E_tilde + mu)]
-    with the Fermi factor f(x) = 1/(1 + e^(beta x)); identically w - theta(E)."""
+    with the Fermi factor f(x) = 1/(1 + e^(beta x)); identically w - theta(E).
+    A product beta (E_tilde -+ mu) past the largest double is an exact +-inf
+    here, where f is 0 or 1."""
     et = _weight_input(E_tilde, esign, beta)
-    out = (np.zeros_like(et) if esign < 0
-           else -(expit(-beta * (et - mu)) + expit(-beta * (et + mu))))
+    with np.errstate(over="ignore"):
+        out = (np.zeros_like(et) if esign < 0
+               else -(expit(-beta * (et - mu)) + expit(-beta * (et + mu))))
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,10 +115,15 @@ def thermal_weight_subtracted(E_tilde, esign: int, beta: float, mu: float):
 # theta: large enough that a few-point grid pays for arithmetic, not for the
 # numpy calls of a tree per j, and small (512 KB) against the j blocks
 _BUFFER_TERMS = 2**16
-# a j block drops the i-suffix whose summed term bound is below this share of
-# the block's, so a point stays certified unless its sum cancels to about
-# 2^-66 of its terms' bound (about 1e-20 on the figure curves, where 2^-110
-# made 0.7% of the points fall back)
+# each of the n j but the last drops the i-suffix whose summed term bound is
+# below this share of the request's total bound T over those j, over n: a
+# value stays certified unless it is below about 2^-25 T, which 98.8% of the
+# fig-sweep points are not (2^-17 T and more); the others are redone together
+# with _PRUNE_REL in its place
+_PRUNE_REQUEST = 2.0**-80
+# the last j drops the i-suffix whose summed term bound is below this share
+# of its own; a retried point stays certified unless its sum cancels to
+# about 2^-65 T
 _PRUNE_REL = 2.0**-120
 
 
@@ -138,11 +155,13 @@ def _tree_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _certified_sums(trees: list, n: int,
-                    slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                    slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sums r of rows of n terms cut into contiguous chunks, from each chunk's
-    _tree_sums in order, and whether r is provably the correctly rounded sum,
-    which is what math.fsum returns (Shewchuk 1997), of the n terms plus
-    terms never formed whose magnitudes sum to at most slack.
+    _tree_sums in order, a bound err on the distance from r to the exact sum
+    of the n terms plus terms never formed whose magnitudes sum to at most
+    slack, to within the rounding of err's own sum, and whether r is provably
+    the correctly rounded sum, which is what math.fsum returns (Shewchuk
+    1997), of those terms.
 
     The partials are reduced by the same tree and all errors added: at most
     n - 1 errors e however the rows are cut.  Any summation order computes
@@ -166,14 +185,14 @@ def _certified_sums(trees: list, n: int,
         t = (s - (r - bv)) + (e_sum - bv)
         bound = np.abs(t) + (2.0 * (n + 2) * 2.0**-53) * e_abs + slack
         gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
-        return r, bound < 0.5 * gap
+        return r, bound, bound < 0.5 * gap
 
 
 def _exact_row_sums(buf: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a 2-d float array, bit for bit: rows that
     fail the certificate go to math.fsum itself, which keeps its signed
     zeros, inf/nan results and OverflowError."""
-    r, certified = _certified_sums([_tree_sums(buf)], buf.shape[1])
+    r, _, certified = _certified_sums([_tree_sums(buf)], buf.shape[1])
     for i in np.flatnonzero(~certified):
         r[i] = math.fsum(buf[i])
     return r
@@ -216,30 +235,32 @@ def _row_bounds(params: PhysicalParams, rows: list, d: np.ndarray, two_m: np.nda
 
 def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
               tabs: list[np.ndarray], two_j_max: int, i_max: int, weight,
-              prune: bool = True):
+              prune: float = _PRUNE_REQUEST):
     """Yield (two_j, it, terms, D) per buffer, then per theta tabs[it]: the
     terms of the j blocks up to two_j, a row per r in the order (j, kappa, i,
     m_j) over the kept modes, and D, which bounds the summed magnitudes of the
-    terms dropped so far.  Consecutive j blocks fill a buffer while their
-    terms over all points fit in _BUFFER_TERMS; a larger block, and the last
-    j, come alone, formed in place.
+    terms dropped from that buffer's j blocks.  Consecutive j blocks fill a
+    buffer while their terms over all points fit in _BUFFER_TERMS; a larger
+    block, and the last j, come alone, formed in place.
 
     Each term is C2 ((w_t - w_b) A + (w_t + w_b) B), or C2 (w_t + w_b)(A + B)
     for MIT, and 0 <= j_n^2 <= 1 (DLMF 10.54) with d+, d- >= 0 gives |A| <=
     (d+ + d-)/2 and |B| <= |M/(2E)| (d+ + d-): a bound b per (kappa, i, m_j)
     at every r, with d+ + d- at its largest over the thetas, plus (C2 + 1)
     2^-1060, over 2^8 times what underflow can take from a formed term.  With
-    prune, each j but the last, whose sum is the tail estimate, keeps the
-    shortest i-prefix, shared by both kappa shells, whose dropped suffix of
-    _row_bounds bounds below _PRUNE_REL times the j's; an inf bound is never
-    dropped, nor is any row of a j whose bounds sum to inf.  D is twice the
-    rounded sum of the dropped rows' bounds: that covers the relative rounding
-    of the terms and of the sum, below 2^-35 at 2^17 terms, and a computed
-    |j_n| up to 1.4.  Weights, |C|^2 and M/(2E) are formed on kept rows only."""
+    T the summed _row_bounds of all j but the last, each of those n j keeps
+    the shortest i-prefix, shared by both kappa shells, whose dropped suffix
+    of _row_bounds bounds below prune T / n; the last j, whose sum is the tail
+    estimate, keeps its prefix by _PRUNE_REL of its own bound.  An inf bound
+    is never dropped, and a non-finite T or last-j bound keeps every row of
+    those j; prune = 0 keeps every mode.  D is twice the rounded sum of the
+    dropped rows' bounds: that covers the relative rounding of the terms and
+    of the sum, below 2^-35 at 2^17 terms, and a computed |j_n| up to 1.4.
+    Weights, |C|^2 and M/(2E) are formed on kept rows only."""
     M, Omega, beta, mu = params.M, params.Omega, params.beta, params.mu
     r_col, points = np.array(r_vals)[:, None], len(r_vals) * len(tabs)
     cap = min(_BUFFER_TERMS // points, i_max * (two_j_max**2 - 1) // 4)  # all j but the last
-    buf, width = None, 0  # the open buffer, filled up to width
+    buf, width, held = None, 0, 0.0  # the open buffer, filled up to width, and its dropped bound
     last = (np.empty(0), None)  # the previous +k0 shell's kept momenta and order-k0 squares
     rows = shell_rows(bc, 1, M, params.R, i_max, two_j_max)
     k0s = np.arange(1, len(rows) + 1)  # the m_j > 0 of each j
@@ -247,21 +268,21 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     two_m = 2 * (np.arange(starts[-1] + k0s[-1]) - np.repeat(starts, k0s)) + 1
     dens = [spinor_densities(np.repeat(2 * k0s - 1, k0s), two_m, tab) for tab in tabs]
     keep, dropped = np.full(len(rows), i_max), np.zeros(len(rows))
-    if prune and len(rows) > 1:  # all j but the last
-        n, cut = len(rows) - 1, starts[-1]
-        d = np.max([d_plus[:cut] + d_minus[:cut] for d_plus, d_minus in dens], axis=0)
-        U = _row_bounds(params, rows[:n], d, two_m[:cut], starts[:n], i_max,
+    if prune:
+        n = len(rows) - 1  # the j but the last, of which two_j_max >= 3 leaves one
+        d = np.max([d_plus + d_minus for d_plus, d_minus in dens], axis=0)
+        U = _row_bounds(params, rows, d, two_m, starts, i_max,
                         weight is thermal_weight_subtracted)
         with np.errstate(over="ignore"):  # an inf U keeps its row
             tail = np.cumsum(U.sum(axis=1)[:, ::-1], axis=1)[:, ::-1]
-        total = np.where(np.isfinite(tail[:, :1]), tail[:, :1], np.nan)  # nan: all kept
-        keep[:n] = np.count_nonzero(~(tail < _PRUNE_REL * total), axis=1)
-        dropped[:n] = np.c_[tail, np.zeros(n)][np.arange(n), keep[:n]]
-    dropped = (2.0 * np.cumsum(dropped)).tolist()  # D after each j
-    for two_j, (p, E, C), kept, lo in zip(range(1, two_j_max + 1, 2), rows, keep.tolist(),
-                                          starts.tolist()):
+            cut = np.r_[np.full(n, prune * tail[:n, 0].sum() / n), _PRUNE_REL * tail[n, 0]]
+        cut[~np.isfinite(cut)] = np.nan  # nan: all kept
+        keep = np.count_nonzero(~(tail < cut[:, None]), axis=1)
+        dropped = np.c_[tail, np.zeros(n + 1)][np.arange(n + 1), keep]
+    for two_j, (p, E, C), kept, lo, drop in zip(range(1, two_j_max + 1, 2), rows,
+                                                keep.tolist(), starts.tolist(),
+                                                dropped.tolist()):
         k0 = (two_j + 1) // 2
-        D = dropped[k0 - 1]
         pairs = slice(lo, lo + k0)  # the (j, m_j) pairs of j
         m_j = two_m[pairs] / 2.0
         E, C = (v.reshape(2, i_max, 1)[:, :kept] for v in (E, C))  # (kappa, i, m_j)
@@ -272,11 +293,11 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         p = p.reshape(2, i_max)[:, :kept].ravel()
         size = w_s.size  # terms per point
         if buf is not None and (two_j == two_j_max or points * (width + size) > _BUFFER_TERMS):
-            yield from ((two_j - 2, it, terms, D)
+            yield from ((two_j - 2, it, terms, 2.0 * held)
                         for it, terms in enumerate(buf[:, :, :width]))
             buf = None
         if buf is None and two_j < two_j_max and points * size <= _BUFFER_TERMS:
-            buf, width = np.empty((len(tabs), len(r_vals), cap)), 0
+            buf, width, held = np.empty((len(tabs), len(r_vals), cap)), 0, 0.0
         x = r_col * p
         x[x < 2.0**-1022] = 0.0  # subnormal x: scipy's j_n is nan there for n >= 1
         jp2 = spherical_jn(k0, x) ** 2
@@ -303,39 +324,68 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
             out = A if buf is None else buf[it, :, width:width + size].reshape(A.shape)
             np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
             if buf is None:
-                yield two_j, it, A.reshape(len(r_vals), -1), D
-        width += size
+                yield two_j, it, A.reshape(len(r_vals), -1), 2.0 * drop
+        if buf is not None:
+            width, held = width + size, held + drop
+
+
+def _reduce(blocks, thetas: int, two_j_max: int):
+    """Reduce a _j_blocks stream: (r, err, ok) of each point, shape (r,
+    theta), from _certified_sums of its whole (j_max, i_max) rectangle with
+    the summed D of all buffers as slack; and per theta that of its last j,
+    with that j's own D as slack."""
+    trees, n, slack, last = [[] for _ in range(thetas)], 0, 0.0, []
+    for two_j, it, terms, D in blocks:
+        trees[it].append(_tree_sums(terms))
+        if it == 0:
+            n, slack = n + terms.shape[1], slack + D
+        if two_j == two_j_max:
+            last.append(_certified_sums(trees[it][-1:], terms.shape[1], D))
+    sums = zip(*(_certified_sums(tree, n, slack) for tree in trees))
+    return [np.stack(v, axis=1) for v in sums], last
 
 
 def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
                  th_vals: list[float], two_j_max: int, i_max: int,
                  subtracted: bool) -> tuple[np.ndarray, float]:
     """Condensate over r_vals x th_vals and the largest |last j-shell
-    contribution| over the points.  Each buffer _j_blocks yields is reduced,
-    and certified with its final D as slack: so each value is math.fsum of
-    the whole (j_max, i_max) rectangle of its point.  A point that fails gets
-    all its terms formed, by _j_blocks with pruning off, for math.fsum."""
+    contribution| over the points, each math.fsum's bits.
+
+    One _j_blocks pass at the request's scale gives every value, certified
+    as math.fsum of its whole (j_max, i_max) rectangle.  The points it
+    refuses are redone together in one pass at _PRUNE_REL, and the points
+    refused again get all their terms formed, by _j_blocks with pruning off,
+    for math.fsum; so do at once those whose bound is not finite, as the tree
+    refuses rows that could overflow, which no slack certifies.  A last j row
+    that does not certify changes no maximum if its |sum| plus twice its
+    bound (over the rounding of the bound's own sum) stays within the largest
+    certified one, and otherwise gets math.fsum of its whole last j."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
-    trees, n, tail = [[] for _ in th_vals], 0, 0.0
-    for two_j, it, terms, dropped in _j_blocks(bc, params, r_vals, tabs, two_j_max, i_max,
-                                               weight):
-        trees[it].append(_tree_sums(terms))
-        n += terms.shape[1] * (it == 0)  # terms per point
-        if two_j == two_j_max:  # |sum| only: a zero row (r = 0), never certified, is 0
-            r, certified = _certified_sums([trees[it][-1]], terms.shape[1])
-            for ir in np.flatnonzero(~certified):
-                r[ir] = math.fsum(terms[ir]) if terms[ir].any() else 0.0
-            tail = max(tail, float(np.abs(r).max()))
-    values = np.empty((len(r_vals), len(th_vals)))
-    for it, (total, certified) in enumerate(_certified_sums(tree, n, dropped)
-                                            for tree in trees):
-        for ir in np.flatnonzero(~certified):
-            point = _j_blocks(bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight,
-                              prune=False)
-            total[ir] = math.fsum(np.concatenate([t[0] for _, _, t, _ in point]))
-        values[:, it] = -total
-    return values, tail
+
+    def whole(ir, it):  # every j block of point (ir, it), unpruned
+        return [terms[0] for *_, terms, _ in _j_blocks(
+            bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight, prune=0.0)]
+
+    (r, err, ok), last = _reduce(_j_blocks(bc, params, r_vals, tabs, two_j_max, i_max, weight),
+                                 len(tabs), two_j_max)
+    tail = 0.0
+    for it, (s, e, good) in enumerate(last):  # |sum| only
+        top = max(tail, float(np.abs(s[good]).max(initial=0.0)))
+        for ir in np.flatnonzero(~good & ~(np.abs(s) + 2.0 * e <= top)):
+            s[ir] = math.fsum(whole(ir, it)[-1])
+        tail = max(tail, float(np.abs(s).max()))
+    retry = ~ok & np.isfinite(err)
+    if retry.any():
+        rs, ts = np.flatnonzero(retry.any(axis=1)), np.flatnonzero(retry.any(axis=0))
+        (r2, _, ok2), _ = _reduce(_j_blocks(bc, params, [r_vals[k] for k in rs],
+                                            [tabs[k] for k in ts], two_j_max, i_max, weight,
+                                            prune=_PRUNE_REL), len(ts), two_j_max)
+        sub, done = np.ix_(rs, ts), retry[np.ix_(rs, ts)] & ok2
+        r[sub], ok[sub] = np.where(done, r2, r[sub]), ok[sub] | done
+    for ir, it in zip(*np.nonzero(~ok)):
+        r[ir, it] = math.fsum(np.concatenate(whole(ir, it)))
+    return -r, tail
 
 
 def _two_j_max(j_max: float) -> int:

@@ -266,12 +266,15 @@ def _mit_momenta_reference(two_j: int, kappa: int, esign: int, R: float, M: floa
     n_f, n_g = bessel_orders(kappa)
     f = lambda x: _mit_equation(x, kappa, esign, rho, varsigma)
 
+    # _mit_roots' existence rule: with E and kappa of opposite signs, no root
+    # lies below the first break unless M R < n + 3/2
+    probe = esign * kappa > 0 or rho < min(n_f, n_g) + 1.5
     need = count
     for _ in range(6):
         k_hi = min(need + 2, I_MAX_DEFAULT)
         breaks = np.union1d(bessel_zeros(n_f, k_hi), bessel_zeros(n_g, k_hi))
         # near-zero approach: log-spaced probes below the first break
-        pts = [np.geomspace(1e-6, breaks[0], 12)]
+        pts = [np.geomspace(1e-6, breaks[0], 12) if probe else breaks[:1]]
         lo = breaks[0]
         for hi in breaks[1:]:
             nseg = max(2, int(math.ceil((hi - lo) / _SCAN_STEP)))
@@ -567,6 +570,19 @@ class TestMitNorm:
         assert mit_norm(1, 1, 1, 1.0, 0.0, 1, 1, p) == pytest.approx(expected,
                                                                      rel=1e-12)
 
+    def test_subnormal_ratio_raises_as_underflow(self):
+        # shell (1, -1) reads |j_0(p R)|, 1 to rounding at small p; at E < 0,
+        # M = R = varsigma = 1 the norm ratio is p^2 / 2 and the norm
+        # sqrt(2 p^2 / 2) = p: the ratio is a normal double at p = 1e-150,
+        # subnormal at 1e-160, where it keeps only a few bits, and +0 at
+        # 1e-170.  Both of the latter raise as an underflow
+        norms = lambda p: _mit_norms(1, -1, 1, 1.0, 1.0, -math.hypot(p, 1.0), 1, np.array([p]))
+        assert norms(1e-150)[0] == pytest.approx(1e-150, rel=1e-15)
+        for p in (1e-160, 1e-170):
+            with pytest.raises(FloatingPointError,
+                               match=r"^MIT norm ratio underflows at R=1\.0, M=1\.0$"):
+                norms(p)
+
     def test_conjugate_shares_constant(self):
         R, M, vs = 1.2, 0.7, -1
         for two_j, kappa in ((1, 1), (3, -2), (5, 3)):
@@ -711,6 +727,45 @@ class TestMitArrayPath:
             sc = (1 if kappa > 0 else -1) * vs * (x / (s + rho) if esign > 0 else -(s + rho) / x)
             gap = theta - (np.arctan(1.0 / sc) if kappa > 0 else np.arctan(sc))
             assert np.all(np.diff(gap) > 0), (two_j, kappa, vs, esign, rho)
+
+    def test_existence_rule_below_first_break(self):
+        # _mit_roots' rule: below the first zero of the lower order n the
+        # equation has one root where sign_fg = +1 and E and kappa agree in
+        # sign, one where they do not only if M R < n + 3/2, and none where
+        # sign_fg = -1.  Sampled at 4,000 points from x = 1e-3, where every
+        # value here is a normal double, for every shell of j <= 21/2, both
+        # varsigma and E signs, and M R on both sides of each n + 3/2
+        for (two_j, kappa), vs, esign, rho in itertools.product(
+                _mit_shells(11), (1, -1), (1, -1),
+                (0.0, 0.5, 1.4, 1.6, 2.4, 2.6, 5.4, 5.6, 11.4, 11.6, 30.0)):
+            n = min(bessel_orders(kappa))
+            x = np.geomspace(1e-3, bessel_zeros(n, 1)[0], 4000)[:-1]
+            f = _mit_equation(x, kappa, esign, rho, vs)
+            found = int(np.count_nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0))
+            sign_fg = (1 if kappa > 0 else -1) * vs * esign
+            want = sign_fg > 0 and (esign * kappa > 0 or rho < n + 1.5)
+            assert found == want, (two_j, kappa, vs, esign, rho)
+
+    @pytest.mark.parametrize("two_j, M", [(81, 50.0), (81, 1000.0), (21, 11.5)])
+    def test_no_probe_root_where_the_rule_has_none(self, two_j, M):
+        # varsigma = -1, E and kappa of opposite signs, M R >= n + 3/2: no root
+        # lies below the first break.  At j = 81/2 both Bessel terms are
+        # subnormal at the lowest probes, and at M R = n + 3/2 the equation's
+        # two terms cancel to x^2 there: rounding gave f the wrong sign, a
+        # spurious root, where the 50-digit equation keeps its sign, that
+        # moved every real root down an index.  The real roots keep the bits
+        # of the scalar sign scan
+        k0 = (two_j + 1) // 2
+        for kappa, esign in ((-k0, 1), (k0, -1)):
+            got = mit_momenta(two_j, kappa, esign, 1.0, M, -1, 4)
+            assert np.allclose(got, scan_mit_momenta(two_j, kappa, esign, 1.0, M, -1, 4),
+                               rtol=1e-12, atol=0)
+            assert _same_bits(got, _mit_momenta_reference(two_j, kappa, esign, 1.0, M, -1, 4))
+            probes = np.geomspace(1e-6, bessel_zeros(k0 - 1, 1)[0], 12)
+            f = lambda x: _mit_equation(x, kappa, esign, M, -1)
+            (k,) = np.flatnonzero(np.sign(f(probes[:-1])) * np.sign(f(probes[1:])) < 0)
+            spurious = brentq(f, probes[k], probes[k + 1], xtol=_ROOT_XTOL)
+            assert spurious < 1e-5 and not mp_mit_sign_change(spurious, kappa, esign, M, -1)
 
     @pytest.mark.parametrize("rho", [1e6, 3e6, 1e7])
     def test_moved_roots_rejected(self, rho):

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from rotsphere import cli
+from oracles import scan_mit_momenta
+from rotsphere import cli, mit
+from rotsphere.boundary import shell_rows
 from rotsphere.cli import (ConfigError, RunConfig, main, parse_config, run,
                            config_from_args, build_parser)
 
@@ -306,6 +310,46 @@ class TestHugeMassRadius:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4a68c707185d6778e313147dbcf9f388f232c19ab3a6046a43db88336e4931ae")
+
+
+class TestMitHighJ:
+    """MIT varsigma = -1 at j = 81/2: the shells whose E and kappa have
+    opposite signs have no root below the first break once M R >= n + 3/2.
+    Rounding of subnormal terms gave their equation a spurious root near x =
+    1.5e-6 there, and these runs exited 2 and 3."""
+
+    def test_condensate(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["condensate", "--bc", "mit", "--varsigma", "-1", "--M", "50", "--R", "1",
+                         "--Omega", "0.5", "--beta", "1", "--jmax", "81/2", "--imax", "5",
+                         "--r-grid", "0.5"]) == 0
+        assert math.isfinite(float(capsys.readouterr().out.strip().rsplit(",", 1)[1]))
+        p, _, _ = shell_rows(mit(-1), 1, 50.0, 1.0, 5, 81)[-1]  # the condensate reads E > 0
+        assert np.allclose(p[:5], scan_mit_momenta(81, -41, 1, 1.0, 50.0, -1, 5), rtol=1e-12)
+
+    def test_spectrum(self, capsys):
+        assert main(["spectrum", "--bc", "mit", "--varsigma", "-1", "--M", "1000", "--R", "1",
+                     "--jmax", "81/2", "--imax", "2"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")[1:]]
+        for kappa, esign in ((-41, 1), (41, -1)):
+            pR = [float(row[5]) for row in rows
+                  if row[1:4] == ["81", "81", str(kappa)] and row[0] == str(esign)]
+            assert np.allclose(pR, scan_mit_momenta(81, kappa, esign, 1.0, 1000.0, -1, 2),
+                               rtol=1e-12), kappa
+
+
+class TestHugeBeta:
+    """At beta = 1e308, beta (E_tilde -+ mu) passes the largest double: the
+    weights take their exact limits, 0 here, with no RuntimeWarning."""
+
+    def test_no_overflow_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["condensate", "--M", "1", "--Omega", "0.5", "--beta", "1e308",
+                         "--jmax", "3/2", "--imax", "2", "--r-grid", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "# tail_estimate=0.0\n" in out and out.endswith("\n0.5,1.5707963267948966,-0.0\n")
 
 
 class TestParserReuse:
