@@ -359,32 +359,37 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     refuses rows that could overflow, which no slack certifies.  A last j row
     that does not certify changes no maximum if its |sum| plus twice its
     bound (over the rounding of the bound's own sum) stays within the largest
-    certified one, and otherwise gets math.fsum of its whole last j."""
+    certified one, and otherwise gets math.fsum of its whole last j, from the
+    same formation as its point's value where that needs one too."""
     weight = thermal_weight_subtracted if subtracted else thermal_weight
     tabs = [legendre_density_table((two_j_max + 1) // 2, math.cos(th)) for th in th_vals]
-
-    def whole(ir, it):  # every j block of point (ir, it), unpruned
-        return [terms[0] for *_, terms, _ in _j_blocks(
-            bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight, prune=0.0)]
-
     (r, err, ok), last = _reduce(_j_blocks(bc, params, r_vals, tabs, two_j_max, i_max, weight),
                                  len(tabs), two_j_max)
-    tail = 0.0
-    for it, (s, e, good) in enumerate(last):  # |sum| only
-        top = max(tail, float(np.abs(s[good]).max(initial=0.0)))
-        for ir in np.flatnonzero(~good & ~(np.abs(s) + 2.0 * e <= top)):
-            s[ir] = math.fsum(whole(ir, it)[-1])
-        tail = max(tail, float(np.abs(s).max()))
     retry = ~ok & np.isfinite(err)
     if retry.any():
         rs, ts = np.flatnonzero(retry.any(axis=1)), np.flatnonzero(retry.any(axis=0))
         (r2, _, ok2), _ = _reduce(_j_blocks(bc, params, [r_vals[k] for k in rs],
                                             [tabs[k] for k in ts], two_j_max, i_max, weight,
                                             prune=_PRUNE_REL), len(ts), two_j_max)
-        sub, done = np.ix_(rs, ts), retry[np.ix_(rs, ts)] & ok2
+        sub = np.ix_(rs, ts)
+        done = retry[sub] & ok2
         r[sub], ok[sub] = np.where(done, r2, r[sub]), ok[sub] | done
+
+    def whole(ir, it):  # every j block of point (ir, it), unpruned, which sum its value if due
+        blocks = [terms[0] for *_, terms, _ in _j_blocks(
+            bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight, prune=0.0)]
+        if not ok[ir, it]:
+            r[ir, it], ok[ir, it] = math.fsum(np.concatenate(blocks)), True
+        return blocks
+
+    tail = 0.0
+    for it, (s, e, good) in enumerate(last):  # |sum| only
+        top = max(tail, float(np.abs(s[good]).max(initial=0.0)))
+        for ir in np.flatnonzero(~good & ~(np.abs(s) + 2.0 * e <= top)):
+            s[ir] = math.fsum(whole(ir, it)[-1])
+        tail = max(tail, float(np.abs(s).max()))
     for ir, it in zip(*np.nonzero(~ok)):
-        r[ir, it] = math.fsum(np.concatenate(whole(ir, it)))
+        whole(ir, it)
     return -r, tail
 
 

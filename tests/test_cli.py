@@ -316,7 +316,7 @@ class TestMitHighJ:
     """MIT varsigma = -1 at j = 81/2: the shells whose E and kappa have
     opposite signs have no root below the first break once M R >= n + 3/2.
     Rounding of subnormal terms gave their equation a spurious root near x =
-    1.5e-6 there, and these runs exited 2 and 3."""
+    1.5e-6 there, and these runs exited 2, 3 and 3."""
 
     def test_condensate(self, capsys):
         with warnings.catch_warnings():
@@ -337,6 +337,11 @@ class TestMitHighJ:
                   if row[1:4] == ["81", "81", str(kappa)] and row[0] == str(esign)]
             assert np.allclose(pR, scan_mit_momenta(81, kappa, esign, 1.0, 1000.0, -1, 2),
                                rtol=1e-12), kappa
+
+    def test_verify(self, capsys):
+        assert main(["verify", "--bc", "mit", "--varsigma", "-1", "--M", "1000", "--R", "1",
+                     "--jmax", "81/2", "--imax", "2"]) == 0
+        assert capsys.readouterr().out.endswith("verify: OK\n")
 
 
 class TestHugeBeta:

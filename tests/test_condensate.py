@@ -589,6 +589,31 @@ class TestExactRowSums:
         assert grid.tail_estimate.hex() == max(abs(fsum(row)) for t in tails for row in t).hex()
         assert grid.tail_estimate > 0.0
 
+    def test_refused_tail_row_skipped_only_within_bound(self, monkeypatch):
+        # two tail rows made uncertified: the smallest |sum|, with its own
+        # tight bound, cannot reach the largest certified |sum| and takes no
+        # math.fsum; the next, its bound widened to that maximum, could, and
+        # gets math.fsum of its whole last j, 2 x 30 x 11 terms
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.6, beta=1.5, mu=0.2)
+        args = (SPECTRAL, params, [0.2, 0.5, 0.8], [0.7], 10.5, 30)
+        want = condensate_grid(*args)
+        certified_sums, fsum, calls = cnd._certified_sums, math.fsum, []
+
+        def refusing(trees, n, *slack):
+            r, err, ok = certified_sums(trees, n, *slack)
+            if len(trees) == 1:  # a tail, not a value
+                small, wide = np.argsort(np.abs(r))[:2]
+                ok[[small, wide]] = False
+                err[wide] = np.abs(r).max()
+            return r, err, ok
+
+        monkeypatch.setattr(cnd, "_certified_sums", refusing)
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        got = condensate_grid(*args)
+        assert calls == [660]
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tail_estimate.hex() == want.tail_estimate.hex()
+
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_buffer_size_moves_no_bit(self, bc, monkeypatch):
         # 1 term: every j block reduced alone; 2^40: all j but the last in one
@@ -797,33 +822,46 @@ class TestThermalPruning:
         # dropped ones, formed here with pruning off, within their j's D at
         # every point, the last j's, the tail certificate's slack, included.
         # With a buffer of 1 term every j block comes alone, with its own D,
-        # and its width gives the kept i-prefix of that j.
-        monkeypatch.setattr(cnd, "_BUFFER_TERMS", 1)
-        n_dropped, last_dropped = 0, 0
+        # and its width gives the kept i-prefix of that j.  With the default
+        # buffer, each buffer's D covers the dropped terms of all its j.
+        n_dropped, last_dropped, shared = 0, 0, 0
         for MR, R, omega_r, beta_r, mu_r in _PRUNE_CASES:
             params = PhysicalParams(M=MR / R, R=R, Omega=omega_r / R, beta=beta_r * R,
                                     mu=mu_r / R)
             r_vals = np.linspace(0.0, R, 6)
             rows, tabs = _full_rows(bc, params, r_vals, [0.3, math.pi / 2], 21, 30)
-            blocks = [(two_j, terms.shape[1], dropped) for two_j, it, terms, dropped in
-                      cnd._j_blocks(bc, params, list(r_vals), tabs, 21, 30,
-                                    thermal_weight_subtracted) if it == 0]
+            buffers = [(two_j, dropped) for two_j, it, terms, dropped in
+                       cnd._j_blocks(bc, params, list(r_vals), tabs, 21, 30,
+                                     thermal_weight_subtracted) if it == 0]
+            with monkeypatch.context() as m:
+                m.setattr(cnd, "_BUFFER_TERMS", 1)
+                blocks = [(two_j, terms.shape[1], dropped) for two_j, it, terms, dropped in
+                          cnd._j_blocks(bc, params, list(r_vals), tabs, 21, 30,
+                                        thermal_weight_subtracted) if it == 0]
             assert [two_j for two_j, *_ in blocks] == list(range(1, 22, 2))
+            assert buffers[-1][0] == 21 and len(buffers) < len(blocks)
             shells = shell_rows(bc, 1, params.M, R, 30, 21)
             widths = [30 * (two_j + 1) for two_j in range(1, 22, 2)]
             for row in rows:
+                gone = {}  # the dropped terms of each j
                 for (two_j, kept, D), (_, E, C), block in zip(
                         blocks, shells, np.split(row, np.cumsum(widths)[:-1], axis=1)):
                     bound = _mode_bounds(bc, params, tabs, two_j, E, C)
                     block = np.abs(block).reshape(len(r_vals), *bound.shape)
                     assert np.all(block <= bound), (params, two_j)
                     keep = kept // (two_j + 1)  # kept i of each kappa shell
-                    dropped = block[:, :, keep:].reshape(len(r_vals), -1)
+                    gone[two_j] = block[:, :, keep:].reshape(len(r_vals), -1)
+                    assert all(math.fsum(terms) <= D for terms in gone[two_j].tolist()), params
+                    assert (D > 0.0) == (gone[two_j].shape[1] > 0)
+                    n_dropped += gone[two_j].shape[1]
+                    last_dropped += gone[two_j].shape[1] * (two_j == 21)
+                first = 1
+                for two_j, D in buffers:
+                    dropped = np.concatenate([gone[k] for k in range(first, two_j + 1, 2)], axis=1)
                     assert all(math.fsum(terms) <= D for terms in dropped.tolist()), params
-                    assert (D > 0.0) == (dropped.shape[1] > 0)
-                    n_dropped += dropped.shape[1]
-                    last_dropped += dropped.shape[1] * (two_j == 21)
-        assert last_dropped > 0 and n_dropped > last_dropped
+                    shared += two_j > first
+                    first = two_j + 2
+        assert last_dropped > 0 and n_dropped > last_dropped and shared > 0
 
     @given(bc=st.sampled_from([SPECTRAL, mit(1), mit(-1)]), log_r=st.floats(-3.0, 1.7),
            MR=st.sampled_from([0.0, 0.3, 1.0, 2.5]), omega_r=st.floats(0.0, 0.999),
@@ -1137,7 +1175,8 @@ class TestEdgeInputs:
     def test_size_refused_point_skips_retry(self, monkeypatch):
         # near 2^1007 the tree refuses each sum for its size (n max|x| >=
         # 2^1000), which no slack can certify: the value and the tail go
-        # straight to math.fsum of terms formed unpruned, with no retry pass
+        # straight to math.fsum of terms formed unpruned, in one pass, with
+        # no retry pass
         passes, j_blocks = [], cnd._j_blocks
 
         def recording(*args, **prune):
@@ -1148,7 +1187,7 @@ class TestEdgeInputs:
         grid = condensate_grid(mit(1), PhysicalParams(0.0, 1e-101, 0.0, 1e-104), [5e-102],
                                [1.0], 5.5, 60)
         assert grid.values.item().hex() == "0x1.2f9a42ec70797p+1007"
-        assert passes == [{}, {"prune": 0.0}, {"prune": 0.0}]  # the grid, its tail, its value
+        assert passes == [{}, {"prune": 0.0}]  # the grid, then its value and tail
 
 
 # (M, Omega, beta, mu, R) with M R >= 15 and beta >= 1, where the wall moves
