@@ -322,7 +322,8 @@ def _j_blocks(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
             A += B
             del B  # free before the caller reduces A
             out = A if buf is None else buf[it, :, width:width + size].reshape(A.shape)
-            np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
+            with np.errstate(over="ignore", invalid="ignore"):  # _grid_values rejects it
+                np.multiply(A, C2 * w_s if bc.is_mit else C2, out=out)
             if buf is None:
                 yield two_j, it, A.reshape(len(r_vals), -1), 2.0 * drop
         if buf is not None:
@@ -356,7 +357,9 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
     refuses are redone together in one pass at _PRUNE_REL, and the points
     refused again get all their terms formed, by _j_blocks with pruning off,
     for math.fsum; so do at once those whose bound is not finite, as the tree
-    refuses rows that could overflow, which no slack certifies.  A last j row
+    refuses rows that could overflow, which no slack certifies; a term that
+    overflowed (|C|^2 w near the largest double, from R of about 1e-102)
+    raises ValueError there.  A last j row
     that does not certify changes no maximum if its |sum| plus twice its
     bound (over the rounding of the bound's own sum) stays within the largest
     certified one, and otherwise gets math.fsum of its whole last j, from the
@@ -375,9 +378,11 @@ def _grid_values(bc: BoundaryKind, params: PhysicalParams, r_vals: list[float],
         done = retry[sub] & ok2
         r[sub], ok[sub] = np.where(done, r2, r[sub]), ok[sub] | done
 
-    def whole(ir, it):  # every j block of point (ir, it), unpruned, which sum its value if due
+    def whole(ir, it):  # every j block of point (ir, it), unpruned, and its value if due
         blocks = [terms[0] for *_, terms, _ in _j_blocks(
             bc, params, [r_vals[ir]], [tabs[it]], two_j_max, i_max, weight, prune=0.0)]
+        if not all(np.isfinite(terms).all() for terms in blocks):
+            raise ValueError(f"non-finite condensate term at R={params.R}, M={params.M}")
         if not ok[ir, it]:
             r[ir, it], ok[ir, it] = math.fsum(np.concatenate(blocks)), True
         return blocks

@@ -1172,6 +1172,20 @@ class TestEdgeInputs:
         assert all(D == 0.0 for _, D in pruned)
 
 
+    def test_overflowing_term_names_the_radius(self):
+        # MIT +1, M = 0, R = 10^-101.5 with the raw weight: |C|^2 (w_t + w_b)
+        # passes the largest double, so a term is inf, or nan where A = 0
+        # (r = 0).  The sum would be inf, nan or fsum's own "-inf + inf"
+        # ValueError; the grid names R and M instead, with no warning
+        params = PhysicalParams(M=0.0, R=3.1622776601683792e-102, Omega=0.0,
+                                beta=3.162277660168379e+101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^non-finite condensate term at "
+                                                 r"R=3\.1622776601683792e-102, M=0\.0$"):
+                condensate_grid(mit(1), params, [0.0, 5e-324, params.R], [0.0, math.pi], 1.5,
+                                12, subtracted=False)
+
     def test_size_refused_point_skips_retry(self, monkeypatch):
         # near 2^1007 the tree refuses each sum for its size (n max|x| >=
         # 2^1000), which no slack can certify: the value and the tail go
