@@ -17,16 +17,17 @@ per (esign, M, R, i_max), spectral sets, which depend on neither esign nor M,
 per (R, i_max); E is formed on each read.  A Spectrum holds the modes as flat
 columns gathered from it in one pass, so the vacuum check (E * E_tilde > 0
 for every mode when Omega*R < 1: the rotating and nonrotating vacua
-coincide), the quantization residual (once per root) and the wall checks
+coincide), the quantization residual (per mode given) and the wall checks
 (per label of up to _WALL_MODES consecutive modes, on 5 x 3 (theta, phi)
 samples at r = R, with the mode's f and g) are array expressions.
 
 What depends only on the truncation, or on nothing, is formed once per
 process: the mode layout (label columns, m_j and gather index) per
 truncation, which every Spectrum of it shares read-only, and the wall table
-(chi, sigma_r chi and |chi|^2 of each harmonic label at the wall samples).
-verify checks the quantization residual on the modes with m_j = j, one per
-shell root, as a mode's residual depends on its root alone.
+(chi, sigma_r chi and |chi|^2 of each harmonic label at the wall samples),
+which serves every j.  verify checks the quantization residual on the modes
+with m_j = j, one per shell root, as a mode's residual depends on its root
+alone.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .modes import (QuantumNumbers, _energy, _label_harmonics, _label_key, bessel_orders,
-                    corotating_energy, gamma_radial, radial_pair, spinor_harmonic)
+from .modes import (QuantumNumbers, _energy, _label_key, bessel_orders, corotating_energy,
+                    gamma_radial, radial_pair, spinor_harmonic)
 from .specfun import (I_MAX_DEFAULT, SolverError, _brentq_array, _zero_table, bessel_zeros,
                       spherical_jn)
 
@@ -179,24 +180,17 @@ def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.n
     with sign that of f at the first break and at lo (0: unknown).
 
     The breaks are the first count + 1 zeros of both orders of the columns
-    (l_f, l_g), sorted, each order's table read once.  They interlace, the
-    lower order's first, so sign(j_lf j_lg) flips at each and every other gap
-    is kept, and (r + 1 + [l_f < l_g]) // 2 of j_lf's zeros lie below gap r.
-    f has j_lf's sign in the rootless gaps next to a kept one, so at its ends.
-    Two zeros of one order in a row mean a cut table (inf past its end), and
-    no gap from there on is kept.
+    (l_f, l_g), sorted, each order's table read once.  They interlace strictly,
+    the lower order's first (DLMF 10.21(i)), so sign(j_lf j_lg) flips at each
+    and every other gap is kept, and (r + 1 + [l_f < l_g]) // 2 of j_lf's zeros
+    lie below gap r.  f has j_lf's sign in the rootless gaps next to a kept
+    one, so at its ends.
     """
     distinct, at = np.unique(orders, return_inverse=True)
-    tables = np.full((distinct.size, count + 1), np.inf)
-    for row, n_fg in zip(tables, distinct.tolist()):
-        z = _zero_table(n_fg, count + 1)
-        row[:z.size] = z
-    both = np.concatenate(tables[at.reshape(np.shape(orders))], axis=1)
-    by = np.argsort(both, axis=1, kind="stable")
-    breaks, of_g = np.take_along_axis(both, by, axis=1), by > count  # of_g: a zero of l_g
-    breaks[:, 1:][np.cumsum(of_g[:, 1:] == of_g[:, :-1], axis=1) > 0] = np.inf
+    tables = np.array([_zero_table(n_fg, count + 1) for n_fg in distinct.tolist()])
+    breaks = np.sort(np.concatenate(tables[at.reshape(np.shape(orders))], axis=1), axis=1)
     r = np.arange(breaks.shape[1] - 1)
-    kept = (sign_fg[:, None] == -(-1.0) ** r) & np.isfinite(breaks[:, 1:])
+    kept = sign_fg[:, None] == -(-1.0) ** r
     shell, gap = np.nonzero(kept & (np.cumsum(kept, axis=1) <= count))
     lower_f = orders[0] < orders[1]
     probed = np.flatnonzero(probe)
@@ -424,9 +418,8 @@ def _mode_layout(mit: bool, n_j: int, i_max: int) -> tuple[np.ndarray, ...]:
 
 # The wall table holds chi, S = sigma_r chi and |chi|^2 of the harmonic labels
 # (j, m_j, +-1) at the 15 wall samples, 1,080 bytes a label, read-only and grown by
-# whole j prefixes as far as a wall check asks: verify's j <= 9/2 is 60 labels
-# (65 KB); it stops at j = 41/2, 924 labels (1.0 MB).
-_WALL_TABLE_TWO_J = 41
+# whole j prefixes as far as a wall check asks, with no cap: verify's j <= 9/2 is
+# 60 labels (65 KB), j <= 41/2 924 (1.0 MB), j <= 199/2 20,200 (22 MB).
 _wall_table: list[np.ndarray] = []
 
 
@@ -516,28 +509,17 @@ def enumerate_spectrum(bc: BoundaryKind, params: "PhysicalParams", j_max: float,
     return Spectrum(*labels, p, E, corotating_energy(E, m_j, Omega), C)
 
 
-def _per_root(x: np.ndarray, label: np.ndarray, i: np.ndarray):
-    """(at, inv) with f(x[at], label[at])[inv] == f(x, label): a mode per (label, i, x)."""
-    key, n = (label - label.min(initial=0)) * (i.max(initial=0) + 1) + i, np.arange(x.size)
-    rep = np.zeros(key.max(initial=0) + 1, np.intp)
-    rep[key] = n  # a mode of each key; one whose x differs from it stands alone
-    rep = np.where(x == x[rep[key]], rep[key], n)
-    at = np.flatnonzero(rep == n)
-    n[at] = np.arange(at.size)  # a representative's place in at
-    return at, n[rep]
-
-
 def quantization_residual(bc: BoundaryKind, spectrum: Spectrum, R: float,
                           M: float) -> np.ndarray:
-    """Per-mode residual of the quantization condition at p*R, to hold to QUANT_TOL."""
+    """Per-mode residual of the quantization condition at p*R, to hold to QUANT_TOL.
+    Every mode given is evaluated: a caller that wants each root once passes one
+    mode per root, as verify does."""
     s, x = spectrum, spectrum.p * R
     if bc.is_mit:
-        at, inv = _per_root(x, 4 * s.kappa + s.esign, s.i)  # a root per (kappa, esign, i)
-        return _mit_residual(x[at], s.kappa[at], s.esign[at], M * R, bc.varsigma)[inv]
+        return _mit_residual(x, s.kappa, s.esign, M * R, bc.varsigma)
     # p*R is a zero of j_n, n = j + 1/2 if m_j kappa > 0, else j - 1/2
     n = (s.two_j + np.where(s.two_mj * s.kappa > 0, 1, -1)) // 2
-    at, inv = _per_root(x, n, s.i)  # a root per (n, i)
-    return np.abs(spherical_jn(n[at], x[at]))[inv]
+    return np.abs(spherical_jn(n, x))
 
 
 @dataclass
@@ -588,12 +570,8 @@ def _wall_rows(chi: np.ndarray) -> list[np.ndarray]:
 def _wall_harmonics(block: Spectrum) -> tuple[list[np.ndarray], np.ndarray]:
     """[chi, S, |chi|^2] at the wall samples, rows by label, and the rows of each
     mode's (upper, lower) pair labels (j, m_j, +-sgn kappa), (2, modes).  The rows
-    are _wall_table's, grown to the block's largest j, with _label_key's order;
-    a block with j beyond _WALL_TABLE_TWO_J / 2 gets rows of its own labels."""
+    are _wall_table's, grown to the block's largest j, with _label_key's order."""
     top = int(block.two_j.max(initial=1))
-    if top > _WALL_TABLE_TWO_J:
-        chi, at = _label_harmonics(block, _WALL_THETA.ravel(), _WALL_PHI.ravel())
-        return _wall_rows(chi), at
     have = _wall_table[0].shape[1] if _wall_table else 0
     if have <= _label_key(top, top, 1):  # add the labels of the j past the table's end
         lab = np.array([(tj, tm, s) for tj in range(1, top + 1, 2)

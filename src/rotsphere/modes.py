@@ -225,17 +225,6 @@ def _label_key(two_j, two_mj, sign):
     return (two_j + 1) ** 2 // 2 - 1 + two_mj + (sign > 0)
 
 
-def _label_harmonics(k, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Spinor harmonics of the distinct labels (two_j, two_mj, +-sgn kappa) of label
-    columns k, (2, labels, *angles), and each mode's (upper, lower) pair labels, (2, *modes)."""
-    lab = np.stack(  # axes (label, upper/lower pair, *modes)
-        [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
-    key = _label_key(*lab)
-    _, at, inv = np.unique(key, return_index=True, return_inverse=True)
-    lab = lab.reshape(3, -1)[:, at].reshape(3, -1, *(1,) * np.broadcast(theta, phi).ndim)
-    return spinor_harmonic(*lab, theta, phi), inv.reshape(key.shape)
-
-
 def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     """Explicit 4-component eigenspinor u_k(r, theta, phi), unnormalized.
 
@@ -247,7 +236,12 @@ def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     """
     col = lambda v: np.reshape(v, np.shape(v) + (1,) * np.broadcast(theta, phi).ndim)
     rad = radial_pair(k, p, M, r)
-    chi, inv = _label_harmonics(k, theta, phi)
+    lab = np.stack(  # axes (label, upper/lower pair, *modes)
+        [np.broadcast_arrays(k.two_j, k.two_mj, s * np.sign(k.kappa)) for s in (1, -1)], 1)
+    key = _label_key(*lab)
+    _, at, inv = np.unique(key, return_index=True, return_inverse=True)
+    lab = lab.reshape(3, -1)[:, at].reshape(3, -1, *(1,) * np.broadcast(theta, phi).ndim)
+    chi, inv = spinor_harmonic(*lab, theta, phi), inv.reshape(key.shape)  # (2, labels, *angles)
     u = np.empty((2, 2) + inv.shape[1:] + chi.shape[2:], complex)  # (block, component, ...)
     for block, amp in enumerate((col(rad.f), 1j * col(rad.g_over_i))):  # upper, lower pair
         np.multiply(amp, chi[:, inv[block]], out=u[block])  # one block's gather at a time

@@ -158,9 +158,21 @@ def mp_mit_norm(two_j: int, kappa: int, R: float, M: float, esign: int, varsigma
         return float(mp.sqrt(2) / (R * jval) * mp.sqrt(ratio))
 
 
+@lru_cache(maxsize=None)
+def mp_first_zero(n: int) -> float:
+    """xi_{n,1}, the first positive zero of j_n: that of J_{n+1/2}, from mpmath."""
+    return float(mp.besseljzero(mp.mpf(n) + 0.5, 1))
+
+
 def scan_mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
                      varsigma: int, count: int, step: float = 1e-3) -> list[float]:
-    """MIT momenta from a dense 1e-3 sign scan of the wall relation."""
+    """MIT momenta from a dense 1e-3 sign scan of the wall relation.
+
+    Below the first zero of the lower Bessel order the equation's terms can be
+    subnormal, and their rounding can flip its sign where the exact equation
+    keeps it (from about j = 145/2 at M R = 100).  So each root found there
+    must be a sign change of the 50-digit equation within 1e-9 relative, more
+    than the bisection's 1e-13 at x >= step; if not, RuntimeError."""
     lf, lg = bessel_orders(kappa)
     hi = (count + max(lf, lg) / 2.0 + 2.0) * math.pi
     f = lambda x: float(mit_wall_equation(x, two_j, kappa, esign, M, R, varsigma))
@@ -169,6 +181,12 @@ def scan_mit_momenta(two_j: int, kappa: int, esign: int, R: float, M: float,
     while len(roots) < count:
         hi *= 1.5
         roots = scan_roots(f, step, hi, step, need=count, vec=vec)
+    n = min(lf, lg)
+    for x in roots[:count]:
+        if x < mp_first_zero(n) and not mp_mit_sign_change(x, kappa, esign, M * R, varsigma,
+                                                            rel=1e-9):
+            raise RuntimeError(f"scan root x = {float(x)!r} below the first zero of j_{n} "
+                               "is no sign change of the 50-digit MIT equation")
     return [r / R for r in roots[:count]]
 
 

@@ -21,7 +21,7 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
 from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
-                                _WALL_THETA, SolverError, _mit_equation, _mit_norms,
+                                _WALL_THETA, BoundaryKind, SolverError, _mit_equation, _mit_norms,
                                 _mit_residual, _mit_roots, _wall_residuals, shell_rows,
                                 two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
@@ -767,6 +767,17 @@ class TestMitArrayPath:
             spurious = brentq(f, probes[k], probes[k + 1], xtol=_ROOT_XTOL)
             assert spurious < 1e-5 and not mp_mit_sign_change(spurious, kappa, esign, M, -1)
 
+    @pytest.mark.parametrize("two_j, kappa, esign", [(145, -73, 1), (145, 73, -1),
+                                                     (175, -88, 1)])
+    def test_oracle_refuses_a_spurious_scan_root(self, two_j, kappa, esign):
+        # the oracle's double-precision scan finds a root at x = 5.0e-3 (j =
+        # 145/2) or 2.5e-2 (175/2) at M R = 100, far below the first break,
+        # where the terms are subnormal and the 50-digit equation keeps its
+        # sign: the oracle raises rather than return it
+        n = min(bessel_orders(kappa))
+        with pytest.raises(RuntimeError, match=rf"below the first zero of j_{n} is no sign"):
+            scan_mit_momenta(two_j, kappa, esign, 1.0, 100.0, -1, 4)
+
     @pytest.mark.parametrize("rho", [1e6, 3e6, 1e7])
     def test_moved_roots_rejected(self, rho):
         # at the masses above, a root moved by 1e-9 relative fails the scaled
@@ -779,55 +790,24 @@ class TestMitArrayPath:
             for rel in (-1e-9, 1e-9):
                 assert np.all(resid(x * (1 + rel)) > QUANT_TOL), (vs, esign, rel)
 
-    # shells (1, -1) and (1, 1) read orders 0 and 1; shells (5, -3) and (5, 3)
-    # read orders 2 and 3, whose tables the tests below cut short
+    # shells (1, -1) and (1, 1) read orders 0 and 1, shells (5, -3) and (5, 3)
+    # orders 2 and 3
     _BATCH = ([1, 1, 5, 5], [-1, 1, -3, 3])
-
-    def _cut_tables(self, monkeypatch, keep):
-        """Zero tables of orders 2 and 3, as the root scan reads them, cut to
-        their first keep(count) zeros; returns the (order, count) calls."""
-        calls, real = [], boundary._zero_table
-
-        def cut(n, count):
-            calls.append((n, count))
-            return real(n, count)[:keep(count)] if n in (2, 3) else real(n, count)
-
-        monkeypatch.setattr(boundary, "_zero_table", cut)
-        return calls
 
     def test_each_table_read_once(self, monkeypatch):
         # count 8 reads the first count + 1 = 9 zeros of each order, and each
         # order's table once for all the shells of the batch that read it
-        calls = self._cut_tables(monkeypatch, lambda count: count)
+        calls, real = [], boundary._zero_table
+
+        def counting(n, count):
+            calls.append((n, count))
+            return real(n, count)
+
+        monkeypatch.setattr(boundary, "_zero_table", counting)
         p = _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
         assert sorted(calls) == [(0, 9), (1, 9), (2, 9), (3, 9)]
         for row, two_j, kappa in zip(p, *self._BATCH):
             assert _same_bits(row, _mit_momenta_reference(two_j, kappa, 1, 1.3, 0.7, -1, 8))
-
-    def test_ragged_scans_in_one_batch(self, monkeypatch):
-        # tables of orders 3 and 5 cut to count zeros, one short: the j = 5/2
-        # and 9/2 shells have 17 breaks, the j = 1/2 shells 18, and the shells
-        # with sign_fg = +1 probe below their first break, the others do not.
-        # Every shell still has count kept gaps, and the reference reads the
-        # same tables.  One zero fewer leaves those shells short: no gap past
-        # the last zero of a cut table is kept, as the next zero is unknown.
-        calls = self._cut_tables(monkeypatch, lambda count: count)
-        cut = boundary._zero_table
-        monkeypatch.setattr(boundary, "_zero_table", lambda n, count: (
-            cut(n, count)[:count - 1] if n in (3, 5) else cut(n, count)))
-        monkeypatch.setitem(globals(), "bessel_zeros", boundary._zero_table)
-        two_j, kappa = [1, 1, 5, 5, 9, 9], [-1, 1, -3, 3, -5, 5]
-        for esign, vs in itertools.product((1, -1), (1, -1)):
-            calls.clear()
-            p = _mit_roots(two_j, kappa, esign, 1.3, 0.7, vs, 8)
-            assert sorted(calls) == [(n, 9) for n in range(6)]
-            for row, tj, ka in zip(p, two_j, kappa):
-                assert _same_bits(row, _mit_momenta_reference(tj, ka, esign, 1.3, 0.7, vs, 8))
-        monkeypatch.setattr(boundary, "_zero_table", lambda n, count: (
-            cut(n, count)[:count - 2] if n in (3, 5) else cut(n, count)))
-        with pytest.raises(SolverError, match=r"could not locate 8 momentum roots \(two_j=5, "
-                                              r"kappa=-3,"):
-            _mit_roots(two_j, kappa, 1, 1.3, 0.7, 1, 8)
 
     def test_exact_zero_probe_in_a_batch(self, monkeypatch):
         # no input known to this suite puts an exact 0 of the equation on a
@@ -884,16 +864,26 @@ class TestMitArrayPath:
             assert _same_bits(row, _mit_momenta_reference(tj, ka, 1, 1.0, 1.23, 1, 5))
 
     def test_roots_not_located_names_first_failing_shell(self, monkeypatch):
-        self._cut_tables(monkeypatch, lambda count: 6)  # never enough for 8 roots
+        # the shells of orders 2 and 3 lose their last two kept gaps: (5, -3)
+        # keeps 6 and its root below the first break, 7 of 8 roots, and (5, 3)
+        # keeps 6.  The batch names the first, as that shell solved alone does
+        real = boundary._scan_grids
+
+        def short(orders, count, sign_fg, probe):
+            probes, (lo, hi, shell, sign) = real(orders, count, sign_fg, probe)
+            keep = np.ones(shell.size, bool)
+            for s in np.flatnonzero(np.minimum(*orders) == 2):
+                keep[np.flatnonzero(shell == s)[-2:]] = False
+            return probes, (lo[keep], hi[keep], shell[keep], sign[keep])
+
+        monkeypatch.setattr(boundary, "_scan_grids", short)
         with pytest.raises(SolverError) as got:
             _mit_roots(*self._BATCH, 1, 1.3, 0.7, -1, 8)
         assert str(got.value) == ("could not locate 8 momentum roots (two_j=5, kappa=-3, "
                                   "esign=1, M=0.7, varsigma=-1)")
-        # the same shell solved alone by the reference, on the same cut tables
-        monkeypatch.setitem(globals(), "bessel_zeros", boundary._zero_table)
-        with pytest.raises(SolverError) as want:
-            _mit_momenta_reference(5, -3, 1, 1.3, 0.7, -1, 8)
-        assert str(got.value) == str(want.value)
+        with pytest.raises(SolverError) as alone:
+            _mit_roots(5, -3, 1, 1.3, 0.7, -1, 8)
+        assert str(got.value) == str(alone.value)
 
     def test_batch_raises_for_first_failing_shell(self, monkeypatch):
         # the roots of the kappa < 0 shells moved by 1e-9 relative: at M R = 1e7,
@@ -1438,18 +1428,22 @@ class TestWallArrayPath:
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
     def test_runs_past_the_table_keep_the_bits(self, bc, monkeypatch):
-        # a run with a j past the table's end forms the harmonics of its own
-        # labels and stores nothing; at i_max = 6 the first run of a j <= 25/2
-        # spectrum ends in the j = 13/2 block and the later runs pass it
-        params = PhysicalParams(M=1.0, R=1.0, Omega=0.99, beta=1.0)
-        spec = enumerate_spectrum(bc, params, 12.5, 6)
-        want = _wall_residuals(bc, spec, params.R, params.M)
+        # the table serves every j: the runs of a j <= 45/2 spectrum grow it from
+        # empty past j = 41/2, and their residuals have the bits of one call per
+        # (j, kappa) block, each reading the grown table; its rows of j = 45/2
+        # are spinor_harmonic's
+        params = PhysicalParams(M=1.0, R=1.0, Omega=0.5, beta=1.0)
+        spec = enumerate_spectrum(bc, params, 22.5, 2)
         monkeypatch.setattr(boundary, "_wall_table", [])
-        monkeypatch.setattr(boundary, "_WALL_TABLE_TWO_J", 13)
-        assert spec.two_j[_WALL_MODES - 1] == 13 and spec.two_j[_WALL_MODES] == 13
-        assert _same_bits(_wall_residuals(bc, spec, params.R, params.M), want)
-        assert _same_bits(want, _wall_residuals_per_block(bc, spec, params.R, params.M))
-        assert boundary._wall_table[0].shape[1] == modes._label_key(13, 13, 1) + 1 == 14 * 16 // 2
+        got = _wall_residuals(bc, spec, params.R, params.M)
+        assert len(spec) > 4 * _WALL_MODES and spec.two_j[_WALL_MODES] < 41
+        assert _same_bits(got, _wall_residuals_per_block(bc, spec, params.R, params.M))
+        chi = boundary._wall_table[0]
+        assert chi.shape[1] == modes._label_key(45, 45, 1) + 1 == 46 * 48 // 2
+        theta, phi = _WALL_THETA.ravel(), _WALL_PHI.ravel()
+        for tm, s in itertools.product(range(-45, 46, 2), (-1, 1)):
+            assert np.array_equal(chi[:, modes._label_key(45, tm, s)],
+                                  _spinor_harmonic_reference(45, tm, s, theta, phi))
 
     def test_memory_bounded_by_mode_budget(self):
         # the whole j <= 25/2, i <= 20 MIT spectrum, 14,560 modes: one
@@ -1554,18 +1548,13 @@ class TestDistinctInputs:
         assert boundary._wall_table[0].shape[1] == len(labels) == 14 * 26
 
     @pytest.mark.parametrize("bc", [SPECTRAL, mit(1), mit(-1)])
-    def test_quantization_residual_once_per_root(self, bc, monkeypatch):
+    def test_quantization_residual_once_per_root(self, bc):
+        # quantization_residual evaluates every mode it is given (verify passes
+        # one per root, test_top_m_j_holds_each_root_once): a root is fixed by
+        # (kappa, esign, i) (MIT) or (n, i) (spectral), a quarter of the modes
+        # or fewer, and each mode has the scalar reference's bits
         params = PhysicalParams(M=1.0, R=1.3, Omega=0.5, beta=1.0)
         spec = enumerate_spectrum(bc, params, 12.5, 20)
-        name = "_mit_equation" if bc.is_mit else "spherical_jn"
-        real, elements = getattr(boundary, name), []
-
-        def counting(*args):
-            elements.append(np.broadcast(*(a for a in args if a is not None)).size)
-            return real(*args)
-
-        # a root is fixed by (kappa, esign, i) (MIT) or (n, i) (spectral), and
-        # the residual reads the labels (kappa, esign) or n besides the root
         if bc.is_mit:
             labels = (spec.kappa.tolist(), spec.esign.tolist())
         else:
@@ -1575,20 +1564,13 @@ class TestDistinctInputs:
         assert len(set(zip(*labels, spec.p.tolist()))) == len(roots) < len(spec) / 4
         want = [_quantization_residual_reference(bc, mo, params.R, params.M)
                 for mo in spec.modes()]
-        with monkeypatch.context() as m:
-            m.setattr(boundary, name, counting)
-            resid = quantization_residual(bc, spec, params.R, params.M)
-        assert elements == [len(roots)]
+        resid = quantization_residual(bc, spec, params.R, params.M)
         assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
-        # a mode whose momentum differs from that of its root is evaluated on its own
+        # a mode whose momentum differs from that of its root has its own residual
         p = spec.p.copy()
         p[[7, len(p) // 2]] *= 1.0 + 1e-6
         moved = dataclasses.replace(spec, p=p)
-        elements.clear()
-        with monkeypatch.context() as m:
-            m.setattr(boundary, name, counting)
-            resid = quantization_residual(bc, moved, params.R, params.M)
-        assert elements == [len(roots) + 2]
+        resid = quantization_residual(bc, moved, params.R, params.M)
         want = [_quantization_residual_reference(bc, mo, params.R, params.M)
                 for mo in moved.modes()]
         assert [v.hex() for v in resid.tolist()] == [v.hex() for v in want]
@@ -1654,3 +1636,21 @@ class TestExport:
         spec = enumerate_spectrum(mit(1), params, 1.5, 2)
         again = enumerate_spectrum(mit(1), params, 1.5, 2)
         assert spectrum_to_csv(spec, params.R) == spectrum_to_csv(again, params.R)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, name", [
+        pytest.param(lambda: BoundaryKind("dirichlet"), ValueError, "'dirichlet'", id="kind"),
+        pytest.param(lambda: BoundaryKind("mit", 0), ValueError, "varsigma", id="mit-varsigma"),
+        pytest.param(lambda: BoundaryKind("mit"), ValueError, "varsigma", id="mit-no-varsigma"),
+        pytest.param(lambda: BoundaryKind("spectral", 1), ValueError, "varsigma",
+                     id="spectral-varsigma"),
+        pytest.param(lambda: _mit_roots([1, 1], [-1, 1], [1, 0], 1.0, 1.0, 1, 3), ValueError,
+                     "esign", id="roots-esign"),
+        pytest.param(lambda: _mit_roots(1, -1, 1, 1.0, 1.0, 0, 3), ValueError, "varsigma",
+                     id="roots-varsigma"),
+    ])
+    def test_rejects_and_names_the_input(self, call, error, name):
+        with pytest.raises(Exception) as got:
+            call()
+        assert got.type is error and name in str(got.value)

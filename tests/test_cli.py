@@ -420,6 +420,26 @@ class TestVerifyCommand:
         assert rc == 0
         assert "verify: OK" in capsys.readouterr().out
 
+    def test_violation_reported(self, capsys, monkeypatch):
+        # no input of Omega R < 1 gives a violation, so the check is made to
+        # report one: the mode's line, then FAILED and exit status 1
+        real, seen = cli.bnd.verify_vacuum_equivalence, []
+
+        def one_violation(spectrum, Omega, R):
+            rep = real(spectrum, Omega, R)
+            assert rep.ok
+            rep.violations = seen[:] = spectrum.modes([0])
+            return rep
+
+        monkeypatch.setattr(cli.bnd, "verify_vacuum_equivalence", one_violation)
+        assert main(["verify", "--jmax", "1/2", "--imax", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (mo,) = seen
+        assert lines[0].endswith("violations=1")
+        assert lines[1] == f"  E*E_tilde<=0: {mo.qn} E={mo.E!r} E_tilde={mo.E_tilde!r}"
+        assert lines[1].startswith("  E*E_tilde<=0: QuantumNumbers(esign=-1, two_j=1, ")
+        assert lines[-1] == "verify: FAILED"
+
 
 class TestArgsToConfig:
     def test_namespace_merge(self):
@@ -457,3 +477,26 @@ class TestArgsToConfig:
     def test_run_dispatch_unknown_blocked_by_validation(self):
         with pytest.raises(ConfigError):
             parse_config("mode=render\n")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("text, name", [
+        pytest.param("imax=abc", "'abc' for key 'imax'", id="int"),
+        pytest.param("bc=dirichlet", "'dirichlet' for key 'bc'", id="bc"),
+        pytest.param("varsigma=2", "key 'varsigma'", id="varsigma"),
+        pytest.param("format=xml", "key 'format'", id="format"),
+        pytest.param("preset=fig3", "'fig3' for key 'preset'", id="preset"),
+        pytest.param("count=0", "key 'count'", id="count"),
+        pytest.param("order=-1", "key 'order'", id="order"),
+        pytest.param("M=1\nR 1.0", "line 2: expected key=value, got 'R 1.0'", id="no-equals"),
+        pytest.param("r_grid=0:1", "'0:1' for key 'r_grid'", id="grid-malformed"),
+        pytest.param("theta_grid= , ", "empty grid for key 'theta_grid'", id="grid-empty"),
+    ])
+    def test_rejects_and_names_the_input(self, text, name, tmp_path):
+        # a config file read as main reads it; the grids are parsed by the run
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(Exception) as got:
+            run(config_from_args(build_parser().parse_args(["condensate", "--config",
+                                                            str(path)])))
+        assert got.type is ConfigError and name in str(got.value)

@@ -1287,3 +1287,30 @@ class TestExport:
         a = grid_to_csv(self._grid())
         b = grid_to_csv(self._grid())
         assert a == b
+
+
+class TestInputChecks:
+    _PARAMS = PhysicalParams(M=1.0, R=1.0, Omega=0.0, beta=1.0)
+
+    @pytest.mark.parametrize("call, error, name", [
+        pytest.param(lambda: thermal_weight(1.0, 0, 1.0, 0.0), ValueError, "esign",
+                     id="weight-esign"),
+        pytest.param(lambda: thermal_weight_subtracted(1.0, 2, 1.0, 0.0), ValueError, "esign",
+                     id="subtracted-esign"),
+        pytest.param(lambda: condensate_nonrotating(SPECTRAL, TestInputChecks._PARAMS, 1.5,
+                                                    1.5, 2), ValueError, "r = 1.5",
+                     id="nonrotating-r-past-R"),
+        pytest.param(lambda: condensate_nonrotating(mit(1), TestInputChecks._PARAMS, -0.1,
+                                                    1.5, 2), ValueError, "r = -0.1",
+                     id="nonrotating-r-negative"),
+        pytest.param(lambda: cnd.CondensateGrid(np.zeros(2), np.zeros(1), np.zeros((1, 2)), 1,
+                                                1, 0.0, SPECTRAL, TestInputChecks._PARAMS),
+                     ValueError, "values", id="grid-values-shape"),
+        pytest.param(lambda: cnd.CondensateGrid(np.zeros(2), np.zeros(1), np.zeros((2, 1)), 1,
+                                                1, -1.0, SPECTRAL, TestInputChecks._PARAMS),
+                     ValueError, "tail_estimate", id="grid-tail-estimate"),
+    ])
+    def test_rejects_and_names_the_input(self, call, error, name):
+        with pytest.raises(Exception) as got:
+            call()
+        assert got.type is error and name in str(got.value)

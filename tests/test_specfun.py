@@ -385,3 +385,20 @@ class TestLegendreDensity:
     @settings(max_examples=60, deadline=None)
     def test_density_non_negative(self, theta, l):
         assert assoc_legendre_density(l, min(l, 2), theta) >= 0.0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, name", [
+        pytest.param(lambda: spherical_bessel_j(1.5, 0.5), UnsupportedOrderError, "order",
+                     id="bessel-float-order"),
+        pytest.param(lambda: bessel_zeros(np.float64(2.0), 3), UnsupportedOrderError, "order",
+                     id="zeros-float-order"),
+        pytest.param(lambda: assoc_legendre_density(1.5, 0, 0.3), ValueError, "(l, m)",
+                     id="legendre-float-l"),
+        pytest.param(lambda: assoc_legendre_density(2, 1.0, 0.3), ValueError, "(l, m)",
+                     id="legendre-float-m"),
+    ])
+    def test_rejects_and_names_the_input(self, call, error, name):
+        with pytest.raises(Exception) as got:
+            call()
+        assert got.type is error and name in str(got.value)
