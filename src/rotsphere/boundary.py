@@ -188,7 +188,8 @@ def _scan_grids(orders: tuple[np.ndarray, np.ndarray], count: int, sign_fg: np.n
     """
     distinct, at = np.unique(orders, return_inverse=True)
     tables = np.array([_zero_table(n_fg, count + 1) for n_fg in distinct.tolist()])
-    breaks = np.sort(np.concatenate(tables[at.reshape(np.shape(orders))], axis=1), axis=1)
+    both = np.concatenate(tables[at.reshape(np.shape(orders))], axis=1)
+    breaks = np.sort(both, axis=1)
     r = np.arange(breaks.shape[1] - 1)
     kept = sign_fg[:, None] == -(-1.0) ** r
     shell, gap = np.nonzero(kept & (np.cumsum(kept, axis=1) <= count))

@@ -241,7 +241,8 @@ def assemble_spinor(k, p, M: float, r: float, theta, phi) -> np.ndarray:
     key = _label_key(*lab)
     _, at, inv = np.unique(key, return_index=True, return_inverse=True)
     lab = lab.reshape(3, -1)[:, at].reshape(3, -1, *(1,) * np.broadcast(theta, phi).ndim)
-    chi, inv = spinor_harmonic(*lab, theta, phi), inv.reshape(key.shape)  # (2, labels, *angles)
+    chi = spinor_harmonic(*lab, theta, phi)  # (2, labels, *angles)
+    inv = inv.reshape(key.shape)  # each mode's (upper, lower) pair labels, (2, *modes)
     u = np.empty((2, 2) + inv.shape[1:] + chi.shape[2:], complex)  # (block, component, ...)
     for block, amp in enumerate((col(rad.f), 1j * col(rad.g_over_i))):  # upper, lower pair
         np.multiply(amp, chi[:, inv[block]], out=u[block])  # one block's gather at a time

@@ -21,9 +21,9 @@ from rotsphere import (FasterThanLightError, PhysicalParams, QuantizedMode,
                        verify_boundary_residuals, verify_vacuum_equivalence)
 from rotsphere import boundary, modes
 from rotsphere.boundary import (QUANT_TOL, _SCAN_STEP, _WALL_MODES, _WALL_PHI, _WALL_SIGMA_R,
-                                _WALL_THETA, BoundaryKind, SolverError, _mit_equation, _mit_norms,
-                                _mit_residual, _mit_roots, _wall_residuals, shell_rows,
-                                two_j_from)
+                                _WALL_THETA, BoundaryKind, SolverError, _mit_equation,
+                                _mit_norms, _mit_residual, _mit_roots, _wall_residuals,
+                                shell_rows, two_j_from)
 from rotsphere.modes import (GAMMA_T, RadialPair, assemble_spinor, bessel_orders,
                              corotating_energy, gamma_radial, radial_pair, scalar_density,
                              spinor_harmonic)
